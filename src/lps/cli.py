@@ -4,7 +4,8 @@ The solve command chains the full pipeline (parse, search, factor,
 reconstruct, verify) and reports either human-readable text or a
 schema-stable JSON document.  The verify command re-derives every
 identity from the parsed input and plain polynomial arithmetic so it
-shares no assembly code with the solver.
+shares no assembly code with the solver; solve's closedness flag is the
+same independent check.
 
 Exit codes: 0 success, 1 verification failed, 2 usage or parse error,
 3 nothing found within the degree bound, 4 internal invariant violation.
@@ -80,38 +81,6 @@ def _flag(value) -> str:
 
 
 # -- solve ----------------------------------------------------------------
-
-
-def _closedness_order1(ode, num: MPoly, den: MPoly, k: int) -> bool:
-    """k (M_y + N_x) num den == M (num_y den - num den_y) + N (num_x den - num den_x),
-    the closedness of (M dx - N dy)/V written without the field helpers."""
-    m, n = ode.m, ode.n
-    lhs = k * (m.derivative("y") + n.derivative("x")) * num * den
-    rhs = m * (num.derivative("y") * den - num * den.derivative("y")) + n * (
-        num.derivative("x") * den - num * den.derivative("x")
-    )
-    return (lhs - rhs).is_zero()
-
-
-def _closedness_order2(ode, num: MPoly, den: MPoly, k: int) -> bool:
-    """Same identity against the Cartan field dx + z dy + (M/N) dz, checked
-    as rational functions."""
-    m, n = ode.m, ode.n
-    z = MPoly.variable("z")
-    w = RatFunc(num, den)
-    image = (
-        RatFunc(w.num.derivative("x"), w.den)
-        + RatFunc(z * w.num.derivative("y"), w.den)
-        + RatFunc(m, n) * RatFunc(w.num.derivative("z"), w.den)
-        - RatFunc(w.num, w.den * w.den)
-        * (
-            RatFunc(w.den.derivative("x"))
-            + RatFunc(z * w.den.derivative("y"))
-            + RatFunc(m, n) * RatFunc(w.den.derivative("z"))
-        )
-    )
-    divergence = RatFunc(m.derivative("z") * n - m * n.derivative("z"), n * n)
-    return (image - k * divergence * w).is_zero()
 
 
 def _search_order1(ode, field, args):
@@ -234,7 +203,7 @@ def cmd_solve(args) -> int:
     t0 = time.perf_counter()
     if ode.order == 1:
         report["verified"]["pde"] = verify_iif_identity(field, found.v_num, found.v_den, found.k)
-        report["verified"]["closedness"] = _closedness_order1(
+        report["verified"]["closedness"] = _identity_from_scratch(
             ode, found.v_num, found.v_den, found.k
         )
         if integral is not None:
@@ -242,7 +211,7 @@ def cmd_solve(args) -> int:
     else:
         one = MPoly.constant(1, field.ring)
         report["verified"]["pde"] = verify_iif_identity(field, found.p_j, one, 1)
-        report["verified"]["closedness"] = _closedness_order2(ode, found.p_j, one, 1)
+        report["verified"]["closedness"] = _identity_from_scratch(ode, found.p_j, one, 1)
     timings["verify"] = time.perf_counter() - t0
 
     _finish_timings(timings, t_total)
@@ -311,7 +280,9 @@ def _emit_solve(args, report, field, found, warnings) -> None:
 
 def _identity_from_scratch(ode, num: MPoly, den: MPoly, k: int) -> bool:
     """The defining identity assembled from nothing but the parsed input:
-    den X(num) - num X(den) = k div num den, cleared of denominators."""
+    den X(num) - num X(den) = k div num den, cleared of denominators (for
+    order 2, the closedness identity of the Cartan field times N^2 den^2).
+    solve reports it as its `closedness` flag."""
     m, n = ode.m, ode.n
     if ode.order == 1:
         x_num = n * num.derivative("x") + m * num.derivative("y")
@@ -376,6 +347,8 @@ def cmd_factor(args) -> int:
     try:
         p = parse_poly(args.poly, ("x", "y", "z")).project_ring()
         factored = factor_multivariate(p)
+    except InternalError:
+        raise  # exit 4 from main, not a usage error
     except LpsError as exc:
         return _fail(str(exc), 2)
     if args.json:
@@ -513,8 +486,6 @@ def build_argparser() -> argparse.ArgumentParser:
     solve.add_argument("--json", action="store_true")
     solve.add_argument("--verbose", action="store_true",
                        help="print the kernel basis and system dimensions")
-    solve.add_argument("--threads", type=int, default=1,
-                       help="accepted for interface compatibility; output is identical")
     solve.set_defaults(func=cmd_solve)
 
     verify = sub.add_parser("verify", help="check a candidate against the defining identity")

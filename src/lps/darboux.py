@@ -128,16 +128,12 @@ def solve_cofactor_relation(cofactors: list, target: MPoly) -> CofactorRelation 
     if sols is None:
         return None
 
-    if __debug__:
+    for vec, want in [(sols.particular, target)] + [(v, 0) for v in sols.nullspace_basis]:
         acc = MPoly.zero(ring)
-        for nj, q in zip(sols.particular, cofs):
+        for nj, q in zip(vec, cofs):
             acc = acc + q * nj
-        assert acc == target
-        for vec in sols.nullspace_basis:
-            acc = MPoly.zero(ring)
-            for nj, q in zip(vec, cofs):
-                acc = acc + q * nj
-            assert acc.is_zero()
+        if acc != want:
+            raise InternalError("cofactor relation verification failed")
     return CofactorRelation(tuple(cofs), target, sols)
 
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
-from .errors import DomainError
+from .errors import DomainError, InternalError
 from .intarith import divisors
 from .poly import MPoly, Rat, grlex_key, mpoly_gcd, squarefree_decompose
 from .solver import VectorField
@@ -248,9 +248,8 @@ def _factor_normalized(p: MPoly) -> Factorization:
             pieces.append((f, mult))
     pieces.sort(key=lambda fm: _factor_key(fm[0]))
     result = Factorization(unit, tuple(pieces))
-    if __debug__:
-        ring = p.ring
-        assert result.expand().extend_ring(ring) == p, "factorization round-trip"
+    if result.expand().extend_ring(p.ring) != p:
+        raise InternalError("factorization round-trip failed")
     return result
 
 

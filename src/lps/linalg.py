@@ -325,10 +325,9 @@ def nullspace(mat: RatMatrix, engine: str = "auto") -> list[tuple]:
         basis = _nullspace_modular(mat)
     else:
         raise ValueError(f"unknown engine {engine!r}")
-    if __debug__:
-        for vec in basis:
-            if any(v for v in mat.apply(vec)):
-                raise InternalError("kernel verification failed")
+    for vec in basis:
+        if any(v for v in mat.apply(vec)):
+            raise InternalError("kernel verification failed")
     return basis
 
 
@@ -360,8 +359,7 @@ def solve_affine(mat: RatMatrix, rhs: list, engine: str = "auto") -> AffineSolut
     if particular is None:
         # the rhs column was a pivot column: no solution
         return None
-    if __debug__:
-        out = mat.apply(particular)
-        if any(out[i] != Fraction(rhs[i]) for i in range(mat.nrows)):
-            raise InternalError("affine solve verification failed")
+    out = mat.apply(particular)
+    if any(out[i] != Fraction(rhs[i]) for i in range(mat.nrows)):
+        raise InternalError("affine solve verification failed")
     return AffineSolutionSet(particular, kernel)

@@ -4,6 +4,9 @@ Polynomials live in an ordered subring of Q[x, y, z, w].  Terms are stored
 as a dict mapping exponent tuples to nonzero Fraction coefficients; the
 monomial order everywhere is graded lexicographic with x < y < z < w.
 Binary operations transparently unify operands into the union ring.
+
+The gcd is the heuristic integer gcd GCDHEU (Char, Geddes & Gonnet 1989),
+certified by exact division; the subresultant PRS is its fallback.
 """
 
 from __future__ import annotations
@@ -466,7 +469,13 @@ def candidate_monomials(ring: tuple[str, ...], degree: int) -> list[tuple[int, .
 
 
 # ---------------------------------------------------------------------------
-# GCD via content/primitive-part recursion with a subresultant PRS core.
+# GCD.  The default is GCDHEU (Char, Geddes & Gonnet 1989): evaluate the last
+# variable at a large integer xi, recurse down to an integer gcd, and
+# interpolate back from the symmetric xi-adic digits.  With xi above twice
+# the smaller input norm, the primitive part of the interpolant is the gcd
+# whenever it divides both inputs, so exact division in Z certifies every
+# answer.  When six values of xi per level all fail, the subresultant PRS
+# over the rationals (content/primitive-part recursion) answers instead.
 # ---------------------------------------------------------------------------
 
 
@@ -537,7 +546,7 @@ def _exact_div_list(coeffs: list[MPoly], d: MPoly) -> list[MPoly]:
 def _gcd_list(polys: list[MPoly]) -> MPoly:
     g = MPoly.zero()
     for p in polys:
-        g = _gcd_rec(g, p)
+        g = _gcd(g, p)
         if g.is_constant() and not g.is_zero() and g.constant_value() == 1:
             break
     return g
@@ -576,7 +585,8 @@ def _prs_gcd(A: list[MPoly], B: list[MPoly]) -> list[MPoly]:
 
 
 def _gcd_rec(a: MPoly, b: MPoly) -> MPoly:
-    """gcd including rational content; divides both inputs exactly."""
+    """The subresultant-PRS fallback of _gcd: gcd including rational
+    content; divides both inputs exactly."""
     if a.is_zero():
         return b
     if b.is_zero():
@@ -607,10 +617,132 @@ def _gcd_rec(a: MPoly, b: MPoly) -> MPoly:
     return out
 
 
+_HEU_TRIES = 6
+
+
+def _int_primitive(p: MPoly) -> tuple[Rat, dict]:
+    """(c, q) with p == c * q and q an integer-primitive {monomial: int}."""
+    c = p.rat_content()
+    num, den = c.numerator, c.denominator
+    return c, {m: v.numerator * (den // v.denominator) // num for m, v in p.terms.items()}
+
+
+def _eval_last(f: dict, xi: int) -> dict:
+    """f with its last variable set to xi, in the ring one variable shorter."""
+    out: dict = {}
+    powers = [1]
+    for m, c in f.items():
+        e = m[-1]
+        while len(powers) <= e:
+            powers.append(powers[-1] * xi)
+        out[m[:-1]] = out.get(m[:-1], 0) + c * powers[e]
+    return {m: c for m, c in out.items() if c}
+
+
+def _interpolate(h: dict, xi: int) -> dict:
+    """Inverse of _eval_last on symmetric xi-adic digits: each integer
+    coefficient becomes a polynomial in a new last variable."""
+    out = {}
+    half = xi // 2
+    for m, c in h.items():
+        e = 0
+        while c:
+            d = c % xi
+            if d > half:
+                d -= xi
+            if d:
+                out[m + (e,)] = d
+            c = (c - d) // xi
+            e += 1
+    return out
+
+
+def _divides(h: dict, f: dict) -> bool:
+    """Whether h divides f in Z[...]; h is integer-primitive, so by Gauss's
+    lemma a non-integer quotient coefficient already rules it out."""
+    n = len(next(iter(h)))
+    room = [max(m[i] for m in f) - max(m[i] for m in h) for i in range(n)]
+    if min(room) < 0:
+        return False
+    lm = max(h)
+    lc = h[lm]
+    rem = dict(f)
+    # lex leading-term division; every quotient monomial lies in the box
+    # deg(f) - deg(h), which bounds the work when h is not a divisor
+    while rem:
+        m = max(rem)
+        shift = tuple(i - j for i, j in zip(m, lm))
+        if any(s < 0 or s > r for s, r in zip(shift, room)):
+            return False
+        q, r = divmod(rem[m], lc)
+        if r:
+            return False
+        for mh, ch in h.items():
+            mm = tuple(i + j for i, j in zip(mh, shift))
+            s = rem.get(mm, 0) - q * ch
+            if s:
+                rem[mm] = s
+            else:
+                del rem[mm]
+    return True
+
+
+def _heu_gcd(f: dict, g: dict) -> dict | None:
+    """GCDHEU on nonzero integer polynomials over the same ring; returns
+    the gcd with its integer content, or None when the heuristic gives up."""
+    if not next(iter(f)):
+        return {(): math.gcd(f[()], g[()])}
+    cont = math.gcd(math.gcd(*f.values()), math.gcd(*g.values()))
+    if cont > 1:
+        f = {m: c // cont for m, c in f.items()}
+        g = {m: c // cont for m, c in g.items()}
+    # the common content is a factor of the gcd; in the lower levels it
+    # carries the images of the evaluated variables and must go back in
+    zero = (0,) * len(next(iter(f)))
+    if (len(f) == 1 and zero in f) or (len(g) == 1 and zero in g):
+        return {zero: cont}
+    xi = 2 * min(max(map(abs, f.values())), max(map(abs, g.values()))) + 29
+    for _ in range(_HEU_TRIES):
+        ff = _eval_last(f, xi)
+        gg = _eval_last(g, xi)
+        if ff and gg:
+            low = _heu_gcd(ff, gg)
+            if low is not None:
+                h = _interpolate(low, xi)
+                hc = math.gcd(*h.values())
+                if hc > 1:
+                    h = {m: c // hc for m, c in h.items()}
+                if _divides(h, f) and _divides(h, g):
+                    return {m: c * cont for m, c in h.items()}
+        xi = xi * 73794 * math.isqrt(math.isqrt(xi)) // 27011
+    return None
+
+
+def _gcd(a: MPoly, b: MPoly) -> MPoly:
+    """gcd including rational content; divides both inputs exactly.
+    GCDHEU on the integer-primitive parts, PRS when the heuristic gives up."""
+    if a.is_zero():
+        return b
+    if b.is_zero():
+        return a
+    if a.is_constant() or b.is_constant() or not set(a.vars_used()) & set(b.vars_used()):
+        return MPoly.constant(_rat_gcd(a.rat_content(), b.rat_content()))
+    a, b = a._unify(b)
+    ca, fa = _int_primitive(a)
+    cb, fb = _int_primitive(b)
+    h = _heu_gcd(fa, fb)
+    if h is None:
+        return _gcd_rec(a, b)
+    scale = _rat_gcd(ca, cb)
+    if len(h) == 1 and not any(next(iter(h))):
+        return MPoly.constant(scale)  # h is +-1: both inputs are primitive
+    return MPoly(a.ring, {m: scale * c for m, c in h.items()})
+
+
 def mpoly_gcd(a: MPoly, b: MPoly) -> MPoly:
     """Normalized gcd: integer-primitive with positive leading coefficient.
     mpoly_gcd(0, 0) == 0."""
-    g = _gcd_rec(a, b)
+    g = _gcd(a, b)
     if g.is_zero():
         return g
     return g.normalized()
@@ -725,7 +857,7 @@ class RatFunc:
             self.num = MPoly.zero(num.ring)
             self.den = MPoly.constant(1, num.ring)
             return
-        g = _gcd_rec(num, den)
+        g = _gcd(num, den)
         if not (g.is_constant() and g.constant_value() == 1):
             num = num.exact_divide(g)
             den = den.exact_divide(g)

@@ -1,10 +1,17 @@
 import io
 import json
+import os
+import subprocess
+import sys
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from importlib import resources
+from pathlib import Path
 
+import lps
+from lps import cli
 from lps.cli import main
+from lps.errors import InternalError
 from lps.parser import parse_ode, parse_poly
 from lps.poly import MPoly
 
@@ -12,8 +19,6 @@ from lps.poly import MPoly
 def run_cli(args, stdin_text=None):
     out, err = io.StringIO(), io.StringIO()
     stdin = io.StringIO(stdin_text) if stdin_text is not None else None
-    import sys
-
     old_stdin = sys.stdin
     try:
         if stdin is not None:
@@ -172,6 +177,16 @@ def test_factor_rejects_garbage():
     assert err
 
 
+def test_factor_internal_error_exit_code(monkeypatch):
+    def broken(p):
+        raise InternalError("factorization round-trip failed")
+
+    monkeypatch.setattr(cli, "factor_multivariate", broken)
+    code, _, err = run_cli(["factor", "x^2 - y^2"])
+    assert code == 4
+    assert "internal error" in err
+
+
 def test_solve_not_found_exit_code():
     code, out, err = run_cli(
         ["solve", "--max-degree", "2", "--json", "y' = (y^2 + x^3)/(x + 1)"]
@@ -197,12 +212,25 @@ def test_solve_verbose_json_includes_basis_and_system():
     assert report["basis"] == ["x^2", "x*y", "y^2"]
 
 
-def test_threads_flag_does_not_change_output():
-    _, plain, _ = run_cli(["solve", "--json", "y' = y/x"])
-    _, threaded, _ = run_cli(["solve", "--json", "--threads", "4", "y' = y/x"])
-    a, b = json.loads(plain), json.loads(threaded)
-    a.pop("timings_ms"), b.pop("timings_ms")
-    assert a == b
+def test_threads_flag_is_usage_error():
+    code, _, err = run_cli(["solve", "--json", "--threads", "4", "y' = y/x"])
+    assert code == 2
+    assert "--threads" in err
+
+
+def test_solve_eq5_under_python_O_matches_expected_record():
+    # the exact re-verifications must not depend on assert or __debug__
+    blob = expected_blob("eq5")
+    src = str(Path(lps.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-m", "lps.cli"] + blob["args"] + ["--file", fixture_path("eq5")],
+        capture_output=True, text=True, env=env, timeout=600,
+    )
+    assert proc.returncode == blob["exit_code"]
+    report = json.loads(proc.stdout)
+    report.pop("timings_ms")
+    assert report == blob["report"]
 
 
 def test_solve_second_order_text_output():

@@ -7,9 +7,14 @@ decompositions by expanding them back.
 
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from lps import poly
+from lps.parser import parse_poly
 from lps.poly import (
     MPoly,
     RatFunc,
@@ -216,6 +221,115 @@ def test_gcd_trivariate():
 def test_gcd_constants_normalize_away():
     assert mpoly_gcd(2 * X, 4 * X) == X
     assert mpoly_gcd(MPoly.constant(6), 4 * X) == MPoly.constant(1)
+
+
+RINGS = [("x",), ("x", "y"), ("x", "y", "z")]
+
+
+@st.composite
+def ring_polys(draw, ring, max_terms=4, max_deg=2):
+    terms = {}
+    for _ in range(draw(st.integers(0, max_terms))):
+        mono = tuple(draw(st.integers(0, max_deg)) for _ in ring)
+        coeff = Fraction(draw(st.integers(-12, 12)), draw(st.sampled_from([1, 1, 2, 3, 7])))
+        terms[mono] = terms.get(mono, 0) + coeff
+    return MPoly.from_dict(ring, terms)
+
+
+@st.composite
+def planted_pairs(draw):
+    """(f*g*c, f*h) with a planted common factor f and rational content c;
+    any of f, g, h may come out constant or zero."""
+    ring = draw(st.sampled_from(RINGS))
+    f, g, h = (draw(ring_polys(ring)) for _ in range(3))
+    c = Fraction(draw(st.integers(1, 30)), draw(st.integers(1, 30)))
+    return ring, f, f * g * c, f * h
+
+
+def prs_gcd(a, b):
+    """mpoly_gcd with the heuristic giving up at once: the PRS fallback."""
+    with mock.patch.object(poly, "_HEU_TRIES", 0):
+        return mpoly_gcd(a, b)
+
+
+@settings(max_examples=150, deadline=None)
+@given(planted_pairs())
+def test_heuristic_gcd_matches_prs(case):
+    _, f, a, b = case
+    g = mpoly_gcd(a, b)
+    assert g == prs_gcd(a, b)
+    if not f.is_zero():
+        assert g.exact_divide(f) is not None
+
+
+def test_heuristic_gcd_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+
+    def to_sympy(p, ring):
+        terms = {m: sympy.Rational(c.numerator, c.denominator) for m, c in p.terms.items()}
+        return sympy.Poly.from_dict(terms, *sympy.symbols(ring), domain="QQ")
+
+    @settings(max_examples=100, deadline=None)
+    @given(planted_pairs())
+    def check(case):
+        ring, _, a, b = case
+        g = mpoly_gcd(a, b).extend_ring(ring)
+        expect = sympy.gcd(to_sympy(a, ring), to_sympy(b, ring))
+        if g.is_zero():
+            assert expect.is_zero
+        else:
+            assert to_sympy(g, ring).monic() == expect.monic()
+
+    check()
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from(RINGS).flatmap(lambda r: st.lists(ring_polys(r, max_terms=3), min_size=1, max_size=3)),
+    st.fractions(min_value=Fraction(-9), max_value=Fraction(9)).filter(bool),
+)
+def test_squarefree_roundtrip_matches_prs(bases, content):
+    p = MPoly.constant(content)
+    for i, f in enumerate(bases):
+        p = p * f ** (i + 1)
+    if p.is_zero() or p.is_constant():
+        return
+    dec = squarefree_decompose(p)
+    assert dec.expand() == p
+    with mock.patch.object(poly, "_HEU_TRIES", 0):
+        assert squarefree_decompose(p) == dec
+
+
+def test_eq7_multivariate_gcds_pinned():
+    # the two gcds in the square-free split of eq7's P_J along y: the
+    # second one comes back as 1 when GCDHEU drops the common content
+    ring = ("x", "y", "z")
+    quadric = parse_poly("z - y^2 + y^2*z", ring)
+    sextic = parse_poly(
+        "-2 - y + 2*z - 2*x*y + 2*y^2 + y*z + x^2*z - y^2*z - x^2*y^2 + 2*x*y^3"
+        " - y^4 + x^2*y^2*z - 2*x*y^3*z + y^4*z",
+        ring,
+    )
+    p = quadric * sextic**2
+    dp = p.derivative("y")
+    g = mpoly_gcd(p, dp)
+    assert g == sextic and g.total_degree() == 5
+    w = p.exact_divide(g)
+    h = mpoly_gcd(w, dp.exact_divide(g) - w.derivative("y"))
+    assert h == quadric and h.total_degree() == 3
+
+
+def test_prs_fallback_gives_same_gcd(monkeypatch):
+    rng = random.Random(1212)
+    pairs = [(X * (Y + Z) * (X - Y), (X + Y * Z) * (Y + Z))]
+    for _ in range(20):
+        f, g, h = (rand_poly(rng, nvars=3, max_deg=2, max_terms=3, rational=True) for _ in range(3))
+        pairs.append((f * g, f * h))
+    expected = [mpoly_gcd(a, b) for a, b in pairs]
+    monkeypatch.setattr(poly, "_HEU_TRIES", 0)
+    monkeypatch.setattr(poly, "_gcd_rec", mock.Mock(wraps=poly._gcd_rec))
+    assert [mpoly_gcd(a, b) for a, b in pairs] == expected
+    assert poly._gcd_rec.called
 
 
 def test_lcm():
