@@ -47,8 +47,11 @@ def _fail(message: str, code: int) -> int:
 
 def _read_ode_text(args) -> str:
     if args.file:
-        with open(args.file, encoding="utf-8") as handle:
-            return handle.read()
+        try:
+            with open(args.file, encoding="utf-8") as handle:
+                return handle.read()
+        except OSError as exc:
+            raise LpsError(f"cannot read {args.file}: {exc.strerror}") from exc
     if args.ode == "-":
         return sys.stdin.read()
     if args.ode is None:
@@ -123,12 +126,24 @@ def _darboux_entries(field, polys_with_mult):
 def cmd_solve(args) -> int:
     t_total = time.perf_counter()
     timings = {}
-    try:
-        t0 = time.perf_counter()
-        ode = parse_ode(_read_ode_text(args), order=args.order)
-        timings["parse"] = time.perf_counter() - t0
-    except LpsError as exc:
-        return _fail(str(exc), 2)
+    if args.power_sweep < 0:
+        return _fail("--power-sweep must be nonnegative", 2)
+    t0 = time.perf_counter()
+    ode = parse_ode(_read_ode_text(args), order=args.order)
+    timings["parse"] = time.perf_counter() - t0
+    if ode.order == 2:
+        order1_only = [
+            flag
+            for flag, used in (
+                ("--power", args.power != 1),
+                ("--power-sweep", args.power_sweep),
+                ("--denominator", args.denominator),
+                ("--auto-denominator", args.auto_denominator),
+            )
+            if used
+        ]
+        if order1_only:
+            return _fail(f"{', '.join(order1_only)}: first order equations only", 2)
     field = build_field(ode)
 
     report = {
@@ -322,20 +337,21 @@ def _integral_from_scratch(ode, blob: dict) -> bool:
 
 
 def cmd_verify(args) -> int:
-    try:
-        ode = parse_ode(_read_ode_text(args), order=args.order)
-        if args.integral:
-            blob = json.loads(args.integral)
-            holds = _integral_from_scratch(ode, blob)
-        else:
-            if args.v is None:
-                return _fail("pass a candidate with --v (and optionally --v-den) or --integral", 2)
-            ring = ("x", "y") if ode.order == 1 else ("x", "y", "z")
-            num = parse_poly(args.v, ring)
-            den = parse_poly(args.v_den, ring) if args.v_den else MPoly.constant(1, ring)
-            holds = _identity_from_scratch(ode, num, den, args.power)
-    except (LpsError, ValueError, KeyError) as exc:
-        return _fail(str(exc), 2)
+    if args.power < 1:
+        return _fail("--power must be a positive integer", 2)
+    if not args.integral and args.v is None:
+        return _fail("pass a candidate with --v (and optionally --v-den) or --integral", 2)
+    ode = parse_ode(_read_ode_text(args), order=args.order)
+    if args.integral:
+        try:
+            holds = _integral_from_scratch(ode, json.loads(args.integral))
+        except (ValueError, KeyError, TypeError, ZeroDivisionError) as exc:
+            return _fail(f"bad --integral: {exc}", 2)
+    else:
+        ring = ("x", "y") if ode.order == 1 else ("x", "y", "z")
+        num = parse_poly(args.v, ring)
+        den = parse_poly(args.v_den, ring) if args.v_den else MPoly.constant(1, ring)
+        holds = _identity_from_scratch(ode, num, den, args.power)
     print("identity holds" if holds else "identity fails")
     return 0 if holds else 1
 
@@ -344,13 +360,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_factor(args) -> int:
-    try:
-        p = parse_poly(args.poly, ("x", "y", "z")).project_ring()
-        factored = factor_multivariate(p)
-    except InternalError:
-        raise  # exit 4 from main, not a usage error
-    except LpsError as exc:
-        return _fail(str(exc), 2)
+    p = parse_poly(args.poly, ("x", "y", "z")).project_ring()
+    factored = factor_multivariate(p)
     if args.json:
         print(json.dumps(factored.to_json_dict(), indent=2))
         return 0
@@ -360,10 +371,7 @@ def cmd_factor(args) -> int:
 
 
 def cmd_parse(args) -> int:
-    try:
-        ode = parse_ode(_read_ode_text(args), order=args.order)
-    except LpsError as exc:
-        return _fail(str(exc), 2)
+    ode = parse_ode(_read_ode_text(args), order=args.order)
     if args.json:
         print(json.dumps(ode.to_json_dict(), indent=2))
     else:
@@ -528,6 +536,8 @@ def main(argv=None) -> int:
         return args.func(args)
     except InternalError as exc:
         return _fail(f"internal error: {exc}", 4)
+    except LpsError as exc:
+        return _fail(str(exc), 2)
 
 
 if __name__ == "__main__":

@@ -8,27 +8,29 @@ exponents through a joint linear solve, checks the result against the
 exact logarithmic-derivative identity, and turns the integral back into
 the coprime polynomial pair (Pol_x, Pol_y) with M/N = -Pol_x/Pol_y.
 
+Both the check and the pair come from one cleared expression: for a
+derivation op,
+
+    (B op(A) - A op(B)) prod p_j + B^2 sum_j n_j op(p_j) prod_{i != j} p_i
+
+is op(log I) times B^2 prod p_j.  With op the field's D it must vanish
+(verify_first_integral, no gcd per operation); with op = d/dx and d/dy it
+gives (Pol_x, Pol_y).  B = 0 or a zero p_j is rejected, since the cleared
+expression would vanish trivially.
+
 Second-order multipliers do not lead to a quadrature here; they are
 decomposed into their verified Darboux factors instead.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product as cartesian
 from math import gcd, lcm
 
 from .errors import DomainError, InternalError
 from .factor import DarbouxFactor, darboux_check, factor_multivariate
-from .linalg import AffineSolutionSet, RatMatrix, nullspace, solve_affine
-from .poly import (
-    MPoly,
-    RatFunc,
-    candidate_monomials,
-    grlex_key,
-    mpoly_gcd,
-    squarefree_decompose,
-)
-from .solver import InverseIntegratingFactor, JacobiMultiplier, VectorField
+from .linalg import AffineSolutionSet, nullspace, solve_affine
+from .poly import MPoly, candidate_monomials, mpoly_gcd, squarefree_decompose
+from .solver import InverseIntegratingFactor, JacobiMultiplier, VectorField, poly_system
 
 
 @dataclass(frozen=True)
@@ -42,31 +44,6 @@ class CofactorRelation:
     cofactors: tuple
     target: MPoly
     solutions: AffineSolutionSet
-
-    def canonical_exponents(self) -> tuple:
-        """Representative solution: fewest nonzero exponents, ties broken
-        by the smallest common denominator, then componentwise.  Kernel
-        directions are explored over small integer multiples, which
-        covers the low-dimensional kernels these relations produce."""
-        part = tuple(Fraction(c) for c in self.solutions.particular)
-        basis = self.solutions.nullspace_basis
-        dim = len(basis)
-        if dim == 0 or dim > 3:
-            return part
-        best = None
-        for combo in cartesian(range(-3, 4), repeat=dim):
-            vec = list(part)
-            for c, direction in zip(combo, basis):
-                if c:
-                    vec = [v + c * d for v, d in zip(vec, direction)]
-            key = (
-                sum(1 for v in vec if v),
-                lcm(*(v.denominator for v in vec)),
-                tuple(vec),
-            )
-            if best is None or key < best:
-                best = key
-        return best[2]
 
 
 @dataclass(frozen=True)
@@ -112,19 +89,7 @@ def solve_cofactor_relation(cofactors: list, target: MPoly) -> CofactorRelation 
     cofs = [q.extend_ring(ring) for q in cofs]
     target = target.extend_ring(ring)
 
-    monomials = set(target.terms)
-    for q in cofs:
-        monomials.update(q.terms)
-    rows = sorted(monomials, key=grlex_key)
-    index = {m: i for i, m in enumerate(rows)}
-    entries = {}
-    for j, q in enumerate(cofs):
-        for m, c in q.terms.items():
-            entries[(index[m], j)] = c
-    rhs = [Fraction(0)] * len(rows)
-    for m, c in target.terms.items():
-        rhs[index[m]] = c
-    sols = solve_affine(RatMatrix(len(rows), len(cofs), entries), rhs)
+    sols = solve_affine(*poly_system(cofs, target))
     if sols is None:
         return None
 
@@ -137,21 +102,37 @@ def solve_cofactor_relation(cofactors: list, target: MPoly) -> CofactorRelation 
     return CofactorRelation(tuple(cofs), target, sols)
 
 
-def _image(field: VectorField, p: MPoly) -> RatFunc:
-    out = field.apply(p.extend_ring(field.ring))
-    return out if isinstance(out, RatFunc) else RatFunc(out)
+def _cleared_log_derivative(op, a: MPoly, b: MPoly, factors) -> MPoly:
+    """op(log I) for I = exp(a/b) prod p_j^(n_j), cleared by b^2 prod p_j:
+
+        (b op(a) - a op(b)) prod p_j + b^2 sum_j n_j op(p_j) prod_{i != j} p_i,
+
+    where op is a derivation (a partial derivative or the field's D)."""
+    ps = [p for p, _ in factors]
+    lead = op(a) * b - op(b) * a
+    for p in ps:
+        lead = lead * p
+    acc = MPoly.zero(b.ring)
+    for k, (p, n) in enumerate(factors):
+        term = op(p) * n
+        for l, other in enumerate(ps):
+            if l != k:
+                term = term * other
+        acc = acc + term
+    return lead + b * b * acc
 
 
 def verify_first_integral(field: VectorField, integral: DarbouxFirstIntegral) -> bool:
-    """Exact truth of X(a/b) + sum n_j X(p_j)/p_j = 0 as a rational
-    function; never probabilistic.  Works for either order."""
+    """Exact truth of D(a/b) + sum n_j D(p_j)/p_j = 0, checked in the
+    cleared polynomial form (times b^2 prod p_j, no gcd); never
+    probabilistic.  Works for either order.  Raises DomainError when b or
+    some p_j is zero, since the integral is then undefined."""
     a = integral.a.extend_ring(field.ring)
     b = integral.b.extend_ring(field.ring)
-    total = (_image(field, a) * b - _image(field, b) * a) / RatFunc(b * b)
-    for p, nj in integral.factors:
-        p = p.extend_ring(field.ring)
-        total = total + _image(field, p) * RatFunc(MPoly.constant(nj), p)
-    return total.is_zero()
+    factors = [(p.extend_ring(field.ring), n) for p, n in integral.factors]
+    if b.is_zero() or any(p.is_zero() for p, _ in factors):
+        raise DomainError("first integral with a zero denominator or factor")
+    return _cleared_log_derivative(field.apply, a, b, factors).is_zero()
 
 
 def _seed_structure(field: VectorField, v: InverseIntegratingFactor):
@@ -184,7 +165,7 @@ def _seed_structure(field: VectorField, v: InverseIntegratingFactor):
 
 
 def _joint_solve(field: VectorField, b: MPoly, cofactors: list, d_a: int):
-    """Kernel of X(A) b - A X(b) + b^2 sum(n_j q_j) = 0 over the
+    """Kernel of D(A) b - A D(b) + b^2 sum(n_j q_j) = 0 over the
     coefficients of A (deg A <= d_a) and the exponents n_j; returns the
     first solution that is not a multiple of the trivial (A = b, n = 0)."""
     ring = field.ring
@@ -195,19 +176,8 @@ def _joint_solve(field: VectorField, b: MPoly, cofactors: list, d_a: int):
     for m in monos:
         ma = MPoly(ring, {m: Fraction(1)})
         columns.append(field.apply(ma) * b - ma * xb)
-    for q in cofactors:
-        columns.append(b2 * q)
-
-    row_set = set()
-    for p in columns:
-        row_set.update(p.terms)
-    rows = sorted(row_set, key=grlex_key)
-    index = {m: i for i, m in enumerate(rows)}
-    entries = {}
-    for j, p in enumerate(columns):
-        for m, c in p.terms.items():
-            entries[(index[m], j)] = c
-    basis = nullspace(RatMatrix(len(rows), len(columns), entries))
+    columns += [b2 * q for q in cofactors]
+    basis = nullspace(poly_system(columns)[0])
 
     trivial = [Fraction(0)] * len(columns)
     for i, m in enumerate(monos):
@@ -292,25 +262,13 @@ def compute_pol_pair(integral: DarbouxFirstIntegral) -> tuple:
     """The polynomial pair (Pol_x, Pol_y) obtained by clearing the
     exponents of I to integers and multiplying dI/dx and dI/dy by
     B^2 prod p_j / I; the third element flags gcd(Pol_x, Pol_y) constant."""
-    ps = [p for p, _ in integral.factors]
     scale = lcm(*(n.denominator for _, n in integral.factors)) if integral.factors else 1
     a = integral.a * scale
-    b = integral.b
-    ns = [n * scale for _, n in integral.factors]
-
-    pair = []
-    for var in ("x", "y"):
-        lead = a.derivative(var) * b - b.derivative(var) * a
-        for p in ps:
-            lead = lead * p
-        acc = MPoly.zero(b.ring)
-        for k, p in enumerate(ps):
-            term = p.derivative(var) * ns[k]
-            for l, other in enumerate(ps):
-                if l != k:
-                    term = term * other
-            acc = acc + term
-        pair.append(lead + b * b * acc)
+    factors = [(p, n * scale) for p, n in integral.factors]
+    pair = [
+        _cleared_log_derivative(lambda p, v=var: p.derivative(v), a, integral.b, factors)
+        for var in ("x", "y")
+    ]
     g = mpoly_gcd(pair[0], pair[1])
     coprime = not g.is_zero() and g.total_degree() == 0
     return pair[0], pair[1], coprime

@@ -46,7 +46,7 @@ class Factorization:
 
 @dataclass(frozen=True)
 class DarbouxFactor:
-    """Eigenpolynomial of a vector field: X(p) = q * p exactly."""
+    """Eigenpolynomial of a vector field: D(p) = q * p exactly."""
 
     p: MPoly
     q: MPoly
@@ -271,28 +271,15 @@ def factor_multivariate(p: MPoly) -> Factorization:
     return _factor_normalized(p)
 
 
-def _darboux_apply(field: VectorField, p: MPoly) -> MPoly:
-    """The cleared Darboux operator: N p_x + M p_y for order 1 and
-    N p_x + z N p_y + M p_z for order 2."""
-    if field.order == 1:
-        return field.n * p.derivative("x") + field.m * p.derivative("y")
-    z = MPoly.variable("z")
-    return (
-        field.n * p.derivative("x")
-        + z * field.n * p.derivative("y")
-        + field.m * p.derivative("z")
-    )
-
-
 def darboux_check(field: VectorField, p: MPoly, multiplicity: int = 1) -> DarbouxFactor | None:
-    """Test whether p is an eigenpolynomial of the field and return it
-    with its cofactor, or None."""
+    """Test whether p is an eigenpolynomial of the field, D(p) = q p, and
+    return it with its cofactor q, or None."""
     if p.is_constant():
         raise DomainError("Darboux test needs a non-constant polynomial")
-    image = _darboux_apply(field, p.extend_ring(field.ring))
+    image = field.apply(p.extend_ring(field.ring))
     if image.is_zero():
         return DarbouxFactor(p, MPoly.zero(field.ring), multiplicity)
-    q = image.exact_divide(p.extend_ring(image.ring))
+    q = image.exact_divide(p)
     if q is None:
         return None
     return DarbouxFactor(p, q, multiplicity)

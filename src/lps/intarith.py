@@ -1,5 +1,5 @@
-"""Integer arithmetic utilities: primality, factorization, CRT, rational
-reconstruction.  Everything here is deterministic."""
+"""Integer arithmetic utilities: primality, factorization, divisors,
+rational reconstruction.  Everything here is deterministic."""
 
 from __future__ import annotations
 
@@ -93,28 +93,6 @@ def divisors(n: int, limit: int | None = None) -> list[int] | None:
     for p, e in fac.items():
         divs = [d * p**k for d in divs for k in range(e + 1)]
     return sorted(divs)
-
-
-def crt_pair(r1: int, m1: int, r2: int, m2: int) -> tuple[int, int]:
-    """Combine x=r1 (mod m1), x=r2 (mod m2) for coprime moduli."""
-    g, s, _ = ext_gcd(m1, m2)
-    if g != 1:
-        raise ValueError("moduli not coprime")
-    m = m1 * m2
-    return (r1 + (r2 - r1) * s % m2 * m1) % m, m
-
-
-def ext_gcd(a: int, b: int) -> tuple[int, int, int]:
-    """Extended Euclid: returns (g, s, t) with s*a + t*b == g."""
-    s0, s1, t0, t1 = 1, 0, 0, 1
-    while b:
-        q, r = divmod(a, b)
-        a, b = b, r
-        s0, s1 = s1, s0 - q * s1
-        t0, t1 = t1, t0 - q * t1
-    if a < 0:
-        a, s0, t0 = -a, -s0, -t0
-    return a, s0, t0
 
 
 def rational_reconstruct(a: int, m: int) -> Fraction | None:

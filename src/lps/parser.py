@@ -1,4 +1,4 @@
-"""Input grammar for ODEs and polynomials, plus canonical rendering.
+"""Input grammar for ODEs and polynomials.
 
 The expression language is infix arithmetic over x, y, z with integer
 literals, ^ or ** powers (|exponent| <= 64), and a derivative head:
@@ -8,7 +8,6 @@ for y').  Everything parses into exact rational-function values.
 
 from __future__ import annotations
 
-import json
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -246,42 +245,3 @@ def parse_poly(text: str, variables: tuple[str, ...] = RING2) -> MPoly:
         raise ParseError("expected a polynomial, found a non-constant denominator")
     den = value.den.constant_value()
     return value.num * (Fraction(1) / den) if den != 1 else value.num
-
-
-# ---------------------------------------------------------------------------
-# Rendering.
-# ---------------------------------------------------------------------------
-
-
-def _json_fragment(obj):
-    if isinstance(obj, MPoly):
-        return obj.to_text()
-    if isinstance(obj, RatFunc):
-        return obj.to_text()
-    if isinstance(obj, Fraction):
-        return str(obj)
-    if isinstance(obj, (str, int, float, bool)) or obj is None:
-        return obj
-    if isinstance(obj, (list, tuple)):
-        return [_json_fragment(v) for v in obj]
-    if isinstance(obj, dict):
-        return {str(k): _json_fragment(v) for k, v in obj.items()}
-    if hasattr(obj, "to_json_dict"):
-        return _json_fragment(obj.to_json_dict())
-    raise TypeError(f"cannot serialize {type(obj).__name__}")
-
-
-def render(obj, format: str = "text") -> str:
-    """Canonical rendering of kernel values.  Polynomials print in
-    ascending graded lex order; JSON output is deterministic."""
-    if format == "text":
-        if isinstance(obj, (MPoly, RatFunc, RationalODE)):
-            return obj.to_text()
-        if isinstance(obj, Fraction):
-            return str(obj)
-        if hasattr(obj, "to_text"):
-            return obj.to_text()
-        return str(obj)
-    if format == "json":
-        return json.dumps(_json_fragment(obj), indent=2, sort_keys=False)
-    raise ValueError(f"unknown render format {format!r}")

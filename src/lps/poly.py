@@ -748,14 +748,6 @@ def mpoly_gcd(a: MPoly, b: MPoly) -> MPoly:
     return g.normalized()
 
 
-def mpoly_lcm(a: MPoly, b: MPoly) -> MPoly:
-    if a.is_zero() or b.is_zero():
-        return MPoly.zero()
-    g = mpoly_gcd(a, b)
-    q = (a * b).exact_divide(g)
-    return q.normalized()
-
-
 # ---------------------------------------------------------------------------
 # Squarefree decomposition (Yun's algorithm with content recursion).
 # ---------------------------------------------------------------------------

@@ -8,12 +8,21 @@ z^k V_c / pbar are first integrals of the extended field.  The condition
 on V_c is linear, and the full product B^2 prod(p_j) (or the Jacobi
 multiplier, for second order equations) appears directly in the kernel.
 
-All systems are assembled over the cleared polynomial identity
+Every use of the field goes through one polynomial derivation D, built
+once per equation in `build_field`:
 
-    order 1:  pbar X(V) - V X(pbar) = k (N_x + M_y) V pbar,
-    order 2:  pbar Xc(P) - P Xc(pbar) = k (M_z N - M N_z) P pbar,
+    order 1:  D = N dx + M dy               (the field X itself),
+    order 2:  D = N dx + z N dy + M dz      (N times the Cartan field).
 
-with X = N dx + M dy and Xc = N^2 dx + z N^2 dy + N M dz.
+D(p) = q p is the Darboux condition for either order.  The search
+identity is cleared of denominators with the factor `scale` (1 for order
+1, N for order 2) and the cleared divergence `div`:
+
+    scale (pbar D(V) - V D(pbar)) = k div V pbar,
+    div = N_x + M_y (order 1),  M_z N - M N_z (order 2),
+
+so scale D = N^2 dx + z N^2 dy + N M dz for order 2.  Every linear
+system is read off D and assembled by `poly_system`.
 """
 
 from __future__ import annotations
@@ -24,94 +33,69 @@ from fractions import Fraction
 from .errors import DomainError, InternalError
 from .linalg import RatMatrix, nullspace
 from .parser import RationalODE
-from .poly import MPoly, RatFunc, candidate_monomials, grlex_key
+from .poly import MPoly, candidate_monomials, grlex_key
 
 
 @dataclass(frozen=True)
 class VectorField:
-    """Polynomial vector field attached to a rational ODE.
-
-    Order 1: X = N dx + M dy, polynomial divergence N_x + M_y.
-    Order 2: the Cartan field dx + z dy + (M/N) dz; its divergence is the
-    rational function (M_z N - M N_z) / N^2.
-    """
+    """The derivation D = sum_v c_v d/dv of a rational ODE, with coeffs
+    holding c_v in ring order, plus the search scale and the cleared
+    divergence (see the module docstring)."""
 
     order: int
     m: MPoly
     n: MPoly
+    coeffs: tuple
+    scale: MPoly
+    divergence: MPoly
 
     @property
     def ring(self) -> tuple[str, ...]:
         return ("x", "y") if self.order == 1 else ("x", "y", "z")
 
-    def apply(self, p: MPoly) -> "MPoly | RatFunc":
-        """X(p).  Polynomial for order 1, rational for order 2."""
-        if self.order == 1:
-            return self.n * p.derivative("x") + self.m * p.derivative("y")
-        z = MPoly.variable("z")
-        num = (
-            self.n * p.derivative("x")
-            + z * self.n * p.derivative("y")
-            + self.m * p.derivative("z")
-        )
-        return RatFunc(num, self.n)
-
-    def apply_cleared(self, p: MPoly) -> MPoly:
-        """The polynomial field appearing in the cleared search identity:
-        X itself for order 1, N^2 dx + z N^2 dy + N M dz for order 2."""
-        if self.order == 1:
-            return self.n * p.derivative("x") + self.m * p.derivative("y")
-        z = MPoly.variable("z")
-        nn = self.n * self.n
-        return nn * p.derivative("x") + z * nn * p.derivative("y") + self.n * self.m * p.derivative("z")
-
-    def divergence_cleared(self) -> MPoly:
-        """Divergence of the cleared identity: N_x + M_y for order 1,
-        M_z N - M N_z for order 2."""
-        if self.order == 1:
-            return self.n.derivative("x") + self.m.derivative("y")
-        return self.m.derivative("z") * self.n - self.m * self.n.derivative("z")
-
-    def rhs(self) -> RatFunc:
-        return RatFunc(self.m, self.n)
+    def apply(self, p: MPoly) -> MPoly:
+        """D(p) = sum_v c_v dp/dv."""
+        out = MPoly.zero(self.ring)
+        for var, c in zip(self.ring, self.coeffs):
+            dp = p.derivative(var)
+            if dp.terms:
+                out = out + c * dp
+        return out
 
 
 def build_field(ode: RationalODE) -> VectorField:
-    return VectorField(ode.order, ode.m, ode.n)
+    m, n = ode.m, ode.n
+    if ode.order == 1:
+        coeffs = (n, m)
+        scale = MPoly.constant(1, ode.ring)
+        divergence = n.derivative("x") + m.derivative("y")
+    else:
+        coeffs = (n, MPoly.variable("z").extend_ring(ode.ring) * n, m)
+        scale = n
+        divergence = m.derivative("z") * n - m * n.derivative("z")
+    return VectorField(ode.order, m, n, coeffs, scale, divergence)
 
 
-@dataclass(frozen=True)
-class ExtendedField:
-    """X extended by the auxiliary variable standing for the inverse
-    integrating factor (z for order 1, w for order 2):
-    Xt = X - aux * div(X) * d/d(aux).  Candidates aux^k V_c / pbar are
-    first integrals of Xt."""
-
-    base: VectorField
-    aux: str
-    power: int = 1
-
-    def apply(self, p: MPoly) -> RatFunc:
-        base = self.base
-        if base.order == 1:
-            poly = (
-                base.n * p.derivative("x")
-                + base.m * p.derivative("y")
-                - MPoly.variable(self.aux) * base.divergence_cleared() * p.derivative(self.aux)
-            )
-            return RatFunc(poly)
-        z = MPoly.variable("z")
-        num = (
-            base.n * base.n * p.derivative("x")
-            + z * base.n * base.n * p.derivative("y")
-            + base.n * base.m * p.derivative("z")
-            - MPoly.variable(self.aux) * base.divergence_cleared() * p.derivative(self.aux)
-        )
-        return RatFunc(num, base.n * base.n)
-
-
-def extend_field(field: VectorField, k: int = 1) -> ExtendedField:
-    return ExtendedField(field, "z" if field.order == 1 else "w", k)
+def poly_system(columns: list, target: MPoly | None = None) -> tuple[RatMatrix, list | None]:
+    """The linear system sum_j u_j columns[j] = target over Q: one row per
+    monomial of the grlex-sorted union of the supports (target's
+    included), one column per polynomial.  All polynomials share a ring.
+    The right-hand side is None without a target."""
+    monomials = set() if target is None else set(target.terms)
+    for p in columns:
+        monomials.update(p.terms)
+    rows = sorted(monomials, key=grlex_key)
+    index = {m: i for i, m in enumerate(rows)}
+    entries = {}
+    for j, p in enumerate(columns):
+        for m, c in p.terms.items():
+            entries[(index[m], j)] = c
+    rhs = None
+    if target is not None:
+        rhs = [Fraction(0)] * len(rows)
+        for m, c in target.terms.items():
+            rhs[index[m]] = c
+    return RatMatrix(len(rows), len(columns), entries), rhs
 
 
 @dataclass(frozen=True)
@@ -119,7 +103,7 @@ class InverseIntegratingFactor:
     """V = (v_num / v_den)^(1/k), found as a kernel element.  v_num is
     normalized; the defining identity (cleared of denominators) is
 
-        v_den X(v_num) - v_num X(v_den) = k div(X) v_num v_den.
+        scale (v_den D(v_num) - v_num D(v_den)) = k div v_num v_den.
     """
 
     kind: str  # "polynomial" | "rational" | "kth_root"
@@ -144,7 +128,7 @@ class InverseIntegratingFactor:
 @dataclass(frozen=True)
 class JacobiMultiplier:
     """Polynomial inverse Jacobi multiplier of a rational 2ODE:
-    Xc(p_j) = (M_z N - M N_z) p_j for the cleared Cartan field."""
+    N D(p_j) = (M_z N - M N_z) p_j, D being N times the Cartan field."""
 
     p_j: MPoly
     degree_found: int
@@ -164,33 +148,20 @@ class _SystemBuilder:
     caching per-monomial images across degrees."""
 
     def __init__(self, field: VectorField, k: int, denominator: MPoly):
-        self.field = field
         self.ring = field.ring
         den = denominator.extend_ring(field.ring)
-        self.den = den
-        if field.order == 1:
-            gx = den * field.n
-            gy = den * field.m
-            self.partial_polys = {"x": gx, "y": gy}
-        else:
-            z = MPoly.variable("z").extend_ring(field.ring)
-            nn = field.n * field.n
-            self.partial_polys = {
-                "x": den * nn,
-                "y": den * z * nn,
-                "z": den * field.n * field.m,
-            }
-        self.cterm = field.apply_cleared(den) + k * field.divergence_cleared() * den
+        # pbar scale D(m) = sum_v (pbar scale c_v) dm/dv
+        self.partial_polys = [den * (field.scale * c) for c in field.coeffs]
+        self.cterm = field.scale * field.apply(den) + k * field.divergence * den
         self._images: dict[tuple[int, ...], MPoly] = {}
 
     def image(self, mono: tuple[int, ...]) -> MPoly:
-        """E(m) = pbar Xc(m) - m Xc(pbar) - k div m pbar for one monomial."""
+        """E(m) = scale (pbar D(m) - m D(pbar)) - k div m pbar for one monomial."""
         cached = self._images.get(mono)
         if cached is not None:
             return cached
         total = self.cterm.shift_scale(mono, Fraction(-1))
-        for axis, gp in self.partial_polys.items():
-            i = self.ring.index(axis)
+        for i, gp in enumerate(self.partial_polys):
             e = mono[i]
             if e:
                 shifted = mono[:i] + (e - 1,) + mono[i + 1 :]
@@ -200,17 +171,8 @@ class _SystemBuilder:
 
     def build(self, degree: int) -> tuple[RatMatrix, list[tuple[int, ...]]]:
         cols = candidate_monomials(self.ring, degree)
-        images = [self.image(m) for m in cols]
-        row_monos = set()
-        for img in images:
-            row_monos.update(img.terms)
-        row_order = sorted(row_monos, key=grlex_key)
-        row_index = {m: i for i, m in enumerate(row_order)}
-        entries = {}
-        for j, img in enumerate(images):
-            for m, c in img.terms.items():
-                entries[(row_index[m], j)] = c
-        return RatMatrix(len(row_order), len(cols), entries), cols
+        mat, _ = poly_system([self.image(m) for m in cols])
+        return mat, cols
 
 
 def _select_kernel_poly(basis_vectors: list, cols: list, ring: tuple[str, ...]) -> tuple[MPoly, list[MPoly]]:
@@ -226,9 +188,10 @@ def _select_kernel_poly(basis_vectors: list, cols: list, ring: tuple[str, ...]) 
 
 
 def verify_iif_identity(field: VectorField, v_num: MPoly, v_den: MPoly, k: int) -> bool:
-    """Exact check of the cleared defining identity."""
-    lhs = v_den * field.apply_cleared(v_num) - v_num * field.apply_cleared(v_den)
-    rhs = k * field.divergence_cleared() * v_num * v_den
+    """Exact check of the cleared defining identity
+    scale (v_den D(v_num) - v_num D(v_den)) = k div v_num v_den."""
+    lhs = field.scale * (v_den * field.apply(v_num) - v_num * field.apply(v_den))
+    rhs = k * field.divergence * v_num * v_den
     return (lhs - rhs).is_zero()
 
 

@@ -17,10 +17,16 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .darboux import DarbouxFirstIntegral, compute_pol_pair
-from .linalg import RatMatrix, nullspace, solve_affine
+from .linalg import nullspace, solve_affine
 from .parser import RationalODE
-from .poly import MPoly, RatFunc, candidate_monomials, grlex_key, mpoly_gcd
-from .solver import assemble_lps_system, build_field, lps_search, verify_iif_identity
+from .poly import MPoly, RatFunc, candidate_monomials, mpoly_gcd
+from .solver import (
+    assemble_lps_system,
+    build_field,
+    lps_search,
+    poly_system,
+    verify_iif_identity,
+)
 
 _RING = ("x", "y")
 
@@ -123,20 +129,8 @@ def _in_span(target: MPoly, basis: tuple) -> bool:
         return False
     for p in basis:
         target, _ = target._unify(p)
-    basis = tuple(p.extend_ring(target.ring) for p in basis)
-    monomials = set(target.terms)
-    for p in basis:
-        monomials.update(p.terms)
-    rows = sorted(monomials, key=grlex_key)
-    index = {m: i for i, m in enumerate(rows)}
-    entries = {}
-    for j, p in enumerate(basis):
-        for m, c in p.terms.items():
-            entries[(index[m], j)] = c
-    rhs = [Fraction(0)] * len(rows)
-    for m, c in target.terms.items():
-        rhs[index[m]] = c
-    return solve_affine(RatMatrix(len(rows), len(basis), entries), rhs) is not None
+    basis = [p.extend_ring(target.ring) for p in basis]
+    return solve_affine(*poly_system(basis, target)) is not None
 
 
 def _kernel_polys(field, degree: int) -> tuple:

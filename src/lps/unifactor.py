@@ -14,7 +14,7 @@ import random
 from itertools import combinations
 
 from .errors import InternalError
-from .intarith import ext_gcd, is_probable_prime
+from .intarith import is_probable_prime
 
 
 def _deg(a: list[int]) -> int:

@@ -265,3 +265,56 @@ def test_bench_synthetic_summary():
 def test_usage_error_on_unknown_flag():
     code, _, _ = run_cli(["solve", "--nope", "y' = y/x"])
     assert code == 2
+
+
+def test_solve_power_zero_is_usage_error():
+    code, out, err = run_cli(["solve", "--power", "0", "y' = y/x"])
+    assert code == 2 and out == ""
+    assert "power" in err and "Traceback" not in err
+
+
+def test_solve_negative_max_degree_is_usage_error():
+    code, _, err = run_cli(["solve", "--max-degree", "-1", "y' = y/x"])
+    assert code == 2
+    assert "max_degree" in err
+
+
+def test_solve_denominator_outside_ring_is_usage_error():
+    code, _, err = run_cli(["solve", "--denominator", "z+1", "y' = y/x"])
+    assert code == 2
+    assert "unknown identifier 'z'" in err
+
+
+def test_solve_negative_power_sweep_is_usage_error():
+    code, out, err = run_cli(["solve", "--power-sweep", "-1", "y' = y/x"])
+    assert code == 2 and out == ""
+    assert "--power-sweep" in err
+
+
+def test_verify_power_zero_is_usage_error():
+    code, out, err = run_cli(["verify", "y' = y/x", "--power", "0", "--v", "1"])
+    assert code == 2 and out == ""
+    assert "--power" in err
+
+
+def test_solve_order2_rejects_order1_flags():
+    for flags in (["--power", "2"], ["--power-sweep", "2"], ["--denominator", "x"],
+                  ["--auto-denominator"]):
+        code, out, err = run_cli(["solve", *flags, "y'' = z"])
+        assert code == 2 and out == "", flags
+        assert flags[0] in err and "first order" in err
+    # the order-2 search is the k = 1 identity, so --power 1 stays accepted
+    assert run_cli(["solve", "--power", "1", "y'' = z"])[0] == 0
+
+
+def test_missing_file_is_usage_error(tmp_path):
+    code, _, err = run_cli(["solve", "--file", str(tmp_path / "missing.txt")])
+    assert code == 2
+    assert "cannot read" in err
+
+
+def test_verify_malformed_integral_is_usage_error():
+    for blob in ('[1]', '{"A": "1", "B": "1", "factors": [5]}', '{"A": "1", "B": "0", "factors": []}'):
+        code, out, err = run_cli(["verify", "y' = y/x", "--integral", blob])
+        assert code == 2 and out == "", blob
+        assert "bad --integral" in err

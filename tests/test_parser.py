@@ -1,11 +1,10 @@
-import json
 import random
 from fractions import Fraction
 
 import pytest
 
 from lps.errors import ParseError
-from lps.parser import RationalODE, parse_expr, parse_ode, parse_poly, render
+from lps.parser import RationalODE, parse_expr, parse_ode, parse_poly
 from lps.poly import MPoly, RatFunc
 
 X = MPoly.variable("x")
@@ -125,15 +124,6 @@ def test_normalized_representation():
     assert ode.n == X.extend_ring(("x", "y"))
     neg = parse_ode("y' = y/(-x)")
     assert neg.n == X.extend_ring(("x", "y")) and neg.m == (-Y).extend_ring(("x", "y"))
-
-
-def test_render_json():
-    ode = parse_ode("y' = y/x")
-    blob = json.loads(render(ode, format="json"))
-    assert blob["order"] == 1
-    assert blob["numerator"] == "y"
-    assert blob["denominator"] == "x"
-    assert render(ode) == ode.to_text()
 
 
 def test_second_order_prime_notation():

@@ -21,7 +21,6 @@ from lps.poly import (
     candidate_monomials,
     grlex_key,
     mpoly_gcd,
-    mpoly_lcm,
     squarefree_decompose,
 )
 
@@ -330,12 +329,6 @@ def test_prs_fallback_gives_same_gcd(monkeypatch):
     monkeypatch.setattr(poly, "_gcd_rec", mock.Mock(wraps=poly._gcd_rec))
     assert [mpoly_gcd(a, b) for a, b in pairs] == expected
     assert poly._gcd_rec.called
-
-
-def test_lcm():
-    f = X * Y
-    g = X * (X + Y)
-    assert mpoly_lcm(f, g) == X * Y * (X + Y)
 
 
 def test_squarefree_roundtrip_random():

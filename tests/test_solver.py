@@ -12,10 +12,8 @@ from lps.errors import DomainError
 from lps.parser import parse_ode, parse_poly
 from lps.poly import MPoly, candidate_monomials
 from lps.solver import (
-    ExtendedField,
     assemble_lps_system,
     build_field,
-    extend_field,
     lps2_search,
     lps_search,
     verify_iif_identity,
@@ -36,7 +34,7 @@ def test_build_field_divergence():
     ode = parse_ode("y' = y/x")
     f = build_field(ode)
     assert f.apply(X * Y) == 2 * X * Y  # X = x dx + y dy on xy
-    assert f.divergence_cleared() == MPoly.constant(2)
+    assert f.divergence == MPoly.constant(2)
 
 
 def test_candidate_sizes():
@@ -69,14 +67,6 @@ def test_search_verifies_identity():
     r = lps_search(ode, max_degree=8)
     if r is not None:
         assert verify_iif_identity(build_field(ode), r.v_num, r.v_den, r.k)
-
-
-def test_extended_field_kills_candidates():
-    ode = load_ode("eq5")
-    r = lps_search(ode, max_degree=13)
-    xt = extend_field(build_field(ode))
-    assert isinstance(xt, ExtendedField)
-    assert xt.apply(Z * r.v_num).is_zero()
 
 
 def test_scaling_invariance():
