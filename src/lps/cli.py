@@ -246,18 +246,13 @@ def _emit_solve(args, report, field, found, warnings) -> None:
     for text in warnings:
         print(f"lps: warning: factor {text} failed the Darboux check", file=sys.stderr)
     if args.verbose and found is not None:
-        system = assemble_lps_system(
-            field,
-            found.degree_found,
-            k=getattr(found, "k", 1),
-            denominator=None if found.v_den.is_constant() else found.v_den,
-        ) if field.order == 1 else assemble_lps_system(field, found.degree_found)
+        rows, cols = found.system
         basis = [p.to_text() for p in found.basis]
         if args.json:
-            report["system"] = {"rows": system.nrows, "cols": system.ncols}
+            report["system"] = {"rows": rows, "cols": cols}
             report["basis"] = basis
         else:
-            print(f"system: {system.nrows} equations, {system.ncols} unknowns")
+            print(f"system: {rows} equations, {cols} unknowns")
             for p in basis:
                 print(f"kernel element: {p}")
     if args.json:
@@ -339,6 +334,18 @@ def _integral_from_scratch(ode, blob: dict) -> bool:
 def cmd_verify(args) -> int:
     if args.power < 1:
         return _fail("--power must be a positive integer", 2)
+    if args.integral:
+        other = [
+            flag
+            for flag, used in (
+                ("--v", args.v is not None),
+                ("--v-den", args.v_den is not None),
+                ("--power", args.power != 1),
+            )
+            if used
+        ]
+        if other:
+            return _fail(f"{', '.join(other)}: not used with --integral", 2)
     if not args.integral and args.v is None:
         return _fail("pass a candidate with --v (and optionally --v-den) or --integral", 2)
     ode = parse_ode(_read_ode_text(args), order=args.order)

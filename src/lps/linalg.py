@@ -1,14 +1,42 @@
 """Exact rational linear algebra: sparse matrices, kernels, affine solves.
 
 Two engines produce the same canonical answer: a fraction-free sparse
-elimination over the integers (used for small systems) and a dense
-modular engine (row reduction mod several 31-bit primes, CRT, rational
-reconstruction).  Every vector the modular engine emits is verified
-exactly over Q before it is returned, and a mod-p rank argument shows the
-verified set is a complete basis, so the optimization cannot change
-results.  The canonical kernel basis is the reduced-row-echelon one:
-one vector per free column (ascending), scaled integer-primitive with a
-positive entry at its free column.
+elimination over the integers (used for small systems) and a modular
+engine (one mod-p elimination per prime, CRT, rational reconstruction).
+The canonical kernel basis is the reduced-row-echelon one: one vector per
+free column (ascending), scaled integer-primitive with a positive entry at
+its free column.  Every vector either engine emits is verified exactly
+over Q before it is returned.
+
+The mod-p elimination is `Echelon`.  Each column is scaled to primitive
+integers (which only rescales kernel entries), reduced mod a prime
+p < 2^20 and then reduced, in column order, against a fully reduced basis
+that is stored with its transformation to the original columns.  Column j
+becomes a pivot iff it is independent mod p of the columns before it, so
+the pivots are the RREF pivot columns mod p, and the transformation of a
+dependent column f is the canonical kernel vector mod p: 1 at f, 0 at the
+other free columns.  Products are float64 BLAS with the inner dimension cut
+to 2^13, so every sum stays below 2^53 and is exact (the FFLAS-FFPACK
+approach; Dumas, Giorgi & Pernet 2008).  An Echelon can be kept between
+calls, so a degree ladder, whose every system is the leading block of the
+next, reduces only the columns each rung adds.
+
+Why a verified basis is the canonical one.  Let P and F be the pivot and
+free columns over Q, and P' and F' those mod p.  The mod-p rank of every leading set of columns is at
+most its rank over Q, so |P'| <= |P|, and all columns independent mod p
+means an empty kernel.  Suppose P' != P and every candidate verifies.  The
+|F'| >= |F| candidates are independent kernel vectors, so |P'| = |P|, and
+the columns of P' are a basis of the column space over Q.  Take f in P
+but not in P'.  Mod p, column f is a combination of the columns of P'
+before f alone, so its candidate is 0 on the columns of P' after f.  Over
+Q, f is independent of the columns before it, so its coefficients on the
+columns of P' after f are not all 0: they are 0 mod p but nonzero, and
+the candidate fails verification at every modulus accumulated with profile
+P'.  Hence a verified basis has profile P, and it is the canonical one,
+since the kernel vector with 1 at a free column, 0 at the other free
+columns and support on the pivots is unique.  By the same prefix-rank
+bound, the true profile is the best one any prime shows: highest rank,
+then lexicographically first pivot columns.
 """
 
 from __future__ import annotations
@@ -22,7 +50,7 @@ import numpy as np
 from .errors import InternalError
 from .intarith import primes_below, rational_reconstruct
 
-_PRIMES = primes_below(2**31, 48)
+_PRIMES = primes_below(2**20, 48)
 
 # Systems at most this big go through the fraction-free exact engine.
 _EXACT_CELL_LIMIT = 5000
@@ -191,132 +219,257 @@ def _rank_exact(mat: RatMatrix) -> int:
 # Modular engine.
 # ---------------------------------------------------------------------------
 
+# Every product below takes residues in [0, p) with p < 2^20.  An inner
+# dimension of at most 2^13 keeps (p-1)^2 * 2^13 + p below 2^53, so float64
+# sums are exact.  Products of fewer multiply-adds than _SMALL use int64
+# instead of BLAS, which would allocate buffers of its own; updates walk
+# the rows in slices of about _CELLS cells (at least 64 rows) to keep
+# temporaries small.
+_INNER = 2**13
+_SMALL = 2**22
+_CELLS = 2**13
+# Columns reduced against the basis at once, and columns eliminated one
+# by one inside such a block.
+_BLOCK = 128
+_BASE = 8
 
-def _rref_mod_p(dense: np.ndarray, p: int):
-    """In-place Gauss-Jordan mod p.  Returns (reduced pivot-row matrix,
-    pivot column list)."""
-    A = dense
-    m, n = A.shape
-    r = 0
-    pivots = []
-    for c in range(n):
-        if r == m:
-            break
-        col = A[r:, c]
-        nz = np.nonzero(col)[0]
-        if nz.size == 0:
+
+def _submul(x: np.ndarray, a: np.ndarray, b: np.ndarray, p: int) -> None:
+    """x <- (x - a b) mod p in place, exactly."""
+    n, inner = a.shape
+    small = n * inner * b.shape[1] < _SMALL
+    b = b.astype(np.int64 if small else np.float64)
+    step = max(64, _CELLS // max(inner, b.shape[1]))
+    for r in range(0, n, step):
+        if small:
+            x[r : r + step] = (x[r : r + step] - a[r : r + step].astype(np.int64) @ b) % p
             continue
-        i = r + int(nz[0])
-        if i != r:
-            A[[r, i]] = A[[i, r]]
-        inv = pow(int(A[r, c]), p - 2, p)
-        A[r] = A[r] * inv % p
-        f = A[:, c].copy()
-        f[r] = 0
-        hit = np.nonzero(f)[0]
+        acc = x[r : r + step].astype(np.float64)
+        for s in range(0, inner, _INNER):
+            acc -= a[r : r + step, s : s + _INNER].astype(np.float64) @ b[s : s + _INNER]
+            np.mod(acc, p, out=acc)
+        x[r : r + step] = acc
+
+
+def _primitive_column(col: dict[int, Fraction]) -> tuple[dict[int, int], Fraction]:
+    """Column scaled to primitive integers, and the scale s with
+    scaled = s * col."""
+    den = 1
+    for v in col.values():
+        den = math.lcm(den, v.denominator)
+    ints = {i: v.numerator * (den // v.denominator) for i, v in col.items()}
+    g = math.gcd(*ints.values())
+    if g == 0:
+        return ints, Fraction(1)
+    return {i: n // g for i, n in ints.items()}, Fraction(den, g)
+
+
+def _eliminate(V: np.ndarray, T: np.ndarray, p: int) -> list[tuple[int, int]]:
+    """Gauss-Jordan mod p on the columns of V, in order, in place: each
+    column becomes a pivot column (1 at its pivot row, 0 at the other
+    pivot rows) or zero.  T undergoes the same column operations.
+    Returns [(column, pivot row)] in column order.  Halves are eliminated
+    recursively and combined by matrix products."""
+    k = V.shape[1]
+    if k > _BASE:
+        h = k // 2
+        left = _eliminate(V[:, :h], T[:, :h], p)
+        # coefficients on the left pivot columns only, so that no dependent
+        # column (zero in V, its kernel vector in T) is subtracted
+        coef = np.zeros((h, k - h), np.int64)
+        coef[[t for t, _ in left]] = V[[i for _, i in left], h:]
+        _submul(V[:, h:], V[:, :h], coef, p)
+        _submul(T[:, h:], T[:, :h], coef, p)
+        right = _eliminate(V[:, h:], T[:, h:], p)
+        coef = np.zeros((k - h, h), np.int64)
+        coef[[t for t, _ in right]] = V[[i for _, i in right], :h]
+        _submul(V[:, :h], V[:, h:], coef, p)
+        _submul(T[:, :h], T[:, h:], coef, p)
+        return left + [(h + t, i) for t, i in right]
+    pivots = []
+    for t in range(k):
+        nz = np.flatnonzero(V[:, t])
+        if not nz.size:
+            continue
+        i = int(nz[0])
+        inv = pow(int(V[i, t]), -1, p)
+        V[:, t] = V[:, t] * inv % p
+        T[:, t] = T[:, t] * inv % p
+        f = V[i].copy()
+        f[t] = 0
+        hit = np.flatnonzero(f)
         if hit.size:
-            A[hit] = (A[hit] - f[hit, None] * A[r][None, :]) % p
-        pivots.append(c)
-        r += 1
-    return A[:r], pivots
+            V[:, hit] = (V[:, hit] - V[:, t, None] * f[hit]) % p
+            T[:, hit] = (T[:, hit] - T[:, t, None] * f[hit]) % p
+        pivots.append((t, i))
+    return pivots
 
 
-def _dense_mod_p(int_rows: list[dict[int, int]], ncols: int, p: int) -> np.ndarray:
-    A = np.zeros((len(int_rows), ncols), dtype=np.int64)
-    for i, row in enumerate(int_rows):
-        for j, v in row.items():
-            A[i, j] = v % p
-    return A
+class Echelon:
+    """One mod-p column elimination (see the module docstring), kept from
+    one call of `nullspace` to the next so that a degree ladder reduces
+    only the columns each rung adds.
+
+    State: the basis `top` (one column per pivot, fully reduced: 1 at its
+    pivot row, 0 at the other pivot rows), its transformation `bot` to the
+    primitive-scaled input columns (both float32, exact for residues below
+    2^24), and for each dependent column its canonical kernel vector mod p.
+    """
+
+    def __init__(self, prime_index: int = 0):
+        self.prime_index = prime_index
+        self._clear()
+
+    def _clear(self) -> None:
+        self.p = _PRIMES[self.prime_index % len(_PRIMES)]
+        self.consumed: RatMatrix | None = None
+        self.scales: list[Fraction] = []
+        self.pivot_rows: list[int] = []
+        self.top = np.zeros((0, 0), np.float32)
+        self.bot = np.zeros((0, 0), np.float32)
+        self.free: dict[int, np.ndarray] = {}
+
+    def restart(self) -> None:
+        """Forget everything and start again at the next prime."""
+        self.prime_index += 1
+        self._clear()
+
+    def consume(self, mat: RatMatrix) -> None:
+        """Reduce the columns of mat beyond the matrix consumed last, which
+        must be mat's leading block: same entries there, and none below
+        it in its columns."""
+        old = self.consumed
+        m0, n0 = (0, 0) if old is None else (old.nrows, old.ncols)
+        extends = mat.nrows >= m0 and mat.ncols >= n0
+        new_cols: dict[int, dict[int, Fraction]] = {j: {} for j in range(n0, mat.ncols)}
+        kept = 0
+        for (i, j), v in mat.entries.items():
+            if j >= n0:
+                new_cols[j][i] = v
+            elif (w := old.entries.get((i, j))) is v or w == v:
+                kept += 1
+            else:
+                extends = False
+        if not extends or (old is not None and kept != len(old.entries)):
+            raise InternalError("echelon: the matrix does not extend the one consumed")
+        self.consumed = mat
+        cols = list(new_cols.values())
+        for c0 in range(0, len(cols), _BLOCK):
+            chunk = cols[c0 : c0 + _BLOCK]
+            block = np.zeros((mat.nrows, len(chunk)), np.int64)
+            for t, col in enumerate(chunk):
+                ints, scale = _primitive_column(col)
+                self.scales.append(scale)
+                for i, n in ints.items():
+                    block[i, t] = n % self.p
+            self._reduce(block)
+
+    def _reduce(self, block: np.ndarray) -> None:
+        """Eliminate the next block of residue columns (all rows of the
+        matrix; rows beyond the basis' own are zero in it)."""
+        p = self.p
+        m0, r = self.top.shape
+        n, k = self.bot.shape[0], block.shape[1]
+        coef = block[self.pivot_rows]
+        _submul(block[:m0], self.top, coef, p)
+        trans = np.zeros((n + k, k), np.int64)
+        _submul(trans[:n], self.bot, coef, p)
+        trans[n + np.arange(k), np.arange(k)] = 1
+        new = _eliminate(block, trans, p)
+        pivots = [t for t, _ in new]
+        for t in sorted(set(range(k)) - set(pivots)):
+            self.free[n + t] = trans[: n + t + 1, t].copy()
+        top = np.zeros((block.shape[0], r + len(new)), np.float32)
+        top[:m0, :r] = self.top
+        bot = np.zeros((n + k, r + len(new)), np.float32)
+        bot[:n, :r] = self.bot
+        if new:
+            rows = [i for _, i in new]
+            d = np.zeros((k, r), np.float32)
+            d[pivots] = top[rows, :r]
+            _submul(top[:, :r], block, d, p)
+            _submul(bot[:, :r], trans, d, p)
+            for c, t in enumerate(pivots, r):
+                top[:, c] = block[:, t]
+                bot[:, c] = trans[:, t]
+            self.pivot_rows += rows
+        self.top, self.bot = top, bot
+
+    def residues(self) -> dict[int, list[int]]:
+        """The canonical kernel vector mod p of every dependent column."""
+        n = len(self.scales)
+        return {f: [int(a) for a in vec] + [0] * (n - len(vec)) for f, vec in self.free.items()}
 
 
-def _verify_kernel_vector(int_rows: list[dict[int, int]], vec: tuple) -> bool:
-    for row in int_rows:
-        s = 0
-        for j, v in row.items():
-            if vec[j]:
-                s += v * vec[j]
-        if s:
-            return False
-    return True
+def _reconstruct(residues: dict[int, list[int]], modulus: int, scales: list) -> list[tuple] | None:
+    """Canonical kernel vectors from their residues mod `modulus` (over
+    the primitive-scaled columns), or None if one does not reconstruct."""
+    basis = []
+    for f, vec in residues.items():
+        x = []
+        for a, s in zip(vec, scales):
+            q = rational_reconstruct(a, modulus) if a else Fraction(0)
+            if q is None:
+                return None
+            x.append(q * s)
+        basis.append(_primitive_vector(x, f))
+    return basis
+
+
+def _in_kernel(mat: RatMatrix, basis: list[tuple]) -> bool:
+    return not any(any(mat.apply(vec)) for vec in basis)
 
 
 def _nullspace_modular(mat: RatMatrix) -> list[tuple]:
-    int_rows = _integer_rows(mat)
-    ncols = mat.ncols
-    best_profile = None  # (rank, pivot tuple); true profile maximizes rank,
-    # then has the lexicographically smallest pivot columns
-    residues: list[list[int]] = []
-    modulus = 1
-    free_cols: list[int] = []
-    for p in _PRIMES:
-        dense = _dense_mod_p(int_rows, ncols, p)
-        R, pivots = _rref_mod_p(dense, p)
-        profile = (len(pivots), tuple(pivots))
-        if len(pivots) == ncols:
-            # full column rank mod p forces full rank over Q: empty kernel
+    """Kernel by one Echelon per prime, CRT across primes with the best
+    pivot profile seen (highest rank, then lexicographically first pivot
+    columns; the true profile is best, see the module docstring), rational
+    reconstruction and exact verification.  Falls back to the exact engine
+    if no number of primes gives a verified basis."""
+    best = None
+    for index in range(len(_PRIMES)):
+        echelon = Echelon(index)
+        echelon.consume(mat)
+        if not echelon.free:
             return []
-        if best_profile is None or (profile[0], [-c for c in profile[1]]) > (
-            best_profile[0],
-            [-c for c in best_profile[1]],
-        ):
-            # strictly better profile: restart accumulation on it
-            best_profile = profile
-            pivot_set = set(pivots)
-            free_cols = [c for c in range(ncols) if c not in pivot_set]
-            residues = [[0] * ncols for _ in free_cols]
-            modulus = 1
-        elif profile != best_profile:
-            continue  # unlucky prime, skip
-        pivot_cols = best_profile[1]
-        inv_m = pow(modulus % p, p - 2, p) if modulus > 1 else 1
-        # kernel vector for free col f: 1 at f, -R[i, f] at pivot col i;
-        # CRT-combine this prime's values into the accumulators
-        for k, f in enumerate(free_cols):
-            vals = {f: 1}
-            for i, c in enumerate(pivot_cols):
-                v = int(R[i, f])
-                if v:
-                    vals[c] = (-v) % p
-            vec = residues[k]
-            for j in range(ncols):
-                rp = vals.get(j, 0)
-                if modulus == 1:
-                    vec[j] = rp
-                else:
-                    # x = vec[j] (mod modulus), x = rp (mod p)
-                    delta = (rp - vec[j]) % p
-                    vec[j] = vec[j] + modulus * (delta * inv_m % p)
+        free = list(echelon.free)
+        profile = (-len(free), free)
+        if best is None or profile > best:
+            best, modulus = profile, 1
+            acc = {f: [0] * mat.ncols for f in free}
+        elif profile != best:
+            continue
+        p = echelon.p
+        inv_m = pow(modulus, -1, p)
+        for f, vec in echelon.residues().items():
+            a = acc[f]
+            for j, rp in enumerate(vec):
+                a[j] += modulus * ((rp - a[j]) * inv_m % p)
         modulus *= p
-        # try rational reconstruction + exact verification
-        candidate = []
-        ok = True
-        for k, f in enumerate(free_cols):
-            vec_q = []
-            for j in range(ncols):
-                q = rational_reconstruct(residues[k][j] % modulus, modulus)
-                if q is None:
-                    ok = False
-                    break
-                vec_q.append(q)
-            if not ok:
-                break
-            cand = _primitive_vector(vec_q, f)
-            if not _verify_kernel_vector(int_rows, cand):
-                ok = False
-                break
-            candidate.append(cand)
-        if ok:
-            # rank argument: the rank-p lower bound plus len(candidate)
-            # verified independent kernel vectors pin the dimension
-            return candidate
-    raise InternalError("modular nullspace did not converge")  # pragma: no cover
+        basis = _reconstruct(acc, modulus, echelon.scales)
+        if basis is not None and _in_kernel(mat, basis):
+            return basis
+    return _nullspace_exact(mat)
 
 
-def nullspace(mat: RatMatrix, engine: str = "auto") -> list[tuple]:
+def nullspace(mat: RatMatrix, engine: str = "auto", echelon: Echelon | None = None) -> list[tuple]:
     """Canonical kernel basis of mat (RREF form, see module docstring).
-    Deterministic: identical input gives bit-identical output."""
+    Deterministic: identical input gives bit-identical output.
+
+    With an `echelon` that consumed mat's leading block, only the new
+    columns are reduced.  No dependency mod p means an empty kernel (the
+    mod-p rank bounds the rank over Q from below); dependencies are
+    reconstructed from that one prime and verified exactly.  If they do
+    not verify, `engine` answers and the echelon restarts at the next
+    prime, since an unlucky prime cannot certify later rungs either."""
     if mat.ncols == 0:
         return []
+    if echelon is not None:
+        echelon.consume(mat)
+        basis = _reconstruct(echelon.residues(), echelon.p, echelon.scales)
+        if basis is not None and _in_kernel(mat, basis):
+            return basis
+        echelon.restart()
     if engine == "auto":
         engine = "exact" if mat.nrows * mat.ncols <= _EXACT_CELL_LIMIT else "modular"
     if engine == "exact":
@@ -325,9 +478,8 @@ def nullspace(mat: RatMatrix, engine: str = "auto") -> list[tuple]:
         basis = _nullspace_modular(mat)
     else:
         raise ValueError(f"unknown engine {engine!r}")
-    for vec in basis:
-        if any(v for v in mat.apply(vec)):
-            raise InternalError("kernel verification failed")
+    if not _in_kernel(mat, basis):
+        raise InternalError("kernel verification failed")
     return basis
 
 

@@ -23,6 +23,13 @@ identity is cleared of denominators with the factor `scale` (1 for order
 
 so scale D = N^2 dx + z N^2 dy + N M dz for order 2.  Every linear
 system is read off D and assembled by `poly_system`.
+
+The search climbs a degree ladder, one linear system per degree d.  The
+columns of degree d are a prefix of those of degree d+1 (grlex order) and
+rows are numbered in order of first appearance, so each system is the
+leading block of the next; `_ladder` keeps one mod-p elimination
+(`linalg.Echelon`) across the rungs, and each rung reduces only its new
+columns.
 """
 
 from __future__ import annotations
@@ -31,7 +38,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DomainError, InternalError
-from .linalg import RatMatrix, nullspace
+from .linalg import Echelon, RatMatrix, nullspace
 from .parser import RationalODE
 from .poly import MPoly, candidate_monomials, grlex_key
 
@@ -78,24 +85,28 @@ def build_field(ode: RationalODE) -> VectorField:
 
 def poly_system(columns: list, target: MPoly | None = None) -> tuple[RatMatrix, list | None]:
     """The linear system sum_j u_j columns[j] = target over Q: one row per
-    monomial of the grlex-sorted union of the supports (target's
-    included), one column per polynomial.  All polynomials share a ring.
-    The right-hand side is None without a target."""
-    monomials = set() if target is None else set(target.terms)
-    for p in columns:
-        monomials.update(p.terms)
-    rows = sorted(monomials, key=grlex_key)
-    index = {m: i for i, m in enumerate(rows)}
+    monomial of the union of the supports, in order of first appearance
+    (target's terms first, then each column's), one column per
+    polynomial.  All polynomials share a ring.  The right-hand side is
+    None without a target.
+
+    With that row order, the system of a column list is the leading
+    block of the system of any extension of the list, which the degree
+    ladder relies on."""
+    index: dict = {}
+    if target is not None:
+        for m in target.terms:
+            index.setdefault(m, len(index))
     entries = {}
     for j, p in enumerate(columns):
         for m, c in p.terms.items():
-            entries[(index[m], j)] = c
+            entries[(index.setdefault(m, len(index)), j)] = c
     rhs = None
     if target is not None:
-        rhs = [Fraction(0)] * len(rows)
+        rhs = [Fraction(0)] * len(index)
         for m, c in target.terms.items():
             rhs[index[m]] = c
-    return RatMatrix(len(rows), len(columns), entries), rhs
+    return RatMatrix(len(index), len(columns), entries), rhs
 
 
 @dataclass(frozen=True)
@@ -113,6 +124,7 @@ class InverseIntegratingFactor:
     degree_found: int
     nullspace_dim: int
     basis: tuple = ()
+    system: tuple = ()  # (rows, cols) of the system at degree_found
 
     def to_json_dict(self) -> dict:
         return {
@@ -134,6 +146,7 @@ class JacobiMultiplier:
     degree_found: int
     nullspace_dim: int
     basis: tuple = ()
+    system: tuple = ()  # (rows, cols) of the system at degree_found
 
     def to_json_dict(self) -> dict:
         return {
@@ -208,12 +221,34 @@ def _normalize_denominator(field: VectorField, denominator) -> MPoly:
     return denominator.extend_ring(field.ring).normalized()
 
 
+def _ladder(field: VectorField, max_degree: int, k: int, den: MPoly):
+    """The degree ladder: the kernel at the first degree <= max_degree
+    whose system has one, as (chosen element normalized, degree, all
+    kernel elements normalized, (rows, cols) of the system), or None.
+
+    Rung d's system is the leading block of rung d+1's, so one Echelon
+    carries the mod-p elimination up the ladder and each rung reduces
+    only its new columns; every rung still goes through `nullspace`."""
+    builder = _SystemBuilder(field, k, den)
+    echelon = Echelon()
+    for degree in range(max_degree + 1):
+        mat, cols = builder.build(degree)
+        basis = nullspace(mat, echelon=echelon)
+        if not basis:
+            continue
+        choice, polys = _select_kernel_poly(basis, cols, field.ring)
+        v = choice.normalized()
+        if not verify_iif_identity(field, v, den, k):
+            raise InternalError("kernel element fails the defining identity")
+        return v, degree, tuple(p.normalized() for p in polys), (mat.nrows, mat.ncols)
+    return None
+
+
 def lps_search(
     ode: RationalODE,
     max_degree: int = 20,
     k: int = 1,
     denominator: MPoly | None = None,
-    engine: str = "auto",
 ) -> InverseIntegratingFactor | None:
     """Find a polynomial (or rational / k-th root, per arguments) inverse
     integrating factor by degree-increasing kernel search.  Returns None
@@ -226,40 +261,29 @@ def lps_search(
         raise DomainError("power k must be a positive integer")
     field = build_field(ode)
     den = _normalize_denominator(field, denominator)
-    builder = _SystemBuilder(field, k, den)
-    den_trivial = den.is_constant()
-    for degree in range(max_degree + 1):
-        mat, cols = builder.build(degree)
-        basis = nullspace(mat, engine=engine)
-        if not basis:
-            continue
-        choice, polys = _select_kernel_poly(basis, cols, field.ring)
-        v_num = choice.normalized()
-        if not verify_iif_identity(field, v_num, den, k):
-            raise InternalError("kernel element fails the defining identity")
-        if k > 1:
-            kind = "kth_root"
-        elif den_trivial:
-            kind = "polynomial"
-        else:
-            kind = "rational"
-        return InverseIntegratingFactor(
-            kind=kind,
-            v_num=v_num,
-            v_den=den,
-            k=k,
-            degree_found=degree,
-            nullspace_dim=len(basis),
-            basis=tuple(p.normalized() for p in polys),
-        )
-    return None
+    found = _ladder(field, max_degree, k, den)
+    if found is None:
+        return None
+    v_num, degree, basis, system = found
+    if k > 1:
+        kind = "kth_root"
+    elif den.is_constant():
+        kind = "polynomial"
+    else:
+        kind = "rational"
+    return InverseIntegratingFactor(
+        kind=kind,
+        v_num=v_num,
+        v_den=den,
+        k=k,
+        degree_found=degree,
+        nullspace_dim=len(basis),
+        basis=basis,
+        system=system,
+    )
 
 
-def lps2_search(
-    ode: RationalODE,
-    max_degree: int = 20,
-    engine: str = "auto",
-) -> JacobiMultiplier | None:
+def lps2_search(ode: RationalODE, max_degree: int = 20) -> JacobiMultiplier | None:
     """Find a polynomial inverse Jacobi multiplier of a rational 2ODE by
     the same degree-increasing kernel search."""
     if ode.order != 2:
@@ -267,23 +291,17 @@ def lps2_search(
     if max_degree < 0:
         raise DomainError("max_degree must be nonnegative")
     field = build_field(ode)
-    builder = _SystemBuilder(field, 1, MPoly.constant(1, field.ring))
-    for degree in range(max_degree + 1):
-        mat, cols = builder.build(degree)
-        basis = nullspace(mat, engine=engine)
-        if not basis:
-            continue
-        choice, polys = _select_kernel_poly(basis, cols, field.ring)
-        p_j = choice.normalized()
-        if not verify_iif_identity(field, p_j, MPoly.constant(1, field.ring), 1):
-            raise InternalError("kernel element fails the defining identity")
-        return JacobiMultiplier(
-            p_j=p_j,
-            degree_found=degree,
-            nullspace_dim=len(basis),
-            basis=tuple(p.normalized() for p in polys),
-        )
-    return None
+    found = _ladder(field, max_degree, 1, MPoly.constant(1, field.ring))
+    if found is None:
+        return None
+    p_j, degree, basis, system = found
+    return JacobiMultiplier(
+        p_j=p_j,
+        degree_found=degree,
+        nullspace_dim=len(basis),
+        basis=basis,
+        system=system,
+    )
 
 
 def assemble_lps_system(
@@ -294,7 +312,8 @@ def assemble_lps_system(
 ) -> RatMatrix:
     """The raw linear system whose kernel holds degree <= `degree`
     candidates.  Columns follow candidate_monomials order; rows are the
-    grlex-sorted support of the identity."""
+    support of the identity in order of first appearance (see
+    poly_system)."""
     den = _normalize_denominator(field, denominator)
     mat, _ = _SystemBuilder(field, k, den).build(degree)
     return mat

@@ -8,6 +8,8 @@ from fractions import Fraction
 from importlib import resources
 from pathlib import Path
 
+import pytest
+
 import lps
 from lps import cli
 from lps.cli import main
@@ -128,6 +130,21 @@ def test_verify_usage_error_without_candidate():
     assert "--v" in err
 
 
+@pytest.mark.parametrize("flags", [["--v", "x"], ["--v-den", "x"], ["--power", "3"]])
+def test_verify_integral_rejects_candidate_flags(flags):
+    integral = json.dumps({"A": "y", "B": "x", "factors": []})
+    assert run_cli(["verify", "y' = y/x", "--integral", integral])[0] == 0
+    code, out, err = run_cli(["verify", "y' = y/x", "--integral", integral, *flags])
+    assert code == 2 and out == ""
+    assert flags[0] in err and "--integral" in err
+
+
+def test_verify_v_den_without_v_is_usage_error():
+    code, out, err = run_cli(["verify", "y' = y/x", "--v-den", "x"])
+    assert code == 2 and out == ""
+    assert "pass a candidate with --v" in err
+
+
 def test_power_sweep_reports_kth_root():
     code, out, _ = run_cli(
         ["solve", "--power-sweep", "2", "--json", "--file", fixture_path("eq9")]
@@ -210,6 +227,36 @@ def test_solve_verbose_json_includes_basis_and_system():
     report = json.loads(out)
     assert report["system"] == {"rows": 3, "cols": 6}
     assert report["basis"] == ["x^2", "x*y", "y^2"]
+
+
+@pytest.mark.parametrize(
+    "name, rows, cols", [("eq5", 246, 105), ("eq7", 1933, 560), ("eq9", 314, 190)]
+)
+def test_solve_verbose_reports_the_kernel_rung(name, rows, cols):
+    # the shapes are those of the system the search stopped at, as printed
+    # before the search carried them; the basis is the expected V expanded
+    blob = expected_blob(name)
+    args = blob["args"] + ["--verbose", "--file", fixture_path(name)]
+    code, out, _ = run_cli(args)
+    assert code == 0
+    report = json.loads(out)
+    assert report.pop("system") == {"rows": rows, "cols": cols}
+    basis = report.pop("basis")
+    report.pop("timings_ms")
+    assert report == blob["report"]
+    ring = parse_ode(Path(fixture_path(name)).read_text()).ring
+    v = MPoly.constant(1, ring)
+    for text, mult in blob["report"]["v"]["factored"]:
+        v = v * parse_poly(text, ring) ** mult
+    assert basis == [v.normalized().to_text()]
+
+    code, out, _ = run_cli([a for a in args if a != "--json"])
+    assert code == 0
+    lines = out.splitlines()
+    assert f"system: {rows} equations, {cols} unknowns" in lines
+    assert [line for line in lines if line.startswith("kernel element: ")] == [
+        f"kernel element: {b}" for b in basis
+    ]
 
 
 def test_threads_flag_is_usage_error():

@@ -3,8 +3,18 @@
 
 import random
 from fractions import Fraction
+from unittest import mock
 
-from lps.linalg import AffineSolutionSet, RatMatrix, nullspace, rank, solve_affine
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from lps import linalg
+from lps.errors import InternalError
+from lps.linalg import AffineSolutionSet, Echelon, RatMatrix, nullspace, rank, solve_affine
+
+P0 = linalg._PRIMES[0]  # the modular engine's first prime, and the ladder's
 
 
 def bareiss_rank(rows):
@@ -182,3 +192,102 @@ def test_big_aspect_ratio_modular():
     basis_mod = nullspace(mat, engine="modular")
     basis_exact = nullspace(mat, engine="exact")
     assert basis_mod == basis_exact
+
+
+def matrix_of(cols):
+    """RatMatrix with the given {row: value} columns, rows numbered in order
+    of first appearance, so that the matrix of any prefix of cols is the
+    leading block of the matrix of cols (as on the degree ladder)."""
+    index, entries = {}, {}
+    for j, col in enumerate(cols):
+        for i, v in col.items():
+            entries[(index.setdefault(i, len(index)), j)] = Fraction(v)
+    return RatMatrix(len(index), len(cols), entries)
+
+
+def no_exact_fallback():
+    return mock.patch.object(linalg, "_nullspace_exact", side_effect=AssertionError("no convergence"))
+
+
+def test_unlucky_first_prime_gives_the_exact_basis():
+    # columns (1, 0), (1, p0), (0, 1): mod p0 the second column repeats the
+    # first, so p0's pivot columns are {0, 2} while over Q they are {0, 1}
+    cols = [{0: 1}, {0: 1, 1: P0}, {1: 1}]
+    mat = matrix_of(cols)
+    exact = nullspace(mat, engine="exact")
+    assert exact == [(1, -1, P0)]
+    with no_exact_fallback():
+        assert nullspace(mat, engine="modular") == exact
+    # the ladder: p0 claims a dependency at column 1, which is refuted, so
+    # the rung is answered exactly and the echelon restarts at p1
+    echelon = Echelon()
+    assert nullspace(matrix_of(cols[:2]), echelon=echelon) == []
+    assert echelon.prime_index == 1
+    assert nullspace(mat, echelon=echelon) == exact
+
+
+def test_modular_engine_falls_back_to_exact(monkeypatch):
+    # with one 2-bit prime, 1/p0 never reconstructs
+    monkeypatch.setattr(linalg, "_PRIMES", [3])
+    mat = matrix_of([{0: 1}, {0: 1, 1: P0}, {1: 1}])
+    assert nullspace(mat, engine="modular") == [(1, -1, P0)]
+
+
+def test_float_products_stay_exact(monkeypatch):
+    # large odd residues over an inner dimension above 2^13: the float64
+    # sums pass 2^53 unless the product is cut into slices of 2^13
+    monkeypatch.setattr(linalg, "_SMALL", 0)
+    n, v = 2**13 + 101, P0 - 2  # n * v * v is odd and above 2^53
+    x = np.zeros((2, 3), np.int64)
+    linalg._submul(x, np.full((2, n), v, np.float32), np.full((n, 3), v), P0)
+    assert (x == -n * v * v % P0).all()
+
+
+def test_echelon_rejects_a_matrix_that_does_not_extend_the_last():
+    base = RatMatrix(2, 2, {(0, 0): Fraction(1), (0, 1): Fraction(2), (1, 1): Fraction(3)})
+    changed = RatMatrix(2, 3, {**base.entries, (1, 1): Fraction(4), (1, 2): Fraction(1)})
+    below = RatMatrix(3, 3, {**base.entries, (2, 0): Fraction(5), (2, 2): Fraction(1)})
+    dropped = RatMatrix(2, 3, {(0, 0): Fraction(1), (1, 1): Fraction(3), (1, 2): Fraction(1)})
+    fewer_rows = RatMatrix(1, 3, {(0, 0): Fraction(1), (0, 1): Fraction(2), (0, 2): Fraction(1)})
+    for bad in (changed, below, dropped, fewer_rows):
+        echelon = Echelon()
+        assert nullspace(base, echelon=echelon) == []
+        with pytest.raises(InternalError):
+            nullspace(bad, echelon=echelon)
+
+
+@st.composite
+def sparse_columns(draw):
+    """Columns of a sparse integer matrix.  Some repeat an earlier column
+    plus p0 times a sparse vector and some rows are multiplied by p0, so
+    the matrix is often rank-deficient mod p0 but not over Q."""
+    nrows = draw(st.integers(1, 8))
+
+    def column():
+        return {i: v for i in range(nrows) if (v := draw(st.integers(-5, 5))) and draw(st.booleans())}
+
+    cols = [column() for _ in range(draw(st.integers(1, 8)))]
+    for _ in range(draw(st.integers(0, 3))):
+        twin = dict(cols[draw(st.integers(0, len(cols) - 1))])
+        for i, v in column().items():
+            twin[i] = twin.get(i, 0) + P0 * v
+        cols.insert(draw(st.integers(0, len(cols))), {i: v for i, v in twin.items() if v})
+    for i in draw(st.sets(st.integers(0, nrows - 1), max_size=2)):
+        for col in cols:
+            if i in col:
+                col[i] *= P0
+    return cols
+
+
+@settings(max_examples=200, deadline=None)
+@given(sparse_columns())
+def test_modular_and_ladder_match_exact(cols):
+    mat = matrix_of(cols)
+    exact = nullspace(mat, engine="exact")
+    with no_exact_fallback():
+        assert nullspace(mat, engine="modular") == exact
+    # every prefix through one echelon, continuing past nonempty kernels
+    echelon = Echelon()
+    for k in range(1, len(cols) + 1):
+        sub = matrix_of(cols[:k])
+        assert nullspace(sub, echelon=echelon) == nullspace(sub, engine="exact")

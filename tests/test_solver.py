@@ -8,16 +8,21 @@ from pathlib import Path
 
 import pytest
 
+from lps import linalg
 from lps.errors import DomainError
+from lps.linalg import nullspace
 from lps.parser import parse_ode, parse_poly
 from lps.poly import MPoly, candidate_monomials
 from lps.solver import (
+    _select_kernel_poly,
+    _SystemBuilder,
     assemble_lps_system,
     build_field,
     lps2_search,
     lps_search,
     verify_iif_identity,
 )
+from lps.synth import plant
 
 FIXTURES = Path(__file__).resolve().parent.parent / "src" / "lps" / "fixtures"
 
@@ -214,3 +219,62 @@ def test_fixture_identities():
         - 2
     )
     assert verify_iif_identity(f7, f1 * f2**2, MPoly.constant(1), 1)
+
+
+def exact_search(ode, max_degree, k=1, den=None):
+    """The degree ladder without shared state: each rung's kernel from the
+    exact engine.  Returns (degree_found, basis) as the search reports it."""
+    field = build_field(ode)
+    den = MPoly.constant(1, field.ring) if den is None else den.extend_ring(field.ring).normalized()
+    builder = _SystemBuilder(field, k, den)
+    for degree in range(max_degree + 1):
+        mat, cols = builder.build(degree)
+        basis = nullspace(mat, engine="exact")
+        if basis:
+            _, polys = _select_kernel_poly(basis, cols, field.ring)
+            return degree, tuple(p.normalized() for p in polys)
+    return None
+
+
+def ladder_cases():
+    """eq5, eq9 with k = 1 and 2, eq8's two ladders under
+    --auto-denominator (plain, then over y), and seeded plants."""
+    cases = [
+        (load_ode("eq5"), 15, 1, None),
+        (load_ode("eq9"), 20, 1, None),
+        (load_ode("eq9"), 20, 2, None),
+        (load_ode("eq8"), 20, 1, None),
+        (load_ode("eq8"), 20, 1, Y),
+    ]
+    rng = random.Random(20261018)
+    for _ in range(16):
+        planted = plant(rng, max_factor_degree=3)
+        cases.append((planted.ode, planted.planted_v.total_degree(), 1, None))
+    return cases
+
+
+def check_ladder_against_exact_search():
+    for ode, max_degree, k, den in ladder_cases():
+        found = lps_search(ode, max_degree=max_degree, k=k, denominator=den)
+        got = None if found is None else (found.degree_found, found.basis)
+        assert got == exact_search(ode, max_degree, k, den), ode.to_text()
+
+
+def test_ladder_matches_per_rung_exact_search():
+    check_ladder_against_exact_search()
+
+
+def test_ladder_restarts_after_unlucky_prime(monkeypatch):
+    # every ladder starts at p = 3, where dependencies that do not hold
+    # over Q are common; each must be refuted and the echelon restarted
+    monkeypatch.setattr(linalg, "_PRIMES", [3] + linalg._PRIMES)
+    restarted = []
+    restart = linalg.Echelon.restart
+
+    def counting_restart(self):
+        restarted.append(self.p)
+        restart(self)
+
+    monkeypatch.setattr(linalg.Echelon, "restart", counting_restart)
+    check_ladder_against_exact_search()
+    assert restarted.count(3) >= 5
