@@ -409,7 +409,6 @@ def cmd_bench(args) -> int:
     for name in names:
         cfg = _BENCH[name]
         ode = parse_ode(_fixture_text(name))
-        field = build_field(ode)
         max_degree = args.max_degree if args.max_degree else cfg["max_degree"]
 
         t0 = time.perf_counter()
@@ -419,9 +418,13 @@ def cmd_bench(args) -> int:
             found = lps2_search(ode, max_degree=max_degree)
         search_ms = (time.perf_counter() - t0) * 1000
 
-        degree = found.degree_found if found else max_degree
-        system = assemble_lps_system(field, degree, k=cfg["k"])
-        rows.append((name, "search", search_ms, degree, system.nrows, system.ncols,
+        if found is not None:
+            degree, shape = found.degree_found, found.system
+        else:
+            degree = max_degree
+            system = assemble_lps_system(build_field(ode), degree, k=cfg["k"])
+            shape = (system.nrows, system.ncols)
+        rows.append((name, "search", search_ms, degree, *shape,
                      "found" if found else "not found"))
 
         if found is not None:
@@ -429,7 +432,7 @@ def cmd_bench(args) -> int:
             t0 = time.perf_counter()
             factor_multivariate(target)
             rows.append((name, "factor", (time.perf_counter() - t0) * 1000,
-                         degree, system.nrows, system.ncols, "ok"))
+                         degree, *shape, "ok"))
 
     synth_summary = None
     if args.synthetic:

@@ -356,47 +356,52 @@ def _res_frac(a: list[Fraction], b: list[Fraction]) -> Fraction:
     return acc * b[0] ** deg(a)
 
 
+def _horner(coeffs: list[Fraction], x0: int) -> Fraction:
+    acc = Fraction(0)
+    for c in reversed(coeffs):
+        acc = acc * x0 + c
+    return acc
+
+
 def _resultant_wrt(f: MPoly, g: MPoly, var: str, keep: str) -> MPoly:
-    """Res_var(f, g) as a polynomial in `keep`, by evaluation of `keep`
-    at rational points and Lagrange interpolation."""
-    dfv, dgv = f.degree_in(var), g.degree_in(var)
-    if dfv == 0 and dgv == 0:
-        return MPoly.constant(1)
-    bound = f.degree_in(keep) * dgv + g.degree_in(keep) * dfv
-    fc = _coeffs_in(f.extend_ring((var, keep)), var)
-    gc = _coeffs_in(g.extend_ring((var, keep)), var)
-    lcf, lcg = fc[-1], gc[-1]
-    points: list[tuple[Fraction, Fraction]] = []
+    """Res_var(f, g) as a polynomial in `keep`.
+
+    Its degree in `keep` is at most deg_keep(f)·deg_var(g) +
+    deg_keep(g)·deg_var(f).  The coefficients of f and g in `var` are
+    turned once into dense lists in `keep` and evaluated by Horner at the
+    integers 0, 1, -1, 2, -2, ..., skipping points where a leading
+    coefficient vanishes (there the Sylvester matrix specializes, so the
+    resultant of the values is the value of the resultant).  The samples
+    are interpolated by Newton divided differences and expanded to dense
+    coefficients."""
+    bound = f.degree_in(keep) * g.degree_in(var) + g.degree_in(keep) * f.degree_in(var)
+    fc = [_dense_frac(c, keep) for c in _coeffs_in(f.extend_ring((var, keep)), var)]
+    gc = [_dense_frac(c, keep) for c in _coeffs_in(g.extend_ring((var, keep)), var)]
+    xs: list[int] = []
+    coef: list[Fraction] = []
     t = 0
-    while len(points) < bound + 1:
-        for x0 in (Fraction(t), Fraction(-t)) if t else (Fraction(0),):
-            if lcf.eval_at({keep: x0}) == 0 or lcg.eval_at({keep: x0}) == 0:
-                continue
-            av = [c.eval_at({keep: x0}) for c in fc]
-            bv = [c.eval_at({keep: x0}) for c in gc]
-            while av and av[-1] == 0:
-                av.pop()
-            while bv and bv[-1] == 0:
-                bv.pop()
-            points.append((x0, _res_frac(av, bv)))
-            if len(points) == bound + 1:
-                break
+    while len(xs) <= bound:
+        for x0 in (t, -t) if t else (0,):
+            av = [_horner(c, x0) for c in fc]
+            bv = [_horner(c, x0) for c in gc]
+            if av[-1] and bv[-1]:
+                xs.append(x0)
+                coef.append(_res_frac(av, bv))
+                if len(xs) > bound:
+                    break
         t += 1
-    # Lagrange interpolation on the collected samples
-    terms: dict[tuple[int, ...], Fraction] = {}
-    result = MPoly.from_dict((keep,), terms)
-    for i, (xi, yi) in enumerate(points):
-        if yi == 0:
-            continue
-        numer = MPoly.constant(1, (keep,))
-        denom = Fraction(1)
-        for j, (xj, _) in enumerate(points):
-            if i == j:
-                continue
-            numer = numer * (MPoly.variable(keep) - MPoly.constant(xj, (keep,)))
-            denom *= xi - xj
-        result = result + numer * (yi / denom)
-    return result
+    n = len(xs)
+    for j in range(1, n):
+        for i in range(n - 1, j - 1, -1):
+            coef[i] = (coef[i] - coef[i - 1]) / (xs[i] - xs[i - j])
+    # p = coef[0] + (x - xs[0])(coef[1] + (x - xs[1])(...)), from inside out
+    dense = [coef[-1]]
+    for i in range(n - 2, -1, -1):
+        shifted = [coef[i] - xs[i] * dense[0]]
+        shifted += [dense[k - 1] - xs[i] * dense[k] for k in range(1, len(dense))]
+        shifted.append(dense[-1])
+        dense = shifted
+    return MPoly.from_dict((keep,), {(k,): c for k, c in enumerate(dense)})
 
 
 def _rational_roots(p: MPoly) -> list[Fraction]:
@@ -509,47 +514,71 @@ def degree1_dp_search(field: VectorField) -> LinearFactorList:
     return LinearFactorList(seen, family)
 
 
+def _eliminant(system: list[MPoly], elim: str, keep: str) -> MPoly:
+    """A nonzero polynomial in `keep` alone that vanishes at the
+    `keep`-coordinate of every common zero of a gcd-free system, by one
+    resultant: Res_elim(r0, sum_i t^i r_i) for the first t = 2, 3, ...
+    that makes it nonzero, where r0 is the member of least degree in
+    `elim` (ties broken by index) and r_1, r_2, ... are the others in
+    order.
+
+    Soundness: Res_elim(a, b) = u·a + v·b for polynomials u, v, so the
+    resultant lies in the ideal (r0, sum) ∩ Q[keep] and vanishes wherever
+    every r_i does.  When r0 has degree 0 in `elim` it already lies in
+    Q[keep] and is returned as it is; the resultant would be
+    ±r0^deg_elim(sum), with the same roots.
+
+    Termination: the resultant is identically zero only when r0 and the
+    sum share a factor p of positive degree in `elim`.  For each of the
+    finitely many irreducible factors p of r0, sum_i t^i (r_i mod p) is a
+    polynomial in t of degree at most the number m of others, with no
+    constant term; if it vanished for m distinct nonzero t, the
+    Vandermonde matrix would force every r_i ≡ 0 mod p, and p would
+    divide the gcd of the system, which is 1.  So each of the at most
+    deg_elim(r0) such factors rejects at most m - 1 values of t, and a
+    system that exhausts deg_elim(r0)·m + 1 values is not gcd-free
+    (InternalError)."""
+    i0 = min(range(len(system)), key=lambda i: system[i].degree_in(elim))
+    r0 = system[i0]
+    if r0.degree_in(elim) == 0:
+        return r0.project_ring()
+    others = system[:i0] + system[i0 + 1 :]
+    for t in range(2, 3 + r0.degree_in(elim) * len(others)):
+        comb = MPoly.zero(r0.ring)
+        for i, r in enumerate(others, 1):
+            comb = comb + r * t**i
+        if not comb.is_zero():
+            res = _resultant_wrt(r0, comb, elim, keep)
+            if not res.is_zero():
+                return res
+    raise InternalError("the system passed to _eliminant is not gcd-free")
+
+
 def _isolated_points(system: list[MPoly]) -> list[tuple[Fraction, Fraction]]:
-    """Common rational zeros of a gcd-free bivariate system in (z, w),
-    located by resultant elimination and verified by exact evaluation."""
+    """Common rational zeros of a gcd-free bivariate system in (z, w).
+
+    The rational roots of the eliminant in z (w eliminated) are the only
+    possible z-coordinates of a common zero.  Each is substituted, w is
+    read off the rational roots of the gcd of the sections, and a point is
+    kept only if it is an exact zero of every member.  The eliminant may
+    have roots that are not coordinates of a common zero, but the exact
+    check rejects them, so the list holds every rational common zero and
+    nothing else; a second elimination, in w, could add none."""
     sys2 = [r.extend_ring(("z", "w")) for r in system]
     pts = []
-    for elim, keep in (("w", "z"), ("z", "w")):
-        elims = []
-        for i in range(len(sys2)):
-            for j in range(i + 1, len(sys2)):
-                r = _resultant_wrt(sys2[i], sys2[j], elim, keep)
-                if not r.is_zero():
-                    elims.append(r)
-        if not elims:
+    for z0 in _rational_roots(_eliminant(sys2, "w", "z")):
+        sections = [
+            s.substitute({"z": MPoly.constant(z0, s.ring)}).project_ring()
+            for s in sys2
+        ]
+        if any(sec.is_constant() and not sec.is_zero() for sec in sections):
             continue
-        g = elims[0]
-        for r in elims[1:]:
-            g = mpoly_gcd(g, r)
-        if g.is_zero() or g.is_constant():
-            continue
-        for r0 in _rational_roots(g):
-            # substitute the found coordinate, solve the other one
-            sections = []
-            for s in sys2:
-                sec = s.substitute({keep: MPoly.constant(r0, s.ring)}).project_ring()
-                sections.append(sec)
-            if any(sec.is_constant() and not sec.is_zero() for sec in sections):
-                continue
-            live = [sec for sec in sections if not sec.is_zero()]
-            if not live:
-                continue
-            g2 = live[0]
-            for sec in live[1:]:
-                g2 = mpoly_gcd(g2, sec)
-            if g2.is_constant():
-                continue
-            for other in _rational_roots(g2):
-                pt = (r0, other) if keep == "z" else (other, r0)
-                if all(
-                    s.eval_at({"z": pt[0], "w": pt[1]}) == 0 for s in sys2
-                ):
-                    pts.append(pt)
-        if pts:
-            break
+        # gcd-free: z - z0 divides not every member, so some section lives
+        live = [sec for sec in sections if not sec.is_zero()]
+        g2 = live[0]
+        for sec in live[1:]:
+            g2 = mpoly_gcd(g2, sec)
+        for w0 in _rational_roots(g2):
+            if all(s.eval_at({"z": z0, "w": w0}) == 0 for s in sys2):
+                pts.append((z0, w0))
     return pts

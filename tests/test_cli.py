@@ -296,6 +296,24 @@ def test_bench_eq5_json_shape():
     assert by_phase["search"]["result"] == "found"
 
 
+def test_bench_rows_report_the_kernel_rung():
+    # a found row carries the search's own system; the not-found row is
+    # the system at --max-degree
+    code, out, _ = run_cli(["bench", "eq5", "eq8", "eq9", "--json"])
+    assert code == 0
+    rows = [
+        (r["fixture"], r["phase"], r["degree"], r["rows"], r["cols"], r["result"])
+        for r in json.loads(out)["rows"]
+    ]
+    assert rows == [
+        ("eq5", "search", 13, 246, 105, "found"),
+        ("eq5", "factor", 13, 246, 105, "ok"),
+        ("eq8", "search", 12, 172, 91, "not found"),
+        ("eq9", "search", 18, 314, 190, "found"),
+        ("eq9", "factor", 18, 314, 190, "ok"),
+    ]
+
+
 def test_bench_unknown_fixture():
     code, _, err = run_cli(["bench", "nosuch"])
     assert code == 2

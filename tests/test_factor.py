@@ -4,18 +4,22 @@ from pathlib import Path
 
 import pytest
 
+import lps.factor as factor_module
 from lps.errors import DomainError
 from lps.factor import (
     DarbouxFactor,
+    _coeffs_in,
+    _isolated_points,
     _rational_roots,
+    _res_frac,
     _resultant_wrt,
     darboux_check,
     degree1_dp_search,
     factor_multivariate,
     factor_univariate,
 )
-from lps.parser import parse_ode, parse_poly
-from lps.poly import MPoly, mpoly_gcd
+from lps.parser import RationalODE, parse_ode, parse_poly
+from lps.poly import MPoly, RatFunc, mpoly_gcd
 from lps.solver import build_field
 
 FIXTURES = Path(__file__).resolve().parent.parent / "src" / "lps" / "fixtures"
@@ -307,3 +311,243 @@ def test_rational_roots_helper():
         Fraction(2),
     ]
     assert _rational_roots(parse_poly("x^2 + 1").extend_ring(("x",))) == []
+
+
+# -- the elimination behind degree1_dp_search ---------------------------------
+
+
+def _lagrange_resultant(f, g, var, keep):
+    """Reference Res_var(f, g): evaluate `keep` at 0, 1, -1, 2, ... (skipping
+    zeros of a leading coefficient) and interpolate with Lagrange over
+    MPoly products, as the library did before Newton interpolation."""
+    dfv, dgv = f.degree_in(var), g.degree_in(var)
+    if dfv == 0 and dgv == 0:
+        return MPoly.constant(1)
+    bound = f.degree_in(keep) * dgv + g.degree_in(keep) * dfv
+    fc = _coeffs_in(f.extend_ring((var, keep)), var)
+    gc = _coeffs_in(g.extend_ring((var, keep)), var)
+    lcf, lcg = fc[-1], gc[-1]
+    points = []
+    t = 0
+    while len(points) < bound + 1:
+        for x0 in (Fraction(t), Fraction(-t)) if t else (Fraction(0),):
+            if lcf.eval_at({keep: x0}) == 0 or lcg.eval_at({keep: x0}) == 0:
+                continue
+            av = [c.eval_at({keep: x0}) for c in fc]
+            bv = [c.eval_at({keep: x0}) for c in gc]
+            points.append((x0, _res_frac(av, bv)))
+            if len(points) == bound + 1:
+                break
+        t += 1
+    result = MPoly.zero((keep,))
+    for i, (xi, yi) in enumerate(points):
+        if yi == 0:
+            continue
+        numer = MPoly.constant(1, (keep,))
+        denom = Fraction(1)
+        for j, (xj, _) in enumerate(points):
+            if i != j:
+                numer = numer * (MPoly.variable(keep) - MPoly.constant(xj, (keep,)))
+                denom *= xi - xj
+        result = result + numer * (yi / denom)
+    return result
+
+
+def _pairwise_isolated_points(system):
+    """Reference for _isolated_points: the gcd of all C(n, 2) pairwise
+    resultants in each direction, w eliminated first."""
+    sys2 = [r.extend_ring(("z", "w")) for r in system]
+    pts = []
+    for elim, keep in (("w", "z"), ("z", "w")):
+        elims = []
+        for i in range(len(sys2)):
+            for j in range(i + 1, len(sys2)):
+                r = _resultant_wrt(sys2[i], sys2[j], elim, keep)
+                if not r.is_zero():
+                    elims.append(r)
+        if not elims:
+            continue
+        g = elims[0]
+        for r in elims[1:]:
+            g = mpoly_gcd(g, r)
+        for r0 in _rational_roots(g):
+            sections = [
+                s.substitute({keep: MPoly.constant(r0, s.ring)}).project_ring()
+                for s in sys2
+            ]
+            if any(sec.is_constant() and not sec.is_zero() for sec in sections):
+                continue
+            live = [sec for sec in sections if not sec.is_zero()]
+            if not live:
+                continue
+            g2 = live[0]
+            for sec in live[1:]:
+                g2 = mpoly_gcd(g2, sec)
+            for other in _rational_roots(g2):
+                pt = (r0, other) if keep == "z" else (other, r0)
+                if all(s.eval_at({"z": pt[0], "w": pt[1]}) == 0 for s in sys2):
+                    pts.append(pt)
+        if pts:
+            break
+    return pts
+
+
+def _chart1_system(field):
+    """The gcd-free (s, t) system, in (z, w), that degree1_dp_search hands
+    to _isolated_points for lines y - s*x - t; None when it hands over
+    nothing."""
+    seen = []
+
+    def spy(system):
+        seen.append(system)
+        return _isolated_points(system)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(factor_module, "_isolated_points", spy)
+        degree1_dp_search(field)
+    return seen[0] if seen else None
+
+
+_XY = ("x", "y")
+
+
+def _small_poly(rng, degree):
+    while True:
+        terms = {}
+        for _ in range(rng.randint(1, 3)):
+            total = rng.randint(0, degree)
+            ex = rng.randint(0, total)
+            terms[(ex, total - ex)] = terms.get((ex, total - ex), 0) + rng.choice(
+                [-2, -1, 1, 2, 3]
+            )
+        p = MPoly.from_dict(_XY, terms)
+        if not p.is_zero():
+            return p
+
+
+def _planted_line_fields(seed, count):
+    """Order-1 fields with invariant lines L1 = y - s1*x - t1,
+    L2 = y - s2*x - t2 and L3 = x - c planted: the field is
+    L2·L3·Q1·(1, s1) + L1·L3·Q2·(1, s2) + L1·L2·Q3·(0, 1), which is tangent
+    to each line along it.  Every other field adds the radial term
+    k·L1·L2·L3·(x, y); it vanishes on the lines and makes the top
+    coefficient of the chart-1 system vanish, so no member is free of t
+    and the eliminant is a true resultant.  Pairs (M, N) with a common
+    factor are redrawn."""
+    rng = random.Random(seed)
+    x_, y_ = X.extend_ring(_XY), Y.extend_ring(_XY)
+    out = []
+    while len(out) < count:
+        s1, s2, t1, t2 = (
+            Fraction(rng.randint(-3, 3), rng.choice([1, 1, 2])) for _ in range(4)
+        )
+        if (s1, t1) == (s2, t2):
+            continue
+        l1, l2 = y_ - x_ * s1 - t1, y_ - x_ * s2 - t2
+        l3 = x_ - rng.randint(-3, 3)
+        q1, q2, q3 = (_small_poly(rng, 1) for _ in range(3))
+        n = l2 * l3 * q1 + l1 * l3 * q2
+        m = l2 * l3 * q1 * s1 + l1 * l3 * q2 * s2 + l1 * l2 * q3
+        if len(out) % 2:
+            k = rng.choice([-2, -1, 1, 2])
+            n = n + l1 * l2 * l3 * x_ * k
+            m = m + l1 * l2 * l3 * y_ * k
+        if n.is_zero() or m.is_zero() or not mpoly_gcd(m, n).is_constant():
+            continue
+        field = build_field(RationalODE.from_ratfunc(1, RatFunc(m, n)))
+        out.append((field, {p.normalized() for p in (l1, l2, l3)}))
+    return out
+
+
+def test_resultant_matches_lagrange_on_eq8_pairs():
+    system = _chart1_system(load_field("eq8"))
+    assert len(system) == 9
+    pairs = [(a, b) for i, a in enumerate(system) for b in system[i + 1 :]]
+    assert len(pairs) == 36
+    for a, b in pairs:
+        assert _resultant_wrt(a, b, "w", "z") == _lagrange_resultant(a, b, "w", "z")
+
+
+def _random_xz_pair(rng):
+    """Two random polynomials in x, z with positive degree in x; leading
+    coefficients such as z or z - 1 vanish at sample points."""
+    def draw():
+        while True:
+            terms = {}
+            for _ in range(rng.randint(2, 5)):
+                e = (rng.randint(0, 3), rng.randint(0, 3))
+                terms[e] = terms.get(e, 0) + rng.choice([-3, -1, 1, 2, Fraction(1, 2)])
+            p = MPoly.from_dict(("x", "z"), terms)
+            if p.degree_in("x") > 0:
+                return p
+    return draw(), draw()
+
+
+def test_resultant_matches_lagrange_on_random_pairs():
+    rng = random.Random(606)
+    for _ in range(25):
+        f, g = _random_xz_pair(rng)
+        assert _resultant_wrt(f, g, "x", "z") == _lagrange_resultant(f, g, "x", "z")
+        assert _resultant_wrt(f, g, "z", "x") == _lagrange_resultant(f, g, "z", "x")
+
+
+def test_resultant_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    x, z = sympy.symbols("x z")
+
+    def to_sympy(p):
+        return sympy.sympify(p.to_text().replace("^", "**"), locals={"x": x, "z": z})
+
+    rng = random.Random(607)
+    for _ in range(25):
+        f, g = _random_xz_pair(rng)
+        ours = to_sympy(_resultant_wrt(f, g, "x", "z"))
+        want = sympy.resultant(to_sympy(f), to_sympy(g), x)
+        assert sympy.expand(ours - want) == 0
+
+
+def test_planted_lines_are_found():
+    for field, planted in _planted_line_fields(808, 12):
+        res = degree1_dp_search(field)
+        assert not res.family
+        assert planted <= set(res)
+        for p in res:
+            assert darboux_check(field, p) is not None
+
+
+def test_isolated_points_match_pairwise_reference():
+    fields = [load_field("eq8"), load_field("eq9")]
+    fields += [field for field, _ in _planted_line_fields(808, 12)]
+    radial = 0
+    for field in fields:
+        system = _chart1_system(field)
+        assert system is not None
+        if min(r.degree_in("w") for r in system) > 0:
+            radial += 1
+        assert sorted(_isolated_points(system)) == sorted(
+            _pairwise_isolated_points(system)
+        )
+    # the radial plants reach the resultant, not the t-free shortcut
+    assert radial >= 6
+
+
+def test_isolated_points_redraws_a_vanishing_combination(monkeypatch):
+    # gcd-free, all of degree 1 in w; with t = 2 the combination
+    # 2*r1 + 4*r2 = 2*(w - z) shares r0 = w - z, so its resultant is 0
+    z, w = (MPoly.variable(v).extend_ring(("z", "w")) for v in ("z", "w"))
+    system = [w - z, -w - z - 2, w + 1]
+    calls = []
+
+    def spy(f, g, var, keep):
+        r = _resultant_wrt(f, g, var, keep)
+        calls.append(r)
+        return r
+
+    monkeypatch.setattr(factor_module, "_resultant_wrt", spy)
+    assert _isolated_points(system) == [(Fraction(-1), Fraction(-1))]
+    assert [r.is_zero() for r in calls] == [True, False]
+
+
+def test_degree1_search_eq5_is_empty():
+    res = degree1_dp_search(load_field("eq5"))
+    assert list(res) == [] and not res.family
