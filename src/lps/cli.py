@@ -20,12 +20,13 @@ from fractions import Fraction
 from importlib import resources
 
 from .darboux import (
+    check_v_factors,
     lps2_postprocess,
     reconstruct_first_integral,
     verify_first_integral,
 )
 from .errors import InternalError, LpsError, ParseError
-from .factor import darboux_check, degree1_dp_search, factor_multivariate
+from .factor import degree1_dp_search, factor_multivariate
 from .parser import parse_ode, parse_poly
 from .poly import MPoly, RatFunc
 from .solver import (
@@ -111,18 +112,6 @@ def _search_order1(ode, field, args):
     return None, "lps", attempts
 
 
-def _darboux_entries(field, polys_with_mult):
-    entries = []
-    warnings = []
-    for p, mult in polys_with_mult:
-        fac = darboux_check(field, p, mult)
-        if fac is None:
-            warnings.append(p.to_text())
-        else:
-            entries.append(fac.to_json_dict())
-    return entries, warnings
-
-
 def cmd_solve(args) -> int:
     t_total = time.perf_counter()
     timings = {}
@@ -183,34 +172,26 @@ def cmd_solve(args) -> int:
     t0 = time.perf_counter()
     if ode.order == 1:
         factored = factor_multivariate(found.v_num)
-        report["v"] = {
-            "factored": [[f.to_text(), mult] for f, mult in factored.factors],
-            "kind": found.kind,
-            "k": found.k,
-            "denominator": found.v_den.to_text(),
-        }
-        pairs = list(factored.factors)
-        if not found.v_den.is_constant():
-            pairs += [(f, m) for f, m in factor_multivariate(found.v_den).factors]
-        report["darboux"], bad = _darboux_entries(field, pairs)
-        warnings.extend(bad)
+        kind, k, denominator = found.kind, found.k, found.v_den.to_text()
+        checked = check_v_factors(field, found, factored)
     else:
         factored = factor_multivariate(found.p_j)
-        report["v"] = {
-            "factored": [[f.to_text(), mult] for f, mult in factored.factors],
-            "kind": "polynomial",
-            "k": 1,
-            "denominator": "1",
-        }
-        post = lps2_postprocess(field, found, factorization=factored)
-        report["darboux"] = [fac.to_json_dict() for fac in post]
-        warnings.extend(p.to_text() for p, _ in post.failed)
+        kind, k, denominator = "polynomial", 1, "1"
+        checked = (lps2_postprocess(field, found, factorization=factored),)
+    report["v"] = {
+        "factored": [[f.to_text(), mult] for f, mult in factored.factors],
+        "kind": kind,
+        "k": k,
+        "denominator": denominator,
+    }
+    report["darboux"] = [fac.to_json_dict() for part in checked for fac in part]
+    warnings.extend(p.to_text() for part in checked for p, _ in part.failed)
     timings["factor"] = time.perf_counter() - t0
 
     integral = None
     if ode.order == 1:
         t0 = time.perf_counter()
-        integral = reconstruct_first_integral(field, found)
+        integral = reconstruct_first_integral(field, found, checked)
         if integral is not None:
             report["first_integral"] = integral.to_json_dict()
         timings["reconstruct"] = time.perf_counter() - t0

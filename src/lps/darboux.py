@@ -29,8 +29,14 @@ from math import gcd, lcm
 from .errors import DomainError, InternalError
 from .factor import DarbouxFactor, darboux_check, factor_multivariate
 from .linalg import AffineSolutionSet, nullspace, solve_affine
-from .poly import MPoly, candidate_monomials, mpoly_gcd, squarefree_decompose
-from .solver import InverseIntegratingFactor, JacobiMultiplier, VectorField, poly_system
+from .poly import MPoly, candidate_monomials, mpoly_gcd
+from .solver import (
+    InverseIntegratingFactor,
+    JacobiMultiplier,
+    VectorField,
+    _SystemBuilder,
+    poly_system,
+)
 
 
 @dataclass(frozen=True)
@@ -135,48 +141,15 @@ def verify_first_integral(field: VectorField, integral: DarbouxFirstIntegral) ->
     return _cleared_log_derivative(field.apply, a, b, factors).is_zero()
 
 
-def _seed_structure(field: VectorField, v: InverseIntegratingFactor):
-    """Split v into the B part and the candidate Darboux factor list.
-
-    Repeated square-free parts of the numerator contribute half their
-    multiplicity to B; odd parts contribute one copy to the factor list.
-    Denominator factors and k-th-root numerator factors also join the
-    list, their exponents left entirely to the solve.
-    """
-    ring = field.ring
-    v_num = v.v_num.extend_ring(ring)
-    v_den = v.v_den.extend_ring(ring)
-    b = MPoly.constant(1, ring)
-    odd = MPoly.constant(1, ring)
-    if v.k == 1:
-        for part, mult in squarefree_decompose(v_num).parts:
-            if mult // 2:
-                b = b * part ** (mult // 2)
-            if mult % 2:
-                odd = odd * part
-    else:
-        odd = v_num
-    factors = [f for f, _ in factor_multivariate(odd).factors] if not odd.is_constant() else []
-    if not v_den.is_constant():
-        for f, _ in factor_multivariate(v_den).factors:
-            if f not in factors:
-                factors.append(f)
-    return b, factors
-
-
-def _joint_solve(field: VectorField, b: MPoly, cofactors: list, d_a: int):
+def _joint_solve(builder: _SystemBuilder, b: MPoly, cofactors: list, d_a: int):
     """Kernel of D(A) b - A D(b) + b^2 sum(n_j q_j) = 0 over the
     coefficients of A (deg A <= d_a) and the exponents n_j; returns the
-    first solution that is not a multiple of the trivial (A = b, n = 0)."""
-    ring = field.ring
+    first solution that is not a multiple of the trivial (A = b, n = 0).
+    The A-columns are the search images for denominator b and k = 0."""
+    ring = builder.ring
     monos = candidate_monomials(ring, d_a)
-    xb = field.apply(b)
     b2 = b * b
-    columns = []
-    for m in monos:
-        ma = MPoly(ring, {m: Fraction(1)})
-        columns.append(field.apply(ma) * b - ma * xb)
-    columns += [b2 * q for q in cofactors]
+    columns = [builder.image(m) for m in monos] + [b2 * q for q in cofactors]
     basis = nullspace(poly_system(columns)[0])
 
     trivial = [Fraction(0)] * len(columns)
@@ -201,11 +174,54 @@ def _joint_solve(field: VectorField, b: MPoly, cofactors: list, d_a: int):
     return a, [Fraction(chosen[n_off + j]) for j in range(len(cofactors))]
 
 
+class DarbouxFactorList(list):
+    """Verified Darboux factors, in input order.  Factors that fail the
+    cofactor division land in `failed` as (p, multiplicity) pairs so
+    callers can warn about the degenerate case."""
+
+    def __init__(self, items=(), failed=()):
+        super().__init__(items)
+        self.failed = list(failed)
+
+
+def check_darboux_factors(field: VectorField, pairs) -> DarbouxFactorList:
+    """Darboux-check every (p, multiplicity) pair of a factorization."""
+    good: list[DarbouxFactor] = []
+    bad = []
+    for f, mult in pairs:
+        fac = darboux_check(field, f.extend_ring(field.ring), mult)
+        if fac is None:
+            bad.append((f, mult))
+        else:
+            good.append(fac)
+    return DarbouxFactorList(good, bad)
+
+
+def check_v_factors(
+    field: VectorField, v: InverseIntegratingFactor, factorization=None
+) -> tuple:
+    """V's numerator and (non-constant) denominator, each factored once,
+    with every factor Darboux-checked: a pair of DarbouxFactorLists.
+    Pass a precomputed Factorization of v.v_num to skip refactoring it."""
+    if factorization is None:
+        factorization = factor_multivariate(v.v_num)
+    num = check_darboux_factors(field, factorization.factors)
+    if v.v_den.is_constant():
+        return num, DarbouxFactorList()
+    return num, check_darboux_factors(field, factor_multivariate(v.v_den).factors)
+
+
 def reconstruct_first_integral(
-    field: VectorField, v: InverseIntegratingFactor
+    field: VectorField, v: InverseIntegratingFactor, checked: tuple | None = None
 ) -> DarbouxFirstIntegral | None:
     """Recover I = exp(A/B) prod p_j^(n_j) from a verified inverse
     integrating factor of a first-order field.
+
+    `checked` is V's factorization as check_v_factors gives it (computed
+    here when omitted).  B = prod f^(m // 2) over the numerator factors f
+    of multiplicity m; the candidate Darboux factors are those of odd
+    multiplicity (every numerator factor when k > 1) and then the
+    denominator factors not already among them.
 
     Returns None when some candidate factor is not Darboux or the joint
     system only has the trivial solution (A proportional to B with all
@@ -215,20 +231,23 @@ def reconstruct_first_integral(
     """
     if field.order != 1:
         raise DomainError("first-integral reconstruction needs a first-order field")
-    b, candidates = _seed_structure(field, v)
-    checked = []
-    for p in candidates:
-        fac = darboux_check(field, p)
-        if fac is None:
-            return None
-        checked.append(fac)
-    cofactors = [fac.q for fac in checked]
+    num, den = check_v_factors(field, v) if checked is None else checked
+    if den.failed or any(v.k > 1 or m % 2 for _, m in num.failed):
+        return None
+    b = MPoly.constant(1, field.ring)
+    if v.k == 1:
+        for p, m in [(fac.p, fac.multiplicity) for fac in num] + num.failed:
+            b = b * p.extend_ring(field.ring) ** (m // 2)
+    candidates = [fac for fac in num if v.k > 1 or fac.multiplicity % 2]
+    candidates += [fac for fac in den if all(fac.p != c.p for c in candidates)]
+    cofactors = [fac.q for fac in candidates]
 
+    builder = _SystemBuilder(field, 0, b)
     spread = max(1, field.m.total_degree(), field.n.total_degree())
     d_first = max(1, b.total_degree() + spread)
     solution = None
     for d_a in (d_first, d_first + spread):
-        solution = _joint_solve(field, b, cofactors, d_a)
+        solution = _joint_solve(builder, b, cofactors, d_a)
         if solution is not None:
             break
     if solution is None:
@@ -245,7 +264,7 @@ def reconstruct_first_integral(
         exponents = [e * scale for e in exponents]
     elif not a.is_zero():
         a = a.normalized()
-    factors = tuple((fac.p, e) for fac, e in zip(checked, exponents) if e)
+    factors = tuple((fac.p, e) for fac, e in zip(candidates, exponents) if e)
 
     g = mpoly_gcd(a, b)
     if g.total_degree() > 0:
@@ -274,16 +293,6 @@ def compute_pol_pair(integral: DarbouxFirstIntegral) -> tuple:
     return pair[0], pair[1], coprime
 
 
-class DarbouxFactorList(list):
-    """Verified Darboux factors of a Jacobi multiplier.  Factors that
-    fail the cofactor division land in `failed` as (p, multiplicity)
-    pairs so callers can warn about the degenerate case."""
-
-    def __init__(self, items=(), failed=()):
-        super().__init__(items)
-        self.failed = list(failed)
-
-
 def lps2_postprocess(
     field: VectorField, multiplier: JacobiMultiplier, factorization=None
 ) -> DarbouxFactorList:
@@ -299,12 +308,4 @@ def lps2_postprocess(
         return DarbouxFactorList()
     if factorization is None:
         factorization = factor_multivariate(p)
-    good: list[DarbouxFactor] = []
-    bad = []
-    for f, mult in factorization.factors:
-        fac = darboux_check(field, f.extend_ring(field.ring), mult)
-        if fac is None:
-            bad.append((f, mult))
-        else:
-            good.append(fac)
-    return DarbouxFactorList(good, bad)
+    return check_darboux_factors(field, factorization.factors)

@@ -157,19 +157,6 @@ def _equal_degree(f, d, p, rng):
             return left + right
 
 
-def factor_mod_p(f: list[int], p: int) -> list[list[int]]:
-    """Monic irreducible factors of squarefree f mod odd prime p,
-    deterministic (splitting randomness is seeded from p and the
-    degree)."""
-    f = _scale_mod(f, pow(f[-1] % p, -1, p), p)
-    out = []
-    for g, d in _distinct_degree(f, p):
-        rng = random.Random(p * 1000003 + d)
-        out.extend(_equal_degree(g, d, p, rng))
-    out.sort()
-    return out
-
-
 def _symmetric(a: list[int], m: int) -> list[int]:
     return _trim([c - m if c > m // 2 else c for c in _mod(a, m)])
 
@@ -275,7 +262,11 @@ def _mignotte_bound(f: list[int]) -> int:
 def _pick_prime(f: list[int]) -> tuple[int, list[list[int]]]:
     """Choose an odd prime keeping f squarefree with unit leading
     coefficient; among the first six such primes, take the one whose
-    modular factorization is shortest."""
+    modular factorization is shortest (the first on ties, at once on a
+    single factor).  The distinct-degree split already counts the
+    modular factors, so only the chosen prime is split into irreducibles
+    (its monic factors, sorted; the splitting randomness is seeded from
+    p and the degree)."""
     best = None
     valid = 0
     rejected = 0
@@ -288,12 +279,18 @@ def _pick_prime(f: list[int]) -> tuple[int, list[list[int]]]:
                 raise InternalError("input to zassenhaus is not squarefree")
             continue
         valid += 1
-        fac = factor_mod_p(f, p)
-        if len(fac) == 1:
-            return p, fac
-        if best is None or len(fac) < len(best[1]):
-            best = (p, fac)
-    return best
+        parts = _distinct_degree(_scale_mod(f, pow(f[-1] % p, -1, p), p), p)
+        count = sum(_deg(g) // d for g, d in parts)
+        if best is None or count < best[0]:
+            best = (count, p, parts)
+        if count == 1:
+            break
+    _, p, parts = best
+    out = []
+    for g, d in parts:
+        out.extend(_equal_degree(g, d, p, random.Random(p * 1000003 + d)))
+    out.sort()
+    return p, out
 
 
 def _next_prime_after(p: int) -> int:

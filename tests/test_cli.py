@@ -1,6 +1,7 @@
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
@@ -11,11 +12,16 @@ from pathlib import Path
 import pytest
 
 import lps
+import lps.darboux
+import lps.factor
 from lps import cli
 from lps.cli import main
+from lps.darboux import reconstruct_first_integral
 from lps.errors import InternalError
 from lps.parser import parse_ode, parse_poly
 from lps.poly import MPoly
+from lps.solver import build_field, lps_search
+from lps.synth import plant
 
 
 def run_cli(args, stdin_text=None):
@@ -383,3 +389,62 @@ def test_verify_malformed_integral_is_usage_error():
         code, out, err = run_cli(["verify", "y' = y/x", "--integral", blob])
         assert code == 2 and out == "", blob
         assert "bad --integral" in err
+
+
+def _fixture_argv(name, *extra):
+    args = [a for a in expected_blob(name)["args"] if a != "--json"]
+    return args + list(extra) + ["--json", "--file", fixture_path(name)]
+
+
+@pytest.mark.parametrize(
+    "argv, calls",
+    [
+        (_fixture_argv("eq5"), 1),
+        (_fixture_argv("eq9"), 1),  # recorded with --power 2
+        (["solve", "--denominator", "x + y", "--json", "y' = y/x"], 2),
+    ],
+)
+def test_solve_factors_v_once(monkeypatch, argv, calls):
+    # one factorization of V's numerator per solve, plus one of a
+    # non-constant denominator; reconstruct reuses the checked factors
+    seen = []
+    original = lps.factor.factor_multivariate
+
+    def counting(p):
+        seen.append(p)
+        return original(p)
+
+    for module in (lps.factor, lps.darboux, cli):
+        monkeypatch.setattr(module, "factor_multivariate", counting)
+    assert run_cli(argv)[0] == 0
+    assert len(seen) == calls
+
+
+def _seeded_plants(count):
+    rng = random.Random(20260816)
+    out = []
+    while len(out) < count:
+        p = plant(rng, max_factor_degree=3)
+        if p.coprime:
+            out.append((p.ode.to_text(), p.planted_v.total_degree()))
+    return out
+
+
+def test_reconstruct_without_factors_matches_solve():
+    cases = [
+        (parse_ode(Path(fixture_path("eq5")).read_text()), 15, 1, _fixture_argv("eq5")),
+        (parse_ode(Path(fixture_path("eq9")).read_text()), 20, 2, _fixture_argv("eq9")),
+    ]
+    for text, degree in _seeded_plants(10):
+        argv = ["solve", "--order", "1", "--max-degree", str(degree), "--json", text]
+        cases.append((parse_ode(text), degree, 1, argv))
+    with_integral = 0
+    for ode, degree, k, argv in cases:
+        code, out, _ = run_cli(argv)
+        assert code == 0
+        reported = json.loads(out)["first_integral"]
+        found = lps_search(ode, max_degree=degree, k=k)
+        integral = reconstruct_first_integral(build_field(ode), found)
+        assert (integral and integral.to_json_dict()) == reported
+        with_integral += reported is not None
+    assert with_integral >= 8

@@ -1,8 +1,11 @@
 import random
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import lps.factor as factor_module
 from lps.errors import DomainError
@@ -171,6 +174,53 @@ def test_multivariate_roundtrip_random():
             assert m >= 1 and q == q.normalized()
             assert q not in seen
             seen.add(q)
+
+
+@st.composite
+def bivariate_products(draw):
+    """unit * prod f_i^m_i for one to three small random polynomials in
+    x, y (integer coefficients, degree <= 2 in each variable), m_i <= 2."""
+    p = MPoly.constant(Fraction(draw(st.integers(1, 9)), draw(st.integers(1, 9))))
+    for _ in range(draw(st.integers(1, 3))):
+        terms = {}
+        for _ in range(draw(st.integers(1, 4))):
+            mono = (draw(st.integers(0, 2)), draw(st.integers(0, 2)))
+            terms[mono] = terms.get(mono, 0) + draw(st.integers(-5, 5))
+        p = p * MPoly.from_dict(("x", "y"), terms) ** draw(st.integers(1, 2))
+    return p
+
+
+@settings(max_examples=80, deadline=None)
+@given(bivariate_products())
+def test_factor_multivariate_roundtrip_hypothesis(p):
+    if p.is_zero():
+        return
+    fac = factor_multivariate(p)
+    assert fac.expand() == p
+    assert len({q for q, _ in fac.factors}) == len(fac.factors)
+    for q, m in fac.factors:
+        assert m >= 1 and not q.is_constant() and q == q.normalized()
+
+
+def test_factor_multivariate_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    x, y = sympy.symbols("x y")
+
+    @settings(max_examples=60, deadline=None)
+    @given(bivariate_products())
+    def check(p):
+        if p.is_zero() or p.is_constant():
+            return
+        expr = sympy.sympify(p.to_text().replace("^", "**"), locals={"x": x, "y": y})
+        _, pairs = sympy.factor_list(expr)
+        want = Counter()
+        for f, m in pairs:
+            q = parse_poly(str(f).replace("**", "^"), ("x", "y")).normalized()
+            want[q.to_text()] += m
+        ours = factor_multivariate(p)
+        assert Counter({q.to_text(): m for q, m in ours.factors}) == want
+
+    check()
 
 
 def test_specialization_smoke():
