@@ -227,7 +227,8 @@ def reconstruct_first_integral(
     system only has the trivial solution (A proportional to B with all
     exponents zero); the caller still holds the verified v.  The degree
     bound for A starts at deg B + max(deg M, deg N) and is raised once
-    by max(deg M, deg N) before giving up.
+    by max(deg M, deg N) before giving up.  A returned integral has
+    passed the exact check `verify_first_integral`.
     """
     if field.order != 1:
         raise DomainError("first-integral reconstruction needs a first-order field")

@@ -58,7 +58,8 @@ _EXACT_CELL_LIMIT = 5000
 
 @dataclass
 class RatMatrix:
-    """Sparse matrix of Fractions keyed by (row, col)."""
+    """Sparse matrix keyed by (row, col); entries are Fractions or ints
+    (the search's systems are integer)."""
 
     nrows: int
     ncols: int
@@ -81,9 +82,9 @@ class RatMatrix:
             rows[i][j] = v
         return rows
 
-    def apply(self, vec: tuple) -> list[Fraction]:
-        """Exact matrix-vector product."""
-        out = [Fraction(0)] * self.nrows
+    def apply(self, vec: tuple) -> list:
+        """Exact matrix-vector product (ints where entries and vec are)."""
+        out = [0] * self.nrows
         for (i, j), v in self.entries.items():
             if vec[j]:
                 out[i] += v * vec[j]
@@ -221,10 +222,13 @@ def _rank_exact(mat: RatMatrix) -> int:
 
 # Every product below takes residues in [0, p) with p < 2^20.  An inner
 # dimension of at most 2^13 keeps (p-1)^2 * 2^13 + p below 2^53, so float64
-# sums are exact.  Products of fewer multiply-adds than _SMALL use int64
-# instead of BLAS, which would allocate buffers of its own; updates walk
-# the rows in slices of about _CELLS cells (at least 64 rows) to keep
-# temporaries small.
+# sums are exact, and for integer |acc| < 2^53, q = floor(acc * fl(1/p)) is
+# off by at most one: acc - q p is exact and in [-p, 2p), and one +p and one
+# -p by comparison reduce it (a second floor would not: p fl(1/p) may round
+# below 1).  Products of fewer multiply-adds than _SMALL use int64, since
+# the first BLAS call adds about 6.6 MB of RSS (2-core x86-64, numpy 2.4)
+# that the small order-1 systems never need.  Updates walk the rows in
+# slices of about _CELLS cells (at least 64 rows) to keep temporaries small.
 _INNER = 2**13
 _SMALL = 2**22
 _CELLS = 2**13
@@ -247,7 +251,9 @@ def _submul(x: np.ndarray, a: np.ndarray, b: np.ndarray, p: int) -> None:
         acc = x[r : r + step].astype(np.float64)
         for s in range(0, inner, _INNER):
             acc -= a[r : r + step, s : s + _INNER].astype(np.float64) @ b[s : s + _INNER]
-            np.mod(acc, p, out=acc)
+            acc -= np.floor(acc * (1.0 / p)) * p
+            np.add(acc, p, out=acc, where=acc < 0)
+            np.subtract(acc, p, out=acc, where=acc >= p)
         x[r : r + step] = acc
 
 
@@ -322,7 +328,7 @@ class Echelon:
 
     def _clear(self) -> None:
         self.p = _PRIMES[self.prime_index % len(_PRIMES)]
-        self.consumed: RatMatrix | None = None
+        self.consumed = RatMatrix(0, 0, {})
         self.scales: list[Fraction] = []
         self.pivot_rows: list[int] = []
         self.top = np.zeros((0, 0), np.float32)
@@ -338,20 +344,18 @@ class Echelon:
         """Reduce the columns of mat beyond the matrix consumed last, which
         must be mat's leading block: same entries there, and none below
         it in its columns."""
-        old = self.consumed
-        m0, n0 = (0, 0) if old is None else (old.nrows, old.ncols)
-        extends = mat.nrows >= m0 and mat.ncols >= n0
-        new_cols: dict[int, dict[int, Fraction]] = {j: {} for j in range(n0, mat.ncols)}
-        kept = 0
-        for (i, j), v in mat.entries.items():
-            if j >= n0:
-                new_cols[j][i] = v
-            elif (w := old.entries.get((i, j))) is v or w == v:
-                kept += 1
-            else:
-                extends = False
-        if not extends or (old is not None and kept != len(old.entries)):
+        old, n0 = self.consumed, self.consumed.ncols
+        added = mat.entries.keys() - old.entries.keys()
+        if (
+            mat.nrows < old.nrows
+            or mat.ncols < n0
+            or not old.entries.items() <= mat.entries.items()
+            or any(j < n0 for _, j in added)
+        ):
             raise InternalError("echelon: the matrix does not extend the one consumed")
+        new_cols: dict[int, dict[int, Fraction]] = {j: {} for j in range(n0, mat.ncols)}
+        for i, j in added:
+            new_cols[j][i] = mat.entries[i, j]
         self.consumed = mat
         cols = list(new_cols.values())
         for c0 in range(0, len(cols), _BLOCK):
@@ -417,7 +421,12 @@ def _reconstruct(residues: dict[int, list[int]], modulus: int, scales: list) -> 
 
 
 def _in_kernel(mat: RatMatrix, basis: list[tuple]) -> bool:
-    return not any(any(mat.apply(vec)) for vec in basis)
+    """Exact check, each vector cleared to integers first (same kernel)."""
+    for vec in basis:
+        den = math.lcm(*(v.denominator for v in vec))
+        if any(mat.apply([v.numerator * (den // v.denominator) for v in vec])):
+            return False
+    return True
 
 
 def _nullspace_modular(mat: RatMatrix) -> list[tuple]:

@@ -261,15 +261,6 @@ class MPoly:
             return self * (Fraction(1) / Fraction(other))
         return NotImplemented
 
-    def shift_scale(self, shift: tuple[int, ...], coeff: Rat) -> "MPoly":
-        """self * coeff * monomial(shift); shift must match the ring arity."""
-        if not coeff:
-            return MPoly(self.ring, {})
-        return MPoly(
-            self.ring,
-            {tuple(i + j for i, j in zip(m, shift)): c * coeff for m, c in self.terms.items()},
-        )
-
     # -- calculus and evaluation -------------------------------------------
 
     def derivative(self, var: str) -> "MPoly":

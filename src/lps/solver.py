@@ -22,20 +22,24 @@ identity is cleared of denominators with the factor `scale` (1 for order
     div = N_x + M_y (order 1),  M_z N - M N_z (order 2),
 
 so scale D = N^2 dx + z N^2 dy + N M dz for order 2.  Every linear
-system is read off D and assembled by `poly_system`.
+system is read off D.
 
-The search climbs a degree ladder, one linear system per degree d.  The
-columns of degree d are a prefix of those of degree d+1 (grlex order) and
-rows are numbered in order of first appearance, so each system is the
-leading block of the next; `_ladder` keeps one mod-p elimination
-(`linalg.Echelon`) across the rungs, and each rung reduces only its new
-columns.
+The search climbs a degree ladder, one linear system per degree d.
+`_SystemBuilder` clears the identity to integers once (a positive factor
+common to every column leaves the kernel alone) and owns the row index:
+the columns of degree d are a prefix of those of degree d+1 (grlex order),
+rows are numbered in order of first appearance and each rung appends only
+its new columns, so each system is the leading block of the next.
+`_ladder` keeps one mod-p elimination (`linalg.Echelon`) across the
+rungs, and each rung reduces only its new columns.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add
 
 from .errors import DomainError, InternalError
 from .linalg import Echelon, RatMatrix, nullspace
@@ -88,11 +92,7 @@ def poly_system(columns: list, target: MPoly | None = None) -> tuple[RatMatrix, 
     monomial of the union of the supports, in order of first appearance
     (target's terms first, then each column's), one column per
     polynomial.  All polynomials share a ring.  The right-hand side is
-    None without a target.
-
-    With that row order, the system of a column list is the leading
-    block of the system of any extension of the list, which the degree
-    ladder relies on."""
+    None without a target."""
     index: dict = {}
     if target is not None:
         for m in target.terms:
@@ -157,35 +157,60 @@ class JacobiMultiplier:
 
 
 class _SystemBuilder:
-    """Assembles the linear systems for one (field, k, denominator) choice,
-    caching per-monomial images across degrees."""
+    """Assembles the linear systems for one (field, k, denominator) choice
+    in integers: pbar scale c_v (per variable) and scale D(pbar) + k div
+    pbar are multiplied once by the positive lcm of their coefficient
+    denominators, which scales every column alike."""
 
     def __init__(self, field: VectorField, k: int, denominator: MPoly):
         self.ring = field.ring
         den = denominator.extend_ring(field.ring)
         # pbar scale D(m) = sum_v (pbar scale c_v) dm/dv
-        self.partial_polys = [den * (field.scale * c) for c in field.coeffs]
-        self.cterm = field.scale * field.apply(den) + k * field.divergence * den
+        partials = [den * (field.scale * c) for c in field.coeffs]
+        cterm = field.scale * field.apply(den) + k * field.divergence * den
+        self.lcm = math.lcm(*(c.denominator for p in (*partials, cterm) for c in p.terms.values()))
+
+        def cleared(p: MPoly) -> list:
+            return [(m, c.numerator * (self.lcm // c.denominator)) for m, c in p.terms.items()]
+
+        self._partials = [cleared(p) for p in partials]
+        self._cterm = cleared(-cterm)
         self._images: dict[tuple[int, ...], MPoly] = {}
+        self._rows: dict[tuple[int, ...], int] = {}
+        self._entries: dict = {}
+        self._ncols = 0
+
+    def _int_image(self, mono: tuple[int, ...]) -> dict:
+        """lcm E(m) as {monomial: int}."""
+        out = {tuple(map(add, t, mono)): c for t, c in self._cterm}
+        for i, terms in enumerate(self._partials):
+            e = mono[i]
+            if e:
+                shift = mono[:i] + (e - 1,) + mono[i + 1 :]
+                for t, c in terms:
+                    t = tuple(map(add, t, shift))
+                    out[t] = out.get(t, 0) + e * c
+        return {t: c for t, c in out.items() if c}
 
     def image(self, mono: tuple[int, ...]) -> MPoly:
         """E(m) = scale (pbar D(m) - m D(pbar)) - k div m pbar for one monomial."""
         cached = self._images.get(mono)
-        if cached is not None:
-            return cached
-        total = self.cterm.shift_scale(mono, Fraction(-1))
-        for i, gp in enumerate(self.partial_polys):
-            e = mono[i]
-            if e:
-                shifted = mono[:i] + (e - 1,) + mono[i + 1 :]
-                total = total + gp.shift_scale(shifted, Fraction(e))
-        self._images[mono] = total
-        return total
+        if cached is None:
+            terms = {t: Fraction(c, self.lcm) for t, c in self._int_image(mono).items()}
+            cached = self._images[mono] = MPoly(self.ring, terms)
+        return cached
 
     def build(self, degree: int) -> tuple[RatMatrix, list[tuple[int, ...]]]:
+        """The system (columns lcm E(m)) of the candidate monomials of degree
+        <= degree, for non-decreasing degrees: only new columns are
+        assembled and rows keep their numbers, so it extends the last one."""
         cols = candidate_monomials(self.ring, degree)
-        mat, _ = poly_system([self.image(m) for m in cols])
-        return mat, cols
+        rows, entries = self._rows, dict(self._entries)
+        for j in range(self._ncols, len(cols)):
+            for t, c in self._int_image(cols[j]).items():
+                entries[(rows.setdefault(t, len(rows)), j)] = c
+        self._entries, self._ncols = entries, len(cols)
+        return RatMatrix(len(rows), len(cols), entries), cols
 
 
 def _select_kernel_poly(basis_vectors: list, cols: list, ring: tuple[str, ...]) -> tuple[MPoly, list[MPoly]]:
@@ -252,7 +277,8 @@ def lps_search(
 ) -> InverseIntegratingFactor | None:
     """Find a polynomial (or rational / k-th root, per arguments) inverse
     integrating factor by degree-increasing kernel search.  Returns None
-    when every degree up to max_degree has an empty kernel."""
+    when every degree up to max_degree has an empty kernel.  A returned
+    factor has passed the exact check `verify_iif_identity`."""
     if ode.order != 1:
         raise DomainError("lps_search handles first order equations; use lps2_search")
     if max_degree < 0:
@@ -285,7 +311,8 @@ def lps_search(
 
 def lps2_search(ode: RationalODE, max_degree: int = 20) -> JacobiMultiplier | None:
     """Find a polynomial inverse Jacobi multiplier of a rational 2ODE by
-    the same degree-increasing kernel search."""
+    the same degree-increasing kernel search.  A returned multiplier has
+    passed the exact check `verify_iif_identity` (with k = 1, den = 1)."""
     if ode.order != 2:
         raise DomainError("lps2_search handles second order equations")
     if max_degree < 0:
@@ -302,18 +329,3 @@ def lps2_search(ode: RationalODE, max_degree: int = 20) -> JacobiMultiplier | No
         basis=basis,
         system=system,
     )
-
-
-def assemble_lps_system(
-    field: VectorField,
-    degree: int,
-    k: int = 1,
-    denominator: MPoly | None = None,
-) -> RatMatrix:
-    """The raw linear system whose kernel holds degree <= `degree`
-    candidates.  Columns follow candidate_monomials order; rows are the
-    support of the identity in order of first appearance (see
-    poly_system)."""
-    den = _normalize_denominator(field, denominator)
-    mat, _ = _SystemBuilder(field, k, den).build(degree)
-    return mat

@@ -19,14 +19,8 @@ from fractions import Fraction
 from .darboux import DarbouxFirstIntegral, compute_pol_pair
 from .linalg import nullspace, solve_affine
 from .parser import RationalODE
-from .poly import MPoly, RatFunc, candidate_monomials, mpoly_gcd
-from .solver import (
-    assemble_lps_system,
-    build_field,
-    lps_search,
-    poly_system,
-    verify_iif_identity,
-)
+from .poly import MPoly, RatFunc, mpoly_gcd
+from .solver import _SystemBuilder, build_field, lps_search, poly_system, verify_iif_identity
 
 _RING = ("x", "y")
 
@@ -135,8 +129,8 @@ def _in_span(target: MPoly, basis: tuple) -> bool:
 
 def _kernel_polys(field, degree: int) -> tuple:
     """The degree <= degree solutions of the search identity, as polys."""
-    basis = nullspace(assemble_lps_system(field, degree))
-    monos = candidate_monomials(field.ring, degree)
+    system, monos = _SystemBuilder(field, 1, MPoly.constant(1, field.ring)).build(degree)
+    basis = nullspace(system)
     return tuple(
         MPoly(field.ring, {m: vec[i] for i, m in enumerate(monos) if vec[i]})
         for vec in basis

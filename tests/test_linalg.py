@@ -243,6 +243,24 @@ def test_float_products_stay_exact(monkeypatch):
     assert (x == -n * v * v % P0).all()
 
 
+# a prime whose float reciprocal times itself rounds below 1, so that
+# floor(k p fl(1/p)) = k - 1 for most k
+ROUNDS_LOW = next(p for p in linalg._PRIMES if p * (1.0 / p) < 1)
+
+
+@pytest.mark.parametrize("p", [3, P0, ROUNDS_LOW, linalg._PRIMES[-1]])
+def test_float_reduction_is_exact_at_its_edges(monkeypatch, p):
+    # accumulators +-(k p + d), d in {-1, 0, 1}, from k = 0 up to the
+    # largest k that keeps |k p + d| below 2^53, against Python's %
+    monkeypatch.setattr(linalg, "_SMALL", 0)
+    top = 2**53 // p - 1
+    ks = {0, 1, 2, top - 2, top - 1, top} | set(random.Random(p).sample(range(top), 200))
+    values = [s * (k * p + d) for k in sorted(ks) for d in (-1, 0, 1) for s in (1, -1)]
+    x = np.zeros((1, len(values)), np.int64)
+    linalg._submul(x, np.ones((1, 1)), np.array([values], np.int64), p)
+    assert x[0].tolist() == [-v % p for v in values]
+
+
 def test_echelon_rejects_a_matrix_that_does_not_extend_the_last():
     base = RatMatrix(2, 2, {(0, 0): Fraction(1), (0, 1): Fraction(2), (1, 1): Fraction(3)})
     changed = RatMatrix(2, 3, {**base.entries, (1, 1): Fraction(4), (1, 2): Fraction(1)})

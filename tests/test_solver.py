@@ -16,7 +16,6 @@ from lps.poly import MPoly, candidate_monomials
 from lps.solver import (
     _select_kernel_poly,
     _SystemBuilder,
-    assemble_lps_system,
     build_field,
     lps2_search,
     lps_search,
@@ -50,7 +49,7 @@ def test_candidate_sizes():
 def test_assemble_zero_rhs_field():
     # y' = 0: X = dx, divergence 0, so constants are solutions at degree 0
     ode = parse_ode("y' = 0")
-    mat = assemble_lps_system(build_field(ode), 0)
+    mat, _ = _SystemBuilder(build_field(ode), 1, MPoly.constant(1, ("x", "y"))).build(0)
     assert mat.ncols == 1
     r = lps_search(ode, max_degree=2)
     assert r.v_num == MPoly.constant(1) and r.degree_found == 0
@@ -278,3 +277,62 @@ def test_ladder_restarts_after_unlucky_prime(monkeypatch):
     monkeypatch.setattr(linalg.Echelon, "restart", counting_restart)
     check_ladder_against_exact_search()
     assert restarted.count(3) >= 5
+
+
+def reference_image(field, k, pbar, mono):
+    """E(m) = scale (pbar D(m) - m D(pbar)) - k div m pbar over Q, from
+    the field's derivation alone."""
+    m = MPoly(field.ring, {mono: Fraction(1)})
+    lhs = field.scale * (pbar * field.apply(m) - m * field.apply(pbar))
+    return lhs - k * field.divergence * m * pbar
+
+
+def builder_cases():
+    """eq5, eq7, eq9 with k = 1 and 2, eq8 over y and ten seeded plants,
+    each with the top degree its columns are checked up to."""
+    cases = [
+        (load_ode("eq5"), 1, None, 13),
+        (load_ode("eq7"), 1, None, 10),
+        (load_ode("eq9"), 1, None, 12),
+        (load_ode("eq9"), 2, None, 12),
+        (load_ode("eq8"), 1, Y, 10),
+    ]
+    rng = random.Random(20261101)
+    for _ in range(10):
+        planted = plant(rng, max_factor_degree=3)
+        cases.append((planted.ode, 1, None, planted.planted_v.total_degree()))
+    return cases
+
+
+@pytest.mark.parametrize("case", range(15))
+def test_builder_columns_are_the_cleared_images(case):
+    ode, k, den, top = builder_cases()[case]
+    field = build_field(ode)
+    pbar = MPoly.constant(1, field.ring) if den is None else den.extend_ring(field.ring).normalized()
+    builder = _SystemBuilder(field, k, pbar)
+    assert isinstance(builder.lcm, int) and builder.lcm > 0
+    expected = {}
+    for degree in range(top + 1):
+        mat, cols = builder.build(degree)
+        assert cols == candidate_monomials(field.ring, degree)
+        monomial_of = {i: t for t, i in builder._rows.items()}
+        assert sorted(monomial_of) == list(range(mat.nrows))
+        columns = [{} for _ in cols]
+        for (i, j), c in mat.entries.items():
+            assert type(c) is int and c
+            columns[j][monomial_of[i]] = c
+        for j, mono in enumerate(cols):
+            if mono not in expected:
+                expected[mono] = reference_image(field, k, pbar, mono)
+                assert builder.image(mono) == expected[mono]
+            assert columns[j] == {t: builder.lcm * c for t, c in expected[mono].terms.items()}
+
+
+def test_builder_cases_clear_denominators():
+    # the integer columns differ from the images somewhere
+    lcms = []
+    for ode, k, den, _ in builder_cases():
+        field = build_field(ode)
+        pbar = MPoly.constant(1, field.ring) if den is None else den.extend_ring(field.ring)
+        lcms.append(_SystemBuilder(field, k, pbar).lcm)
+    assert max(lcms) > 1
