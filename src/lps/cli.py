@@ -13,6 +13,7 @@ Exit codes: 0 success, 1 verification failed, 2 usage or parse error,
 """
 
 import argparse
+import functools
 import json
 import random
 import sys
@@ -453,7 +454,11 @@ def _add_common_solve_flags(sub):
     sub.add_argument("--file", help="read the equation from a file")
 
 
+@functools.cache
 def build_argparser() -> argparse.ArgumentParser:
+    """The `lps` argument parser, built once per process (`parse_args`
+    returns a fresh namespace on every call).  Each subcommand's `func`
+    is the `cmd_*` function bound when the parser is first built."""
     parser = argparse.ArgumentParser(
         prog="lps",
         description="Polynomial inverse integrating factors, Darboux polynomials, "

@@ -225,10 +225,15 @@ def _rank_exact(mat: RatMatrix) -> int:
 # sums are exact, and for integer |acc| < 2^53, q = floor(acc * fl(1/p)) is
 # off by at most one: acc - q p is exact and in [-p, 2p), and one +p and one
 # -p by comparison reduce it (a second floor would not: p fl(1/p) may round
-# below 1).  Products of fewer multiply-adds than _SMALL use int64, since
-# the first BLAS call adds about 6.6 MB of RSS (2-core x86-64, numpy 2.4)
-# that the small order-1 systems never need.  Updates walk the rows in
-# slices of about _CELLS cells (at least 64 rows) to keep temporaries small.
+# below 1).  Only the nonzero rows and columns of the coefficient block b
+# take part: a zero row drops a column of a, a zero column leaves that
+# column of x as it is.  Products of fewer multiply-adds than _SMALL on
+# that restricted shape run and reduce in int64, exactly, since
+# |x - a b| < p + 2^22 (p-1)^2 < 2^63; they skip BLAS, whose first call
+# adds about 6.6 MB of RSS (2-core x86-64, numpy 2.4) that the small
+# order-1 systems never need.  Updates walk the rows in slices of about
+# _CELLS cells (at least 64 rows), gathering a's columns one slice at a
+# time, to keep temporaries small.
 _INNER = 2**13
 _SMALL = 2**22
 _CELLS = 2**13
@@ -239,22 +244,33 @@ _BASE = 8
 
 
 def _submul(x: np.ndarray, a: np.ndarray, b: np.ndarray, p: int) -> None:
-    """x <- (x - a b) mod p in place, exactly."""
-    n, inner = a.shape
-    small = n * inner * b.shape[1] < _SMALL
-    b = b.astype(np.int64 if small else np.float64)
-    step = max(64, _CELLS // max(inner, b.shape[1]))
+    """x <- (x - a b) mod p in place, exactly.  The columns of x where b
+    is zero are left as they are."""
+    rows, cols = np.flatnonzero(b.any(axis=1)), np.flatnonzero(b.any(axis=0))
+    if not rows.size:
+        return
+    # plain slices when nothing is dropped, so a dense b pays no gather
+    R = rows if rows.size < b.shape[0] else slice(None)
+    C = cols if cols.size < b.shape[1] else slice(None)
+    n, inner, k = a.shape[0], rows.size, cols.size
+    small = n * inner * k < _SMALL
+    b = b[R][:, C].astype(np.int64 if small else np.float64)
+    step = max(64, _CELLS // max(inner, k))
     for r in range(0, n, step):
+        part = a[r : r + step, R]
         if small:
-            x[r : r + step] = (x[r : r + step] - a[r : r + step].astype(np.int64) @ b) % p
+            acc = x[r : r + step, C].astype(np.int64)
+            acc -= part.astype(np.int64) @ b
+            acc %= p
+            x[r : r + step, C] = acc
             continue
-        acc = x[r : r + step].astype(np.float64)
+        acc = x[r : r + step, C].astype(np.float64)
         for s in range(0, inner, _INNER):
-            acc -= a[r : r + step, s : s + _INNER].astype(np.float64) @ b[s : s + _INNER]
+            acc -= part[:, s : s + _INNER].astype(np.float64) @ b[s : s + _INNER]
             acc -= np.floor(acc * (1.0 / p)) * p
             np.add(acc, p, out=acc, where=acc < 0)
             np.subtract(acc, p, out=acc, where=acc >= p)
-        x[r : r + step] = acc
+        x[r : r + step, C] = acc
 
 
 def _primitive_column(col: dict[int, Fraction]) -> tuple[dict[int, int], Fraction]:

@@ -62,9 +62,9 @@ def _tokenize(text: str) -> list[_Token]:
 
 
 class _Parser:
-    def __init__(self, text: str, variables: tuple[str, ...]):
+    def __init__(self, text: str, tokens: list[_Token], variables: tuple[str, ...]):
         self.text = text
-        self.tokens = _tokenize(text)
+        self.tokens = tokens
         self.i = 0
         self.variables = variables
 
@@ -221,7 +221,7 @@ def parse_ode(text: str, order: int | None = None) -> RationalODE:
             col,
         )
     variables = RING1 if head_order == 1 else RING2
-    parser = _Parser(text, variables)
+    parser = _Parser(text, tokens, variables)
     head = parser.take()
     assert head.kind == "NAME"
     parser.expect_op("=")
@@ -232,7 +232,7 @@ def parse_ode(text: str, order: int | None = None) -> RationalODE:
 
 def parse_expr(text: str, variables: tuple[str, ...] = RING2) -> RatFunc:
     """Parse a bare expression into a rational function."""
-    parser = _Parser(text, variables)
+    parser = _Parser(text, _tokenize(text), variables)
     value = parser.expr()
     parser.finish()
     return value

@@ -448,3 +448,16 @@ def test_reconstruct_without_factors_matches_solve():
         assert (integral and integral.to_json_dict()) == reported
         with_integral += reported is not None
     assert with_integral >= 8
+
+
+def test_cached_argparser_leaks_no_flag_between_calls():
+    assert cli.build_argparser() is cli.build_argparser()
+    ode = "y' = y/x"
+    first = json.loads(run_cli(["solve", "--json", ode])[1])
+    powered = json.loads(run_cli(["solve", "--json", "--power", "2", ode])[1])
+    again = json.loads(run_cli(["solve", "--json", ode])[1])
+    assert (powered["method"], powered["v"]["k"]) == ("lps-power", 2)
+    assert (again["method"], again["v"]["k"]) == ("lps", 1)
+    for report in (first, again):
+        del report["timings_ms"]
+    assert again == first

@@ -261,6 +261,53 @@ def test_float_reduction_is_exact_at_its_edges(monkeypatch, p):
     assert x[0].tolist() == [-v % p for v in values]
 
 
+# (x, a, b) dtypes of the echelon's products: the basis top/bot times a
+# block's coefficients, a block times the basis' coefficients d, and the
+# all-int64 products inside `_eliminate`
+SUBMUL_DTYPES = [(np.int64, np.float32, np.int64), (np.float32, np.int64, np.float32), (np.int64,) * 3]
+
+
+@pytest.mark.parametrize("small", [linalg._SMALL, 0])
+@pytest.mark.parametrize("dtypes", SUBMUL_DTYPES)
+def test_submul_skips_zero_rows_and_columns_exactly(monkeypatch, small, dtypes):
+    # b with planted zero rows and columns, and an all-zero b, against
+    # (x - a b) mod p in Python ints; x is a column slice of a wider
+    # array, as top[:, :r] is, and its columns where b is zero stay as
+    # they were
+    monkeypatch.setattr(linalg, "_SMALL", small)
+    x_type, a_type, b_type = dtypes
+    rng = np.random.default_rng(10)
+    p = linalg._PRIMES[-1]
+    for n, inner, k in [(3, 4, 5), (150, 37, 11), (70, 130, 1), (9, 1, 140)]:
+        base = rng.integers(0, p, (n, k + 2)).astype(x_type)
+        a = rng.integers(0, p, (n, inner)).astype(a_type)
+        b = rng.integers(0, p, (inner, k)).astype(b_type)
+        b[rng.random(inner) < 0.4] = 0
+        zero_cols = rng.random(k) < 0.4
+        b[:, zero_cols] = 0
+        for b in (b, np.zeros_like(b)):
+            x = base[:, :k]
+            xs, as_, bs = x.astype(int).tolist(), a.astype(int).tolist(), b.astype(int).tolist()
+            want = [
+                [(xs[i][j] - sum(as_[i][t] * bs[t][j] for t in range(inner))) % p for j in range(k)]
+                for i in range(n)
+            ]
+            before = base.copy()
+            linalg._submul(x, a, b, p)
+            assert x.astype(int).tolist() == want
+            untouched = np.append(~b.any(axis=0), [True, True])
+            assert (base[:, untouched] == before[:, untouched]).all()
+
+
+def test_int64_products_stay_exact_at_their_bound():
+    # the largest int64 product: _SMALL - 1 multiply-adds of (p-1)^2 each
+    p = linalg._PRIMES[-1]
+    inner = linalg._SMALL - 1
+    x = np.full((1, 1), p - 1, np.int64)
+    linalg._submul(x, np.full((1, inner), p - 1, np.float32), np.full((inner, 1), p - 1), p)
+    assert x[0, 0] == (p - 1 - inner * (p - 1) ** 2) % p
+
+
 def test_echelon_rejects_a_matrix_that_does_not_extend_the_last():
     base = RatMatrix(2, 2, {(0, 0): Fraction(1), (0, 1): Fraction(2), (1, 1): Fraction(3)})
     changed = RatMatrix(2, 3, {**base.entries, (1, 1): Fraction(4), (1, 2): Fraction(1)})

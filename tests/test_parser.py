@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from lps import parser
 from lps.errors import ParseError
 from lps.parser import RationalODE, parse_expr, parse_ode, parse_poly
 from lps.poly import MPoly, RatFunc
@@ -73,6 +74,20 @@ def test_error_positions():
     with pytest.raises(ParseError) as e:
         parse_ode("y' = x +\n* y")
     assert "line 2" in str(e.value)
+
+
+def test_parse_ode_tokenizes_once(monkeypatch):
+    calls = []
+    tokenize = parser._tokenize
+
+    def counting(text):
+        calls.append(text)
+        return tokenize(text)
+
+    monkeypatch.setattr(parser, "_tokenize", counting)
+    parse_ode("y' = (x + y)/x")
+    parse_ode("y'' = y*z")
+    assert calls == ["y' = (x + y)/x", "y'' = y*z"]
 
 
 def test_division_by_zero_constant():
