@@ -70,7 +70,7 @@ def _dense_int_coeffs(p: MPoly, var: str) -> list[int]:
 
 
 def _poly_from_dense(coeffs: list[int], var: str) -> MPoly:
-    return MPoly.from_dict((var,), {(i,): Fraction(c) for i, c in enumerate(coeffs) if c})
+    return MPoly.from_dict((var,), {(i,): c for i, c in enumerate(coeffs) if c})
 
 
 def _strip_rational_roots(coeffs: list[int]) -> tuple[list[list[int]], list[int]]:
@@ -167,7 +167,7 @@ def _kronecker_decode(coeffs: list[int], vs, weights, bounds) -> MPoly | None:
                 return None
             digits.append(d)
         digits.reverse()
-        terms[tuple(digits)] = Fraction(c)
+        terms[tuple(digits)] = c
     return MPoly.from_dict(vs, terms)
 
 
@@ -308,18 +308,19 @@ def _coeffs_in(p: MPoly, var: str) -> list[MPoly]:
     return out
 
 
-def _dense_frac(p: MPoly, var: str) -> list[Fraction]:
+def _dense_rat(p: MPoly, var: str) -> list[Rat]:
+    """Dense coefficient list (ints and Fractions) of a polynomial in var."""
     if p.is_zero():
         return []
     q = p.extend_ring((var,)) if var not in p.ring else p
     idx = q.ring.index(var)
-    out = [Fraction(0)] * (q.degree_in(var) + 1)
+    out = [0] * (q.degree_in(var) + 1)
     for expo, c in q.terms.items():
         out[expo[idx]] = c
     return out
 
 
-def _res_frac(a: list[Fraction], b: list[Fraction]) -> Fraction:
+def _res_frac(a: list[Rat], b: list[Rat]) -> Rat:
     """Resultant of two univariate polynomials over the rationals."""
     def deg(u):
         return len(u) - 1
@@ -327,7 +328,7 @@ def _res_frac(a: list[Fraction], b: list[Fraction]) -> Fraction:
     def rem(u, v):
         u = list(u)
         while len(u) >= len(v):
-            c = u[-1] / v[-1]
+            c = Fraction(u[-1], v[-1])
             k = len(u) - len(v)
             for i, cv in enumerate(v):
                 u[i + k] -= c * cv
@@ -356,8 +357,8 @@ def _res_frac(a: list[Fraction], b: list[Fraction]) -> Fraction:
     return acc * b[0] ** deg(a)
 
 
-def _horner(coeffs: list[Fraction], x0: int) -> Fraction:
-    acc = Fraction(0)
+def _horner(coeffs: list[Rat], x0: int) -> Rat:
+    acc = 0
     for c in reversed(coeffs):
         acc = acc * x0 + c
     return acc
@@ -375,10 +376,10 @@ def _resultant_wrt(f: MPoly, g: MPoly, var: str, keep: str) -> MPoly:
     are interpolated by Newton divided differences and expanded to dense
     coefficients."""
     bound = f.degree_in(keep) * g.degree_in(var) + g.degree_in(keep) * f.degree_in(var)
-    fc = [_dense_frac(c, keep) for c in _coeffs_in(f.extend_ring((var, keep)), var)]
-    gc = [_dense_frac(c, keep) for c in _coeffs_in(g.extend_ring((var, keep)), var)]
+    fc = [_dense_rat(c, keep) for c in _coeffs_in(f.extend_ring((var, keep)), var)]
+    gc = [_dense_rat(c, keep) for c in _coeffs_in(g.extend_ring((var, keep)), var)]
     xs: list[int] = []
-    coef: list[Fraction] = []
+    coef: list[Rat] = []
     t = 0
     while len(xs) <= bound:
         for x0 in (t, -t) if t else (0,):
@@ -393,7 +394,7 @@ def _resultant_wrt(f: MPoly, g: MPoly, var: str, keep: str) -> MPoly:
     n = len(xs)
     for j in range(1, n):
         for i in range(n - 1, j - 1, -1):
-            coef[i] = (coef[i] - coef[i - 1]) / (xs[i] - xs[i - j])
+            coef[i] = Fraction(coef[i] - coef[i - 1], xs[i] - xs[i - j])
     # p = coef[0] + (x - xs[0])(coef[1] + (x - xs[1])(...)), from inside out
     dense = [coef[-1]]
     for i in range(n - 2, -1, -1):
@@ -418,8 +419,8 @@ def _rational_roots(p: MPoly) -> list[Fraction]:
     fac = factor_univariate(p)
     for f, _ in fac.factors:
         if f.total_degree() == 1:
-            fl = _dense_frac(f.project_ring(), f.vars_used()[0])
-            roots.append(-fl[0] / fl[1])
+            fl = _dense_rat(f.project_ring(), f.vars_used()[0])
+            roots.append(Fraction(-fl[0], fl[1]))
     roots.sort()
     return roots
 

@@ -49,6 +49,7 @@ import numpy as np
 
 from .errors import InternalError
 from .intarith import primes_below, rational_reconstruct
+from .poly import rat
 
 _PRIMES = primes_below(2**20, 48)
 
@@ -58,8 +59,9 @@ _EXACT_CELL_LIMIT = 5000
 
 @dataclass
 class RatMatrix:
-    """Sparse matrix keyed by (row, col); entries are Fractions or ints
-    (the search's systems are integer)."""
+    """Sparse matrix keyed by (row, col).  Entries are rationals: ints or
+    Fractions, as polynomial coefficients are (the search's systems are
+    integer).  Kernel vectors come back as tuples of ints."""
 
     nrows: int
     ncols: int
@@ -124,19 +126,16 @@ def _integer_rows(mat: RatMatrix) -> list[dict[int, int]]:
     return out
 
 
-def _primitive_vector(vec: list[Fraction], positive_at: int) -> tuple:
-    den = 1
-    for v in vec:
-        den = den * v.denominator // math.gcd(den, v.denominator)
-    ints = [int(v * den) for v in vec]
-    g = 0
-    for n in ints:
-        g = math.gcd(g, n)
+def _primitive_vector(vec: list, positive_at: int) -> tuple:
+    """vec scaled to primitive integers (ints), positive at positive_at."""
+    den = math.lcm(*(v.denominator for v in vec))
+    ints = [v.numerator * (den // v.denominator) for v in vec]
+    g = math.gcd(*ints)
     if g > 1:
         ints = [n // g for n in ints]
     if ints[positive_at] < 0:
         ints = [-n for n in ints]
-    return tuple(Fraction(n) for n in ints)
+    return tuple(ints)
 
 
 # ---------------------------------------------------------------------------
@@ -532,7 +531,7 @@ def solve_affine(mat: RatMatrix, rhs: list, engine: str = "auto") -> AffineSolut
             kernel.append(vec[:n])
         else:
             s = vec[n]
-            particular = tuple(-v / s for v in vec[:n])
+            particular = tuple(rat(Fraction(-v, s)) for v in vec[:n])
     if particular is None:
         # the rhs column was a pivot column: no solution
         return None

@@ -1,9 +1,16 @@
 """Exact sparse multivariate polynomial arithmetic over the rationals.
 
 Polynomials live in an ordered subring of Q[x, y, z, w].  Terms are stored
-as a dict mapping exponent tuples to nonzero Fraction coefficients; the
-monomial order everywhere is graded lexicographic with x < y < z < w.
-Binary operations transparently unify operands into the union ring.
+as a dict mapping exponent tuples to nonzero coefficients; the monomial
+order everywhere is graded lexicographic with x < y < z < w.  Binary
+operations transparently unify operands into the union ring.
+
+Coefficients keep one invariant: an integral coefficient is an int, any
+other a Fraction in lowest terms (`rat` enforces it wherever a
+coefficient is made).  Nearly every coefficient the pipeline meets is an
+integer, and int arithmetic skips Fraction's normalising constructor.
+The choice never shows in output: an int and the equal Fraction have the
+same value, ==, hash and str.
 
 The gcd is the heuristic integer gcd GCDHEU (Char, Geddes & Gonnet 1989),
 certified by exact division; the subresultant PRS is its fallback.
@@ -28,6 +35,12 @@ def grlex_key(exponents: tuple[int, ...]):
     return (sum(exponents), tuple(reversed(exponents)))
 
 
+def rat(c) -> Rat:
+    """The canonical form of a rational coefficient c (an int or a
+    Fraction): its numerator when c is integral, otherwise c itself."""
+    return c.numerator if c.denominator == 1 else c
+
+
 def _rat_gcd(a: Rat, b: Rat) -> Rat:
     """gcd of two rationals: gcd of numerators over lcm of denominators."""
     if a == 0:
@@ -46,10 +59,12 @@ def _merge_rings(r1: tuple[str, ...], r2: tuple[str, ...]) -> tuple[str, ...]:
 
 
 class MPoly:
-    """Immutable sparse polynomial with Fraction coefficients.
+    """Immutable sparse polynomial with rational coefficients, each an int
+    when integral and a Fraction otherwise (see the module docstring).
 
     The raw constructor trusts its arguments; use from_dict / constant /
-    variable when the term dict has not been cleaned of zeros.
+    variable (which take int or Fraction coefficients) when the term dict
+    has not been cleaned of zeros or put in canonical form.
     """
 
     __slots__ = ("ring", "terms")
@@ -64,14 +79,14 @@ class MPoly:
     def from_dict(cls, ring: tuple[str, ...], terms: dict) -> "MPoly":
         clean = {}
         for mono, c in terms.items():
-            c = Fraction(c)
+            c = rat(c)
             if c:
                 clean[tuple(mono)] = c
         return cls(tuple(ring), clean)
 
     @classmethod
     def constant(cls, value, ring: tuple[str, ...] = ()) -> "MPoly":
-        value = Fraction(value)
+        value = rat(value)
         if not value:
             return cls(tuple(ring), {})
         return cls(tuple(ring), {(0,) * len(ring): value})
@@ -84,7 +99,7 @@ class MPoly:
     def variable(cls, name: str) -> "MPoly":
         if name not in _VAR_POS:
             raise DomainError(f"unknown variable {name!r}")
-        return cls((name,), {(1,): Fraction(1)})
+        return cls((name,), {(1,): 1})
 
     # -- basic queries -----------------------------------------------------
 
@@ -194,7 +209,7 @@ class MPoly:
         for m, c in b.terms.items():
             s = terms.get(m, 0) + c
             if s:
-                terms[m] = s
+                terms[m] = rat(s)
             else:
                 terms.pop(m, None)
         return MPoly(a.ring, terms)
@@ -218,10 +233,10 @@ class MPoly:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            c = Fraction(other)
+            c = rat(other)
             if not c:
                 return MPoly(self.ring, {})
-            return MPoly(self.ring, {m: v * c for m, v in self.terms.items()})
+            return MPoly(self.ring, {m: rat(v * c) for m, v in self.terms.items()})
         other = self._coerce(other)
         if other is None:
             return NotImplemented
@@ -237,7 +252,7 @@ class MPoly:
                     out[m] = s
                 else:
                     del out[m]
-        return MPoly(a.ring, out)
+        return MPoly(a.ring, {m: rat(c) for m, c in out.items()})
 
     __rmul__ = __mul__
 
@@ -273,7 +288,7 @@ class MPoly:
             if e:
                 mm = m[:i] + (e - 1,) + m[i + 1 :]
                 out[mm] = out.get(mm, 0) + c * e
-        return MPoly(self.ring, {m: c for m, c in out.items() if c})
+        return MPoly(self.ring, {m: rat(c) for m, c in out.items() if c})
 
     def substitute(self, bindings: dict) -> "MPoly":
         """Substitute polynomials or rationals for variables.  Unbound
@@ -306,7 +321,7 @@ class MPoly:
             if residual:
                 ring = tuple(v for v in VARS if v in residual)
                 mono = tuple(residual.get(v, 0) for v in ring)
-                factor = factor * MPoly(ring, {mono: Fraction(1)})
+                factor = factor * MPoly(ring, {mono: 1})
             result = result + factor
         return result
 
@@ -351,13 +366,13 @@ class MPoly:
             shift = tuple(i - j for i, j in zip(mono, lm_b))
             if any(s < 0 for s in shift):
                 return None
-            qc = rem[mono] / lc_b
+            qc = rat(Fraction(rem[mono], lc_b))
             quot[shift] = qc
             for mb, cb in b.terms.items():
                 m = tuple(i + j for i, j in zip(mb, shift))
                 s = rem.get(m, 0) - cb * qc
                 if s:
-                    rem[m] = s
+                    rem[m] = rat(s)
                 else:
                     rem.pop(m, None)
         return MPoly(a.ring, quot)
@@ -381,12 +396,12 @@ class MPoly:
         with positive leading (grlex-greatest) coefficient."""
         if not self.terms:
             return self, Fraction(1)
-        unit = self.rat_content()
+        unit, terms = _int_primitive(self)
         _, lc = self.leading_term()
         if lc < 0:
             unit = -unit
-        inv = Fraction(1) / unit
-        return MPoly(self.ring, {m: c * inv for m, c in self.terms.items()}), unit
+            terms = {m: -c for m, c in terms.items()}
+        return MPoly(self.ring, terms), unit
 
     def normalized(self) -> "MPoly":
         return self.normalized_with_unit()[0]
@@ -727,7 +742,7 @@ def _gcd(a: MPoly, b: MPoly) -> MPoly:
     scale = _rat_gcd(ca, cb)
     if len(h) == 1 and not any(next(iter(h))):
         return MPoly.constant(scale)  # h is +-1: both inputs are primitive
-    return MPoly(a.ring, {m: scale * c for m, c in h.items()})
+    return MPoly(a.ring, {m: rat(scale * c) for m, c in h.items()})
 
 
 def mpoly_gcd(a: MPoly, b: MPoly) -> MPoly:

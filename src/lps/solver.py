@@ -44,7 +44,7 @@ from operator import add
 from .errors import DomainError, InternalError
 from .linalg import Echelon, RatMatrix, nullspace
 from .parser import RationalODE
-from .poly import MPoly, candidate_monomials, grlex_key
+from .poly import MPoly, candidate_monomials, grlex_key, rat
 
 
 @dataclass(frozen=True)
@@ -196,7 +196,7 @@ class _SystemBuilder:
         """E(m) = scale (pbar D(m) - m D(pbar)) - k div m pbar for one monomial."""
         cached = self._images.get(mono)
         if cached is None:
-            terms = {t: Fraction(c, self.lcm) for t, c in self._int_image(mono).items()}
+            terms = {t: rat(Fraction(c, self.lcm)) for t, c in self._int_image(mono).items()}
             cached = self._images[mono] = MPoly(self.ring, terms)
         return cached
 

@@ -56,7 +56,7 @@ def _random_poly(rng: random.Random, degree: int, terms: int, bound: int = 3) ->
             c = rng.choice([c for c in range(-bound, bound + 1) if c])
             mono = (ex, total - ex)
             out[mono] = out.get(mono, 0) + c
-        p = MPoly(_RING, {m: Fraction(c) for m, c in out.items() if c})
+        p = MPoly(_RING, {m: c for m, c in out.items() if c})
         if not p.is_constant():
             return p.normalized()
 

@@ -164,6 +164,20 @@ def test_solve_affine_constructed():
         assert sol.nullspace_basis == nullspace(mat)
 
 
+def test_kernel_vectors_are_ints_and_particulars_canonical():
+    """Kernel vectors come back as primitive ints (every engine), and a
+    particular solution holds ints where integral, Fractions otherwise."""
+    rng = random.Random(46)
+    for trial in range(60):
+        mat, _ = rand_matrix(rng, rng.randint(1, 6), rng.randint(2, 7), density=0.6)
+        for engine in ("exact", "modular"):
+            for vec in nullspace(mat, engine=engine):
+                assert all(type(v) is int for v in vec)
+        x0 = [Fraction(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(mat.ncols)]
+        sol = solve_affine(mat, mat.apply(tuple(x0)))
+        assert all(type(v) is int or v.denominator > 1 for v in sol.particular)
+
+
 def test_solve_affine_inconsistent():
     # x + y = 1 and x + y = 2 cannot both hold
     mat = RatMatrix.from_rows([{0: 1, 1: 1}, {0: 1, 1: 1}], 2)

@@ -5,15 +5,18 @@ by rational evaluation at random points, gcds by exact trial division, and
 decompositions by expanding them back.
 """
 
+import collections
+import json
 import random
 from fractions import Fraction
+from importlib import resources
 from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lps import poly
+from lps import cli, poly
 from lps.parser import parse_poly
 from lps.poly import (
     MPoly,
@@ -405,3 +408,73 @@ def test_eq_across_rings():
     p = (X + Y).extend_ring(("x", "y", "z"))
     assert p == X + Y
     assert hash(p) == hash(X + Y)
+
+
+def assert_canonical(p):
+    """The MPoly coefficient invariant: an int (not a bool) when integral,
+    otherwise a Fraction with denominator > 1."""
+    for c in p.terms.values():
+        assert type(c) is int or (type(c) is Fraction and c.denominator > 1), (p, c, type(c))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    ring_polys(("x", "y")),
+    ring_polys(("x", "y")),
+    ring_polys(("y", "z")),
+    st.one_of(st.integers(-4, 4), st.fractions(max_denominator=4, min_value=-4, max_value=4)),
+    st.integers(0, 3),
+)
+def test_coefficients_stay_canonical(a, b, c, s, k):
+    for p in (a, b, c):
+        assert_canonical(p)
+    results = [a + b, a - b, a + c, b - a + c, a * b, b * c, a * s, s * a, a**k,
+               a.derivative("x"), c.derivative("z"), a.substitute({"x": b}),
+               a.substitute({"y": s}), c.substitute({"y": a, "z": s}),
+               a.normalized(), mpoly_gcd(a, b), mpoly_gcd(a * c, b * c)]
+    if s:
+        results.append(a / s)
+    for d in (b, c):
+        if not d.is_zero():
+            results.append((a * d).exact_divide(d))
+            results.append((a * d + a).exact_divide(d + 1))
+            q = a.exact_divide(d)
+            if q is not None:
+                results.append(q)
+    for p in results:
+        assert_canonical(p)
+
+
+def _solve_args(name):
+    """A fixture's recorded solve arguments, followed by its equation text."""
+    fixtures = resources.files("lps").joinpath("fixtures")
+    args = json.loads(fixtures.joinpath("expected", f"{name}.json").read_text())["args"]
+    return args + [fixtures.joinpath(f"{name}.txt").read_text()]
+
+
+def test_solves_store_only_canonical_coefficients(monkeypatch, capsys):
+    """Every coefficient stored while solving eq5, eq7, eq9 and a few
+    plants (through search, factoring, reconstruction and the checks) is
+    an int or a non-integral Fraction: never a float, never an integral
+    Fraction."""
+    seen = collections.Counter()
+    init = MPoly.__init__
+
+    def recording_init(self, ring, terms):
+        for c in terms.values():
+            seen[type(c) if type(c) is not Fraction or c.denominator > 1 else "integral Fraction"] += 1
+        init(self, ring, terms)
+
+    monkeypatch.setattr(MPoly, "__init__", recording_init)
+    plants = [
+        "y' = (3/2*y)/(-1 + 3*x)",
+        "y' = (-7/2*y + 9/2*y^3)/(-3 - 11*x - 6*x^2 + 6*y^2 + 18*x*y^2)",
+        "y' = (1/2*y + 3/4*y^2)/(2 + x + 6*y + 3*x*y)",
+        "y' = (-3/2 + 7*y - 17/2*y^2 + 3*y^3)/(3 + 5*x - 4*y + 2*x^2 - 4*x*y + 3*y^2 + 3*x*y^2)",
+    ]
+    runs = [_solve_args(name) for name in ("eq5", "eq7", "eq9")]
+    runs += [["solve", "--order", "1", "--max-degree", "4", "--auto-denominator", t] for t in plants]
+    for argv in runs:
+        assert cli.main(argv) == 0
+    capsys.readouterr()
+    assert set(seen) == {int, Fraction}, seen
