@@ -2,12 +2,11 @@
 inverse integrating factors, inverse Jacobi multipliers, Darboux
 polynomials, and elementary first integrals, all computed exactly."""
 
-from .poly import MPoly, Rat, RatFunc, SquareFreeDecomposition, mpoly_gcd, squarefree_decompose
+from .poly import MPoly, Rat, SquareFreeDecomposition, mpoly_gcd, squarefree_decompose
 
 __all__ = [
     "MPoly",
     "Rat",
-    "RatFunc",
     "SquareFreeDecomposition",
     "mpoly_gcd",
     "squarefree_decompose",

@@ -25,7 +25,7 @@ from .darboux import check_v_factors, lps2_postprocess, reconstruct_first_integr
 from .errors import InternalError, LpsError, ParseError
 from .factor import degree1_dp_search, factor_multivariate
 from .parser import parse_ode, parse_poly
-from .poly import MPoly, RatFunc
+from .poly import MPoly
 from .solver import _SystemBuilder, build_field, lps2_search, lps_search
 from .synth import measure_recovery, plant
 
@@ -279,25 +279,31 @@ def _identity_from_scratch(ode, num: MPoly, den: MPoly, k: int) -> bool:
 
 
 def _integral_from_scratch(ode, blob: dict) -> bool:
-    """X(A/B) + sum n_j X(p_j)/p_j == 0, rebuilt from the JSON form."""
+    """X(A/B) + sum n_j X(p_j)/p_j == 0, rebuilt from the JSON form and
+    summed over one common denominator by cross-multiplication (no gcd).
+    For order 2, D = N X is used instead of X: the nonzero factor N does
+    not change whether the sum is zero."""
     ring = ("x", "y") if ode.order == 1 else ("x", "y", "z")
     m, n = ode.m, ode.n
 
-    def apply(p: MPoly) -> RatFunc:
+    def apply(p: MPoly) -> MPoly:
         if ode.order == 1:
-            return RatFunc(n * p.derivative("x") + m * p.derivative("y"))
+            return n * p.derivative("x") + m * p.derivative("y")
         z = MPoly.variable("z")
-        return RatFunc(
-            n * p.derivative("x") + z * n * p.derivative("y") + m * p.derivative("z"), n
-        )
+        return n * p.derivative("x") + z * n * p.derivative("y") + m * p.derivative("z")
 
     a = parse_poly(str(blob["A"]), ring)
     b = parse_poly(str(blob["B"]), ring)
-    total = (apply(a) * b - apply(b) * a) / RatFunc(b * b)
+    if b.is_zero():
+        raise ZeroDivisionError("division by the zero rational function")
+    num, den = b * apply(a) - a * apply(b), b * b
     for text, exponent in blob["factors"]:
         p = parse_poly(str(text), ring)
-        total = total + apply(p) * RatFunc(MPoly.constant(Fraction(str(exponent))), p)
-    return total.is_zero()
+        c = Fraction(str(exponent))
+        if p.is_zero():
+            raise ZeroDivisionError("rational function with zero denominator")
+        num, den = num * p + c * apply(p) * den, den * p
+    return num.is_zero()
 
 
 def cmd_verify(args) -> int:

@@ -67,17 +67,6 @@ class RatMatrix:
     ncols: int
     entries: dict
 
-    @classmethod
-    def from_rows(cls, rows: list, ncols: int) -> "RatMatrix":
-        entries = {}
-        for i, row in enumerate(rows):
-            items = row.items() if isinstance(row, dict) else enumerate(row)
-            for j, v in items:
-                v = Fraction(v)
-                if v:
-                    entries[(i, j)] = v
-        return cls(len(rows), ncols, entries)
-
     def row_dicts(self) -> list[dict[int, Fraction]]:
         rows: list[dict[int, Fraction]] = [dict() for _ in range(self.nrows)]
         for (i, j), v in self.entries.items():
@@ -205,14 +194,13 @@ def _kernel_from_pivots(pivots, ncols: int) -> list[tuple]:
 
 
 def _nullspace_exact(mat: RatMatrix) -> list[tuple]:
+    """Kernel by fraction-free elimination, verified exactly."""
     rows = _integer_rows(mat)
     pivots = _eliminate_exact(rows, mat.ncols)
-    return _kernel_from_pivots(pivots, mat.ncols)
-
-
-def _rank_exact(mat: RatMatrix) -> int:
-    rows = _integer_rows(mat)
-    return len(_eliminate_exact(rows, mat.ncols))
+    basis = _kernel_from_pivots(pivots, mat.ncols)
+    if not _in_kernel(mat, basis):
+        raise InternalError("kernel verification failed")
+    return basis
 
 
 # ---------------------------------------------------------------------------
@@ -476,15 +464,17 @@ def _nullspace_modular(mat: RatMatrix) -> list[tuple]:
     return _nullspace_exact(mat)
 
 
-def nullspace(mat: RatMatrix, engine: str = "auto", echelon: Echelon | None = None) -> list[tuple]:
+def nullspace(mat: RatMatrix, *, echelon: Echelon | None = None) -> list[tuple]:
     """Canonical kernel basis of mat (RREF form, see module docstring).
-    Deterministic: identical input gives bit-identical output.
+    Deterministic: identical input gives bit-identical output.  Systems of
+    at most _EXACT_CELL_LIMIT cells go through the exact engine, larger
+    ones through the modular engine; either verifies what it returns.
 
     With an `echelon` that consumed mat's leading block, only the new
     columns are reduced.  No dependency mod p means an empty kernel (the
     mod-p rank bounds the rank over Q from below); dependencies are
     reconstructed from that one prime and verified exactly.  If they do
-    not verify, `engine` answers and the echelon restarts at the next
+    not verify, an engine answers and the echelon restarts at the next
     prime, since an unlucky prime cannot certify later rungs either."""
     if mat.ncols == 0:
         return []
@@ -494,25 +484,12 @@ def nullspace(mat: RatMatrix, engine: str = "auto", echelon: Echelon | None = No
         if basis is not None and _in_kernel(mat, basis):
             return basis
         echelon.restart()
-    if engine == "auto":
-        engine = "exact" if mat.nrows * mat.ncols <= _EXACT_CELL_LIMIT else "modular"
-    if engine == "exact":
-        basis = _nullspace_exact(mat)
-    elif engine == "modular":
-        basis = _nullspace_modular(mat)
-    else:
-        raise ValueError(f"unknown engine {engine!r}")
-    if not _in_kernel(mat, basis):
-        raise InternalError("kernel verification failed")
-    return basis
+    if mat.nrows * mat.ncols <= _EXACT_CELL_LIMIT:
+        return _nullspace_exact(mat)
+    return _nullspace_modular(mat)
 
 
-def rank(mat: RatMatrix) -> int:
-    """Exact rank over Q."""
-    return _rank_exact(mat)
-
-
-def solve_affine(mat: RatMatrix, rhs: list, engine: str = "auto") -> AffineSolutionSet | None:
+def solve_affine(mat: RatMatrix, rhs: list) -> AffineSolutionSet | None:
     """Solve A x = rhs exactly.  Returns None when inconsistent; otherwise
     the canonical particular solution (free variables zero) plus the
     canonical kernel basis of A."""
@@ -523,7 +500,7 @@ def solve_affine(mat: RatMatrix, rhs: list, engine: str = "auto") -> AffineSolut
         if v:
             entries[(i, n)] = v
     aug = RatMatrix(mat.nrows, n + 1, entries)
-    basis = nullspace(aug, engine=engine)
+    basis = nullspace(aug)
     particular = None
     kernel = []
     for vec in basis:

@@ -3,21 +3,31 @@
 The expression language is infix arithmetic over x, y, z with integer
 literals, ^ or ** powers (|exponent| <= 64), and a derivative head:
 y' for first order equations, z' or y'' for second order ones (z stands
-for y').  Everything parses into exact rational-function values.
+for y').  Every subexpression evaluates to a (numerator, denominator)
+pair of polynomials with no gcd taken along the way; the result is put
+in lowest terms once, by `poly.lowest_terms`.  A power, product or
+quotient whose degree would exceed _MAX_DEGREE is refused before it is
+expanded.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import ParseError
-from .poly import MPoly, RatFunc
+from .poly import MPoly, lowest_terms
 
 _TOKEN_RE = re.compile(r"(\d+)|([a-zA-Z]\w*'{0,2})|(\*\*|[()+\-*/^=])")
 
 _MAX_EXP = 64
+# Bound on the degree of a power, product or quotient, checked on the
+# operands before anything is expanded (max of numerator and denominator
+# degree, unreduced).  Real inputs stay far below it: the fixtures, the
+# golden corpus and the benchmark's equations have total degree <= 12.
+_MAX_DEGREE = 128
+
+_ONE = MPoly.constant(1)
 
 RING1 = ("x", "y")
 RING2 = ("x", "y", "z")
@@ -61,6 +71,20 @@ def _tokenize(text: str) -> list[_Token]:
     return tokens
 
 
+def _degree(value) -> int:
+    num, den = value
+    return max(num.total_degree(), den.total_degree())
+
+
+def _fold(num: MPoly, den: MPoly) -> tuple[MPoly, MPoly]:
+    """The pair with a constant denominator folded into the numerator, so
+    that every denominator is 1 or non-constant."""
+    if den.is_constant():
+        c = den.constant_value()
+        return (num if c == 1 else num / c), _ONE
+    return num, den
+
+
 class _Parser:
     def __init__(self, text: str, tokens: list[_Token], variables: tuple[str, ...]):
         self.text = text
@@ -86,31 +110,42 @@ class _Parser:
         if tok.kind != "OP" or tok.text != op:
             self.fail(f"expected {op!r}", tok)
 
+    def check_degree(self, degree: int, tok: _Token):
+        if degree > _MAX_DEGREE:
+            self.fail(f"degree {degree} exceeds {_MAX_DEGREE}", tok)
+
     # expr := term (('+'|'-') term)*
-    def expr(self) -> RatFunc:
-        value = self.term()
+    def expr(self) -> tuple[MPoly, MPoly]:
+        num, den = self.term()
         while self.peek().kind == "OP" and self.peek().text in "+-":
             op = self.take().text
-            rhs = self.term()
-            value = value + rhs if op == "+" else value - rhs
-        return value
+            rnum, rden = self.term()
+            if op == "-":
+                rnum = -rnum
+            if den == rden:
+                num = num + rnum
+            else:
+                num, den = num * rden + rnum * den, den * rden
+        return num, den
 
     # term := factor (('*'|'/') factor)*
-    def term(self) -> RatFunc:
+    def term(self) -> tuple[MPoly, MPoly]:
         value = self.factor()
         while self.peek().kind == "OP" and self.peek().text in ("*", "/"):
             tok = self.take()
             rhs = self.factor()
-            if tok.text == "*":
-                value = value * rhs
-            else:
-                if rhs.is_zero():
+            num, den = value
+            rnum, rden = rhs
+            if tok.text == "/":
+                if rnum.is_zero():
                     self.fail("division by zero", tok)
-                value = value / rhs
+                rnum, rden = rden, rnum
+            self.check_degree(_degree(value) + _degree(rhs), tok)
+            value = _fold(num * rnum, den * rden)
         return value
 
     # factor := base (('^'|'**') exponent)?
-    def factor(self) -> RatFunc:
+    def factor(self) -> tuple[MPoly, MPoly]:
         value = self.base()
         tok = self.peek()
         if tok.kind == "OP" and tok.text in ("^", "**"):
@@ -118,12 +153,13 @@ class _Parser:
             e = self.exponent()
             if abs(e) > _MAX_EXP:
                 self.fail(f"exponent magnitude exceeds {_MAX_EXP}", tok)
-            if e >= 0:
-                value = RatFunc(value.num**e, value.den**e)
-            else:
-                if value.is_zero():
+            num, den = value
+            if e < 0:
+                if num.is_zero():
                     self.fail("zero raised to a negative power", tok)
-                value = RatFunc(value.den ** (-e), value.num ** (-e))
+                num, den, e = den, num, -e
+            self.check_degree(_degree(value) * e, tok)
+            value = _fold(num**e, den**e)
         return value
 
     def exponent(self) -> int:
@@ -143,20 +179,21 @@ class _Parser:
         return sign * int(tok.text)
 
     # base := NUMBER | VAR | '(' expr ')' | '-' factor
-    def base(self) -> RatFunc:
+    def base(self) -> tuple[MPoly, MPoly]:
         tok = self.take()
         if tok.kind == "NUM":
-            return RatFunc.from_scalar(int(tok.text))
+            return MPoly.constant(int(tok.text)), _ONE
         if tok.kind == "NAME":
             if tok.text not in self.variables:
                 self.fail(f"unknown identifier {tok.text!r}", tok)
-            return RatFunc(MPoly.variable(tok.text))
+            return MPoly.variable(tok.text), _ONE
         if tok.kind == "OP" and tok.text == "(":
             value = self.expr()
             self.expect_op(")")
             return value
         if tok.kind == "OP" and tok.text == "-":
-            return -self.factor()
+            num, den = self.factor()
+            return -num, den
         self.fail("expected a number, variable, or parenthesized expression", tok)
 
     def finish(self):
@@ -181,12 +218,11 @@ class RationalODE:
         return RING1 if self.order == 1 else RING2
 
     @classmethod
-    def from_ratfunc(cls, order: int, f: RatFunc) -> "RationalODE":
+    def from_quotient(cls, order: int, num: MPoly, den: MPoly) -> "RationalODE":
+        """The equation with right-hand side num/den, put in lowest terms."""
         ring = RING1 if order == 1 else RING2
-        return cls(order, f.num.extend_ring(ring), f.den.extend_ring(ring))
-
-    def rhs(self) -> RatFunc:
-        return RatFunc(self.m, self.n)
+        num, den = lowest_terms(num, den)
+        return cls(order, num.extend_ring(ring), den.extend_ring(ring))
 
     def to_text(self) -> str:
         head = "y'" if self.order == 1 else "z'"
@@ -225,23 +261,23 @@ def parse_ode(text: str, order: int | None = None) -> RationalODE:
     head = parser.take()
     assert head.kind == "NAME"
     parser.expect_op("=")
-    value = parser.expr()
+    num, den = parser.expr()
     parser.finish()
-    return RationalODE.from_ratfunc(head_order, value)
+    return RationalODE.from_quotient(head_order, num, den)
 
 
-def parse_expr(text: str, variables: tuple[str, ...] = RING2) -> RatFunc:
-    """Parse a bare expression into a rational function."""
+def parse_expr(text: str, variables: tuple[str, ...] = RING2) -> tuple[MPoly, MPoly]:
+    """Parse a bare expression into a (numerator, denominator) pair in
+    lowest terms (see `poly.lowest_terms`)."""
     parser = _Parser(text, _tokenize(text), variables)
-    value = parser.expr()
+    num, den = parser.expr()
     parser.finish()
-    return value
+    return lowest_terms(num, den)
 
 
 def parse_poly(text: str, variables: tuple[str, ...] = RING2) -> MPoly:
     """Parse an expression that must reduce to a polynomial."""
-    value = parse_expr(text, variables)
-    if not value.den.is_constant():
+    num, den = parse_expr(text, variables)
+    if not den.is_constant():
         raise ParseError("expected a polynomial, found a non-constant denominator")
-    den = value.den.constant_value()
-    return value.num * (Fraction(1) / den) if den != 1 else value.num
+    return num  # a constant denominator in lowest terms is 1

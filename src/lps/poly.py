@@ -42,14 +42,15 @@ def rat(c) -> Rat:
 
 
 def _rat_gcd(a: Rat, b: Rat) -> Rat:
-    """gcd of two rationals: gcd of numerators over lcm of denominators."""
+    """gcd of two rationals: gcd of numerators over lcm of denominators
+    (an int when integral)."""
     if a == 0:
         return abs(b)
     if b == 0:
         return abs(a)
     num = math.gcd(a.numerator, b.numerator)
     den = a.denominator * b.denominator // math.gcd(a.denominator, b.denominator)
-    return Fraction(num, den)
+    return num if den == 1 else Fraction(num, den)
 
 
 def _merge_rings(r1: tuple[str, ...], r2: tuple[str, ...]) -> tuple[str, ...]:
@@ -377,19 +378,15 @@ class MPoly:
                     rem.pop(m, None)
         return MPoly(a.ring, quot)
 
-    def divides(self, other: "MPoly") -> bool:
-        return other.exact_divide(self) is not None
-
     def rat_content(self) -> Rat:
-        """Positive rational c with self/c integer-primitive (0 for 0)."""
-        if not self.terms:
-            return Fraction(0)
+        """Positive rational c with self/c integer-primitive (0 for 0), an
+        int when integral."""
         num = 0
         den = 1
         for c in self.terms.values():
             num = math.gcd(num, c.numerator)
             den = den * c.denominator // math.gcd(den, c.denominator)
-        return Fraction(num, den)
+        return num if den == 1 else Fraction(num, den)
 
     def normalized_with_unit(self) -> tuple["MPoly", Rat]:
         """Split self = unit * canonical where canonical is integer-primitive
@@ -833,125 +830,23 @@ def squarefree_decompose(p: MPoly) -> SquareFreeDecomposition:
 
 
 # ---------------------------------------------------------------------------
-# Rational functions.
+# Rational functions, as (numerator, denominator) pairs.
 # ---------------------------------------------------------------------------
 
 
-class RatFunc:
-    """Quotient of two MPoly values, kept in lowest terms with a
-    normalized (integer-primitive, positive leading coefficient)
-    denominator."""
-
-    __slots__ = ("num", "den")
-
-    def __init__(self, num: MPoly, den: MPoly | None = None):
-        num = MPoly._coerce(num)
-        if den is None:
-            den = MPoly.constant(1)
-        den = MPoly._coerce(den)
-        if den.is_zero():
-            raise ZeroDivisionError("rational function with zero denominator")
-        if num.is_zero():
-            self.num = MPoly.zero(num.ring)
-            self.den = MPoly.constant(1, num.ring)
-            return
-        g = _gcd(num, den)
-        if not (g.is_constant() and g.constant_value() == 1):
-            num = num.exact_divide(g)
-            den = den.exact_divide(g)
-        den_n, unit = den.normalized_with_unit()
-        if unit != 1:
-            num = num * (Fraction(1) / unit)
-        self.num = num
-        self.den = den_n
-
-    @classmethod
-    def from_scalar(cls, c) -> "RatFunc":
-        return cls(MPoly.constant(c))
-
-    def is_zero(self) -> bool:
-        return self.num.is_zero()
-
-    def is_constant(self) -> bool:
-        return self.num.is_constant() and self.den.is_constant()
-
-    def __add__(self, other):
-        other = _as_ratfunc(other)
-        if other is None:
-            return NotImplemented
-        return RatFunc(self.num * other.den + other.num * self.den, self.den * other.den)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        out = RatFunc.__new__(RatFunc)
-        out.num = -self.num
-        out.den = self.den
-        return out
-
-    def __sub__(self, other):
-        other = _as_ratfunc(other)
-        if other is None:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        other = _as_ratfunc(other)
-        if other is None:
-            return NotImplemented
-        return other + (-self)
-
-    def __mul__(self, other):
-        other = _as_ratfunc(other)
-        if other is None:
-            return NotImplemented
-        return RatFunc(self.num * other.num, self.den * other.den)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        other = _as_ratfunc(other)
-        if other is None:
-            return NotImplemented
-        if other.is_zero():
-            raise ZeroDivisionError("division by the zero rational function")
-        return RatFunc(self.num * other.den, self.den * other.num)
-
-    def __rtruediv__(self, other):
-        other = _as_ratfunc(other)
-        if other is None:
-            return NotImplemented
-        return other / self
-
-    def derivative(self, var: str) -> "RatFunc":
-        return RatFunc(
-            self.num.derivative(var) * self.den - self.num * self.den.derivative(var),
-            self.den * self.den,
-        )
-
-    def __eq__(self, other):
-        other = _as_ratfunc(other)
-        if other is None:
-            return NotImplemented
-        return (self.num * other.den - other.num * self.den).is_zero()
-
-    def __hash__(self):
-        return hash((self.num, self.den))
-
-    def to_text(self) -> str:
-        if self.den.is_constant() and self.den.constant_value() == 1:
-            return self.num.to_text()
-        return f"({self.num.to_text()})/({self.den.to_text()})"
-
-    def __repr__(self):
-        return f"RatFunc({self.to_text()!r})"
-
-
-def _as_ratfunc(value) -> RatFunc | None:
-    if isinstance(value, RatFunc):
-        return value
-    if isinstance(value, MPoly):
-        return RatFunc(value)
-    if isinstance(value, (int, Fraction)):
-        return RatFunc.from_scalar(value)
-    return None
+def lowest_terms(num: MPoly, den: MPoly) -> tuple[MPoly, MPoly]:
+    """num/den in lowest terms, with the denominator integer-primitive and
+    of positive leading coefficient; such a pair is unique.  Zero is
+    (0, 1)."""
+    if den.is_zero():
+        raise ZeroDivisionError("rational function with zero denominator")
+    if num.is_zero():
+        return MPoly.zero(num.ring), MPoly.constant(1, num.ring)
+    g = _gcd(num, den)
+    if not (g.is_constant() and g.constant_value() == 1):
+        num = num.exact_divide(g)
+        den = den.exact_divide(g)
+    den, unit = den.normalized_with_unit()
+    if unit != 1:
+        num = num / unit
+    return num, den

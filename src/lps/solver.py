@@ -196,7 +196,9 @@ class _SystemBuilder:
         """E(m) = scale (pbar D(m) - m D(pbar)) - k div m pbar for one monomial."""
         cached = self._images.get(mono)
         if cached is None:
-            terms = {t: rat(Fraction(c, self.lcm)) for t, c in self._int_image(mono).items()}
+            terms = self._int_image(mono)
+            if self.lcm != 1:
+                terms = {t: rat(Fraction(c, self.lcm)) for t, c in terms.items()}
             cached = self._images[mono] = MPoly(self.ring, terms)
         return cached
 

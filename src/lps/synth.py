@@ -19,7 +19,7 @@ from fractions import Fraction
 from .darboux import DarbouxFirstIntegral, compute_pol_pair
 from .linalg import nullspace, solve_affine
 from .parser import RationalODE
-from .poly import MPoly, RatFunc, mpoly_gcd
+from .poly import MPoly, mpoly_gcd
 from .solver import _SystemBuilder, build_field, lps_search, poly_system, verify_iif_identity
 
 _RING = ("x", "y")
@@ -101,7 +101,7 @@ def plant(rng: random.Random, max_factor_degree: int = 2) -> PlantedODE:
         pol_x, pol_y, coprime = compute_pol_pair(integral)
         if pol_y.is_zero() or pol_x.is_zero():
             continue
-        ode = RationalODE.from_ratfunc(1, RatFunc(-pol_x, pol_y))
+        ode = RationalODE.from_quotient(1, -pol_x, pol_y)
         if ode.n.is_constant() and ode.m.is_constant():
             continue
         planted = b * b

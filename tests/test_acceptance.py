@@ -31,7 +31,7 @@ from lps.darboux import (
 from lps.factor import darboux_check, degree1_dp_search, factor_multivariate
 from lps.linalg import RatMatrix, nullspace, solve_affine
 from lps.parser import parse_ode, parse_poly
-from lps.poly import MPoly, RatFunc, mpoly_gcd, squarefree_decompose
+from lps.poly import MPoly, mpoly_gcd, squarefree_decompose
 from lps.solver import build_field, lps2_search, lps_search, verify_iif_identity
 from lps.synth import measure_recovery, plant
 
@@ -289,7 +289,7 @@ def test_criterion_6_first_integral_consistency(plant_batch):
         if pol_y.is_zero():
             problems.append(f"degenerate pol pair for {ode.to_text()}")
             break
-        if RatFunc(-pol_x, pol_y) != RatFunc(ode.m, ode.n):
+        if not (-pol_x * ode.n - ode.m * pol_y).is_zero():
             problems.append(f"-Pol_x/Pol_y != M/N for {ode.to_text()}")
             break
     if reconstructed == 0:

@@ -4,6 +4,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from importlib import resources
@@ -175,6 +176,17 @@ def test_parse_order_mismatch_is_usage_error():
     code, _, err = run_cli(["parse", "--order", "2", "y' = y/x"])
     assert code == 2
     assert err
+
+
+def test_parse_refuses_an_oversized_power_at_once():
+    # this used to expand for about 15 s and print 3.7 MB
+    start = time.perf_counter()
+    code, out, err = run_cli(["parse", "y' = ((x+y)^64)^64"])
+    assert code == 2 and out == ""
+    assert "degree 4096 exceeds 128 (line 1, column 16)" in err
+    assert time.perf_counter() - start < 5
+    code, out, _ = run_cli(["parse", "--json", "y' = (x^2)^64"])
+    assert code == 0 and json.loads(out)["numerator"] == "x^128"
 
 
 def test_parse_reads_stdin_dash():
@@ -385,7 +397,12 @@ def test_missing_file_is_usage_error(tmp_path):
 
 
 def test_verify_malformed_integral_is_usage_error():
-    for blob in ('[1]', '{"A": "1", "B": "1", "factors": [5]}', '{"A": "1", "B": "0", "factors": []}'):
+    for blob in (
+        '[1]',
+        '{"A": "1", "B": "1", "factors": [5]}',
+        '{"A": "1", "B": "0", "factors": []}',
+        '{"A": "1", "B": "1", "factors": [["0", 1]]}',
+    ):
         code, out, err = run_cli(["verify", "y' = y/x", "--integral", blob])
         assert code == 2 and out == "", blob
         assert "bad --integral" in err

@@ -22,7 +22,7 @@ from lps.factor import (
     factor_univariate,
 )
 from lps.parser import RationalODE, parse_ode, parse_poly
-from lps.poly import MPoly, RatFunc, mpoly_gcd
+from lps.poly import MPoly, mpoly_gcd
 from lps.solver import build_field
 
 FIXTURES = Path(__file__).resolve().parent.parent / "src" / "lps" / "fixtures"
@@ -504,7 +504,7 @@ def _planted_line_fields(seed, count):
             m = m + l1 * l2 * l3 * y_ * k
         if n.is_zero() or m.is_zero() or not mpoly_gcd(m, n).is_constant():
             continue
-        field = build_field(RationalODE.from_ratfunc(1, RatFunc(m, n)))
+        field = build_field(RationalODE.from_quotient(1, m, n))
         out.append((field, {p.normalized() for p in (l1, l2, l3)}))
     return out
 

@@ -2,15 +2,23 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from lps import parser
 from lps.errors import ParseError
 from lps.parser import RationalODE, parse_expr, parse_ode, parse_poly
-from lps.poly import MPoly, RatFunc
+from lps.poly import MPoly
 
 X = MPoly.variable("x")
 Y = MPoly.variable("y")
 Z = MPoly.variable("z")
+
+
+def same(pair, num, den=1):
+    """Whether the (numerator, denominator) pair equals num/den, by
+    cross-multiplication."""
+    return (pair[0] * den - num * pair[1]).is_zero()
 
 
 def test_simple_ode():
@@ -40,12 +48,12 @@ def test_first_order_rejects_z():
 def test_exponent_forms():
     a = parse_expr("x^3 + y**2")
     b = X**3 + Y**2
-    assert a == RatFunc(b.extend_ring(a.num.ring))
+    assert same(a, b.extend_ring(a[0].ring))
     # negative exponents move factors to the denominator
     c = parse_expr("x^(-2)")
-    assert c == RatFunc(MPoly.constant(1), X**2)
+    assert same(c, MPoly.constant(1), X**2)
     d = parse_expr("(x + 1)^-2 * y")
-    assert d == RatFunc(Y.extend_ring(("x", "y")), ((X + 1) ** 2).extend_ring(("x", "y")))
+    assert same(d, Y.extend_ring(("x", "y")), ((X + 1) ** 2).extend_ring(("x", "y")))
 
 
 def test_exponent_limit():
@@ -55,11 +63,11 @@ def test_exponent_limit():
 
 
 def test_unary_and_precedence():
-    assert parse_expr("-x^2") == RatFunc(-(X**2))
-    assert parse_expr("(-x)^2") == RatFunc(X**2)
-    assert parse_expr("2*x + 3*y - x") == RatFunc((X + 3 * Y).extend_ring(("x", "y")))
-    assert parse_expr("x - y - y") == RatFunc((X - 2 * Y).extend_ring(("x", "y")))
-    assert parse_expr("6/3*x") == RatFunc(2 * X)
+    assert same(parse_expr("-x^2"), -(X**2))
+    assert same(parse_expr("(-x)^2"), X**2)
+    assert same(parse_expr("2*x + 3*y - x"), (X + 3 * Y).extend_ring(("x", "y")))
+    assert same(parse_expr("x - y - y"), (X - 2 * Y).extend_ring(("x", "y")))
+    assert same(parse_expr("6/3*x"), 2 * X)
 
 
 def test_implicit_parens_not_allowed():
@@ -152,3 +160,89 @@ def test_whitespace_and_case():
     assert ode.m == (X + Y).extend_ring(("x", "y"))
     with pytest.raises(ParseError):
         parse_ode("Y' = x")
+
+
+def test_degree_budget():
+    # ((x+y)^64)^64 would expand to 4097 terms with coefficients of
+    # about 1,200 digits; it is refused at the outer ^ before expanding
+    with pytest.raises(ParseError) as e:
+        parse_ode("y' = ((x+y)^64)^64")
+    assert (e.value.line, e.value.col) == (1, 16)
+    assert str(parser._MAX_DEGREE) in e.value.message
+    assert parser._MAX_DEGREE == 128
+    # degree 128 still parses, through ^, * and /
+    assert parse_poly("(x^2)^64") == X**128
+    assert parse_poly("x^64*x^64") == X**128
+    assert same(parse_expr("x^64/y^64"), X**64, Y**64)
+    # one more and the operator is refused where it stands
+    for text, col in [("(x^2)^64*x", 9), ("x^64*x^64*x", 10), ("x^64/(y^64*y)", 5)]:
+        with pytest.raises(ParseError) as e:
+            parse_expr(text)
+        assert (e.value.line, e.value.col) == (1, col), text
+
+
+_VARS = st.sampled_from(["x", "y", "z"]).map(lambda v: ("var", v))
+_CONSTS = st.integers(0, 9).map(lambda c: ("num", c))
+
+
+def _trees(children):
+    return st.one_of(
+        st.tuples(st.just("bin"), st.sampled_from("+-*/"), children, children),
+        st.tuples(st.just("pow"), children, st.integers(-3, 3)),
+        st.tuples(st.just("neg"), children),
+    )
+
+
+def _render(tree) -> str:
+    kind = tree[0]
+    if kind in ("var", "num"):
+        return str(tree[1])
+    if kind == "bin":
+        return f"({_render(tree[2])} {tree[1]} {_render(tree[3])})"
+    if kind == "pow":
+        return f"({_render(tree[1])})^({tree[2]})"
+    return f"(-{_render(tree[1])})"
+
+
+def _oracle(tree, sympy, symbols):
+    """The tree's value as a sympy rational function in lowest terms, or
+    None when it divides by zero."""
+    kind = tree[0]
+    if kind == "var":
+        return symbols[tree[1]]
+    if kind == "num":
+        return sympy.Integer(tree[1])
+    if kind == "neg":
+        inner = _oracle(tree[1], sympy, symbols)
+        return None if inner is None else -inner
+    if kind == "pow":
+        base = _oracle(tree[1], sympy, symbols)
+        if base is None or (base == 0 and tree[2] < 0):
+            return None
+        return sympy.cancel(base ** tree[2])
+    a, b = _oracle(tree[2], sympy, symbols), _oracle(tree[3], sympy, symbols)
+    if a is None or b is None or (tree[1] == "/" and b == 0):
+        return None
+    return sympy.cancel({"+": a + b, "-": a - b, "*": a * b, "/": a / b}[tree[1]])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.recursive(_VARS | _CONSTS, _trees, max_leaves=8))
+def test_parse_expr_matches_sympy(tree):
+    sympy = pytest.importorskip("sympy")
+    symbols = {v: sympy.Symbol(v) for v in "xyz"}
+    text = _render(tree)
+    expected = _oracle(tree, sympy, symbols)
+    if expected is None:
+        with pytest.raises(ParseError) as e:
+            parse_expr(text)
+        assert e.value.message in ("division by zero", "zero raised to a negative power")
+        return
+    try:
+        num, den = parse_expr(text)
+    except ParseError as e:
+        assume("exceeds" not in e.message)
+        raise
+    to_sympy = lambda p: sympy.sympify(p.to_text().replace("^", "**"), locals=symbols)
+    enum, eden = sympy.fraction(expected)
+    assert sympy.expand(to_sympy(num) * eden - enum * to_sympy(den)) == 0, text

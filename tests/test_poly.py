@@ -20,9 +20,9 @@ from lps import cli, poly
 from lps.parser import parse_poly
 from lps.poly import (
     MPoly,
-    RatFunc,
     candidate_monomials,
     grlex_key,
+    lowest_terms,
     mpoly_gcd,
     squarefree_decompose,
 )
@@ -374,28 +374,23 @@ def test_squarefree_constant_and_zero():
         squarefree_decompose(MPoly.zero())
 
 
-def test_ratfunc_field_axioms():
-    rng = random.Random(111)
-    for _ in range(60):
-        a = RatFunc(rand_poly(rng), rand_poly(rng, max_terms=3) + 1)
-        b = RatFunc(rand_poly(rng), rand_poly(rng, max_terms=3) + 1)
-        assert a + b == b + a
-        assert a * b == b * a
-        assert a - a == RatFunc.from_scalar(0)
-        if not b.is_zero():
-            assert (a / b) * b == a
+def test_lowest_terms_cancellation():
+    num, den = lowest_terms(X**2 - Y**2, X - Y)
+    assert num == X + Y
+    assert den == MPoly.constant(1)
+    # the denominator comes out integer-primitive with a positive leading
+    # coefficient, the unit moving to the numerator
+    assert lowest_terms(2 * Y, -4 * X) == (Fraction(-1, 2) * Y, X)
+    assert lowest_terms(MPoly.zero(), X) == (MPoly.zero(), MPoly.constant(1))
+    with pytest.raises(ZeroDivisionError):
+        lowest_terms(X, MPoly.zero())
 
 
-def test_ratfunc_cancellation():
-    f = RatFunc(X**2 - Y**2, X - Y)
-    assert f == RatFunc(X + Y)
-    assert f.den == MPoly.constant(1)
-
-
-def test_ratfunc_derivative():
-    f = RatFunc(Y, X)
-    d = f.derivative("x")
-    assert d == RatFunc(-Y, X**2)
+def test_content_is_an_int_when_integral():
+    assert type((6 * X + 4 * Y).rat_content()) is int
+    assert (Fraction(3, 2) * X + 6 * Y).rat_content() == Fraction(3, 2)
+    assert type(poly._rat_gcd(4, Fraction(6))) is int
+    assert poly._rat_gcd(Fraction(1, 2), Fraction(3, 4)) == Fraction(1, 4)
 
 
 def test_leading_term_grlex():

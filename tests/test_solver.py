@@ -10,7 +10,6 @@ import pytest
 
 from lps import linalg
 from lps.errors import DomainError
-from lps.linalg import nullspace
 from lps.parser import parse_ode, parse_poly
 from lps.poly import MPoly, candidate_monomials
 from lps.solver import (
@@ -228,7 +227,7 @@ def exact_search(ode, max_degree, k=1, den=None):
     builder = _SystemBuilder(field, k, den)
     for degree in range(max_degree + 1):
         mat, cols = builder.build(degree)
-        basis = nullspace(mat, engine="exact")
+        basis = linalg._nullspace_exact(mat)
         if basis:
             _, polys = _select_kernel_poly(basis, cols, field.ring)
             return degree, tuple(p.normalized() for p in polys)

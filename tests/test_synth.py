@@ -3,7 +3,7 @@ from fractions import Fraction
 
 from lps.darboux import DarbouxFirstIntegral, compute_pol_pair, verify_first_integral
 from lps.parser import RationalODE
-from lps.poly import MPoly, RatFunc, mpoly_gcd
+from lps.poly import MPoly, mpoly_gcd
 from lps.solver import build_field, verify_iif_identity
 from lps.synth import PlantedODE, _in_span, measure_recovery, plant
 
@@ -37,9 +37,7 @@ def test_plant_invariants():
         for p, _ in factors:
             rebuilt = rebuilt * p
         assert planted.planted_v == rebuilt.normalized()
-        assert RatFunc(planted.ode.m, planted.ode.n) == RatFunc(
-            -planted.pol_x, planted.pol_y
-        )
+        assert (planted.ode.m * planted.pol_y - (-planted.pol_x) * planted.ode.n).is_zero()
         field = build_field(planted.ode)
         assert verify_first_integral(field, planted.integral)
         assert planted.coprime == mpoly_gcd(planted.pol_x, planted.pol_y).is_constant()
@@ -67,7 +65,7 @@ def test_hand_planted_product_xy():
     )
     pol_x, pol_y, coprime = compute_pol_pair(integral)
     assert (pol_x, pol_y, coprime) == (Y, -X, True)
-    ode = RationalODE.from_ratfunc(1, RatFunc(-pol_x, pol_y))
+    ode = RationalODE.from_quotient(1, -pol_x, pol_y)
     planted = PlantedODE(
         ode=ode,
         integral=integral,
