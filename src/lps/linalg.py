@@ -1,12 +1,30 @@
 """Exact rational linear algebra: sparse matrices, kernels, affine solves.
 
-Two engines produce the same canonical answer: a fraction-free sparse
-elimination over the integers (used for small systems) and a modular
+`nullspace` first peels the forced-zero unknowns.  If a row's only nonzero
+entry among the remaining columns is in column j, every kernel vector has
+x_j = 0, so column j is dropped; that may leave more such rows, and the
+peel repeats (the singleton-row presolve of sparse LP, Andersen & Andersen
+1995; "structural pivots" in sparse elimination mod p, Bouillaguet &
+Delaplace 2016).  Before it is trusted, the peel is re-checked as a
+certificate: each forcing row has a nonzero in its own column and nonzeros
+elsewhere only in columns dropped before it.  The surviving columns go to
+one of two engines that produce the same canonical answer: a fraction-free
+sparse elimination over the integers (used for small systems) and a modular
 engine (one mod-p elimination per prime, CRT, rational reconstruction).
 The canonical kernel basis is the reduced-row-echelon one: one vector per
 free column (ascending), scaled integer-primitive with a positive entry at
 its free column.  Every vector either engine emits is verified exactly
 over Q before it is returned.
+
+Why the peel cannot change the answer.  Column f is free iff some kernel
+vector has its last nonzero at f, and the canonical vector of f is the
+unique kernel vector with 1 at f and 0 at the other free columns (before
+scaling).  So the free columns and the canonical basis depend only on the
+kernel subspace and the column order.  The kernel of mat is the kernel of
+the surviving columns, zero-extended: a dropped column is 0 in every
+kernel vector, and mat ext(v) = sub v identically.  The reduced basis,
+zero-extended, is therefore exactly mat's canonical basis, and it needs no
+second verification.
 
 The mod-p elimination is `Echelon`.  Each column is scaled to primitive
 integers (which only rescales kernel entries), reduced mod a prime
@@ -17,9 +35,7 @@ the pivots are the RREF pivot columns mod p, and the transformation of a
 dependent column f is the canonical kernel vector mod p: 1 at f, 0 at the
 other free columns.  Products are float64 BLAS with the inner dimension cut
 to 2^13, so every sum stays below 2^53 and is exact (the FFLAS-FFPACK
-approach; Dumas, Giorgi & Pernet 2008).  An Echelon can be kept between
-calls, so a degree ladder, whose every system is the leading block of the
-next, reduces only the columns each rung adds.
+approach; Dumas, Giorgi & Pernet 2008).
 
 Why a verified basis is the canonical one.  Let P and F be the pivot and
 free columns over Q, and P' and F' those mod p.  The mod-p rank of every leading set of columns is at
@@ -315,9 +331,8 @@ def _eliminate(V: np.ndarray, T: np.ndarray, p: int) -> list[tuple[int, int]]:
 
 
 class Echelon:
-    """One mod-p column elimination (see the module docstring), kept from
-    one call of `nullspace` to the next so that a degree ladder reduces
-    only the columns each rung adds.
+    """The mod-p column elimination of one matrix at one prime (see the
+    module docstring).
 
     State: the basis `top` (one column per pivot, fully reduced: 1 at its
     pivot row, 0 at the other pivot rows), its transformation `bot` to the
@@ -325,42 +340,16 @@ class Echelon:
     2^24), and for each dependent column its canonical kernel vector mod p.
     """
 
-    def __init__(self, prime_index: int = 0):
-        self.prime_index = prime_index
-        self._clear()
-
-    def _clear(self) -> None:
-        self.p = _PRIMES[self.prime_index % len(_PRIMES)]
-        self.consumed = RatMatrix(0, 0, {})
+    def __init__(self, mat: RatMatrix, prime_index: int):
+        self.p = _PRIMES[prime_index]
         self.scales: list[Fraction] = []
         self.pivot_rows: list[int] = []
         self.top = np.zeros((0, 0), np.float32)
         self.bot = np.zeros((0, 0), np.float32)
         self.free: dict[int, np.ndarray] = {}
-
-    def restart(self) -> None:
-        """Forget everything and start again at the next prime."""
-        self.prime_index += 1
-        self._clear()
-
-    def consume(self, mat: RatMatrix) -> None:
-        """Reduce the columns of mat beyond the matrix consumed last, which
-        must be mat's leading block: same entries there, and none below
-        it in its columns."""
-        old, n0 = self.consumed, self.consumed.ncols
-        added = mat.entries.keys() - old.entries.keys()
-        if (
-            mat.nrows < old.nrows
-            or mat.ncols < n0
-            or not old.entries.items() <= mat.entries.items()
-            or any(j < n0 for _, j in added)
-        ):
-            raise InternalError("echelon: the matrix does not extend the one consumed")
-        new_cols: dict[int, dict[int, Fraction]] = {j: {} for j in range(n0, mat.ncols)}
-        for i, j in added:
-            new_cols[j][i] = mat.entries[i, j]
-        self.consumed = mat
-        cols = list(new_cols.values())
+        cols: list[dict[int, Fraction]] = [{} for _ in range(mat.ncols)]
+        for (i, j), v in mat.entries.items():
+            cols[j][i] = v
         for c0 in range(0, len(cols), _BLOCK):
             chunk = cols[c0 : c0 + _BLOCK]
             block = np.zeros((mat.nrows, len(chunk)), np.int64)
@@ -424,12 +413,8 @@ def _reconstruct(residues: dict[int, list[int]], modulus: int, scales: list) -> 
 
 
 def _in_kernel(mat: RatMatrix, basis: list[tuple]) -> bool:
-    """Exact check, each vector cleared to integers first (same kernel)."""
-    for vec in basis:
-        den = math.lcm(*(v.denominator for v in vec))
-        if any(mat.apply([v.numerator * (den // v.denominator) for v in vec])):
-            return False
-    return True
+    """Exact check of integer vectors (as `_primitive_vector` makes)."""
+    return not any(any(mat.apply(vec)) for vec in basis)
 
 
 def _nullspace_modular(mat: RatMatrix) -> list[tuple]:
@@ -440,8 +425,7 @@ def _nullspace_modular(mat: RatMatrix) -> list[tuple]:
     if no number of primes gives a verified basis."""
     best = None
     for index in range(len(_PRIMES)):
-        echelon = Echelon(index)
-        echelon.consume(mat)
+        echelon = Echelon(mat, index)
         if not echelon.free:
             return []
         free = list(echelon.free)
@@ -464,29 +448,94 @@ def _nullspace_modular(mat: RatMatrix) -> list[tuple]:
     return _nullspace_exact(mat)
 
 
-def nullspace(mat: RatMatrix, *, echelon: Echelon | None = None) -> list[tuple]:
-    """Canonical kernel basis of mat (RREF form, see module docstring).
-    Deterministic: identical input gives bit-identical output.  Systems of
-    at most _EXACT_CELL_LIMIT cells go through the exact engine, larger
-    ones through the modular engine; either verifies what it returns.
+def _peel(mat: RatMatrix) -> list[tuple[int, int]]:
+    """The forced-zero columns of mat with their forcing rows, in peel
+    order: [(column, row)], each row's only nonzero entry outside the
+    columns listed before it being in its own column.  Entries count by
+    value, not by key: a stored zero is no entry.  Each row keeps the
+    number of its nonzeros in live columns and the XOR of those columns,
+    which names the column when one is left."""
+    count = [0] * mat.nrows
+    xor = [0] * mat.nrows
+    rows_of: list[list[int]] = [[] for _ in range(mat.ncols)]
+    for (i, j), v in mat.entries.items():
+        if v:
+            count[i] += 1
+            xor[i] ^= j
+            rows_of[j].append(i)
+    stack = [i for i, n in enumerate(count) if n == 1]
+    order = []
+    while stack:
+        i = stack.pop()
+        if count[i] != 1:
+            continue
+        j = xor[i]
+        order.append((j, i))
+        for r in rows_of[j]:
+            count[r] -= 1
+            xor[r] ^= j
+            if count[r] == 1:
+                stack.append(r)
+    return order
 
-    With an `echelon` that consumed mat's leading block, only the new
-    columns are reduced.  No dependency mod p means an empty kernel (the
-    mod-p rank bounds the rank over Q from below); dependencies are
-    reconstructed from that one prime and verified exactly.  If they do
-    not verify, an engine answers and the echelon restarts at the next
-    prime, since an unlucky prime cannot certify later rungs either."""
-    if mat.ncols == 0:
+
+def _drop_peeled(mat: RatMatrix, order: list[tuple[int, int]]) -> tuple[RatMatrix, list[int]]:
+    """The surviving columns of mat and the matrix of their nonzero
+    entries (rows renumbered in order of appearance, empty ones dropped),
+    after checking in the same pass that `order` is a peel certificate:
+    distinct columns and rows, each row with a nonzero in its own column
+    and nonzeros elsewhere only in columns listed before it.  Raises
+    InternalError otherwise; a wrongly dropped column would give a basis
+    that verifies but spans too small a kernel."""
+    position = {j: k for k, (j, _) in enumerate(order)}
+    forcing = {i: k for k, (_, i) in enumerate(order)}
+    if len(position) != len(order) or len(forcing) != len(order):
+        raise InternalError("peel certificate repeats a column or row")
+    keep = [j for j in range(mat.ncols) if j not in position]
+    column = {j: t for t, j in enumerate(keep)}
+    rows: dict[int, int] = {}
+    entries = {}
+    held = set()
+    for (i, j), v in mat.entries.items():
+        if not v:
+            continue
+        k = forcing.get(i)
+        if k is None:
+            t = column.get(j)
+            if t is not None:
+                entries[rows.setdefault(i, len(rows)), t] = v
+        elif j == order[k][0]:
+            held.add(k)
+        elif position.get(j, k) >= k:
+            raise InternalError("peel certificate: a forcing row has a later nonzero")
+    if len(held) != len(order):
+        raise InternalError("peel certificate: a forcing row is zero in its column")
+    return RatMatrix(len(rows), len(keep), entries), keep
+
+
+def nullspace(mat: RatMatrix) -> list[tuple]:
+    """Canonical kernel basis of mat (RREF form, see module docstring).
+    Deterministic: identical input gives bit-identical output.  The
+    forced-zero columns are peeled first; the surviving ones go through
+    the exact engine if they make at most _EXACT_CELL_LIMIT cells, through
+    the modular engine otherwise, and either verifies what it returns.
+    The basis is zero-extended over the peeled columns."""
+    sub, keep = _drop_peeled(mat, _peel(mat))
+    if not keep:
         return []
-    if echelon is not None:
-        echelon.consume(mat)
-        basis = _reconstruct(echelon.residues(), echelon.p, echelon.scales)
-        if basis is not None and _in_kernel(mat, basis):
-            return basis
-        echelon.restart()
-    if mat.nrows * mat.ncols <= _EXACT_CELL_LIMIT:
-        return _nullspace_exact(mat)
-    return _nullspace_modular(mat)
+    if sub.nrows * sub.ncols <= _EXACT_CELL_LIMIT:
+        basis = _nullspace_exact(sub)
+    else:
+        basis = _nullspace_modular(sub)
+    if len(keep) == mat.ncols:
+        return basis
+    out = []
+    for vec in basis:
+        x = [0] * mat.ncols
+        for j, v in zip(keep, vec):
+            x[j] = v
+        out.append(tuple(x))
+    return out
 
 
 def solve_affine(mat: RatMatrix, rhs: list) -> AffineSolutionSet | None:

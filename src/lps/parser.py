@@ -6,8 +6,8 @@ y' for first order equations, z' or y'' for second order ones (z stands
 for y').  Every subexpression evaluates to a (numerator, denominator)
 pair of polynomials with no gcd taken along the way; the result is put
 in lowest terms once, by `poly.lowest_terms`.  A power, product or
-quotient whose degree would exceed _MAX_DEGREE is refused before it is
-expanded.
+quotient, or a sum or difference over unequal denominators, whose degree
+would exceed _MAX_DEGREE is refused before it is expanded.
 """
 
 from __future__ import annotations
@@ -21,8 +21,9 @@ from .poly import MPoly, lowest_terms
 _TOKEN_RE = re.compile(r"(\d+)|([a-zA-Z]\w*'{0,2})|(\*\*|[()+\-*/^=])")
 
 _MAX_EXP = 64
-# Bound on the degree of a power, product or quotient, checked on the
-# operands before anything is expanded (max of numerator and denominator
+# Bound on the degree of a power, product or quotient, and of a sum or
+# difference that cross-multiplies, checked on the operands before
+# anything is expanded (max of numerator and denominator
 # degree, unreduced).  Real inputs stay far below it: the fixtures, the
 # golden corpus and the benchmark's equations have total degree <= 12.
 _MAX_DEGREE = 128
@@ -118,13 +119,14 @@ class _Parser:
     def expr(self) -> tuple[MPoly, MPoly]:
         num, den = self.term()
         while self.peek().kind == "OP" and self.peek().text in "+-":
-            op = self.take().text
+            tok = self.take()
             rnum, rden = self.term()
-            if op == "-":
+            if tok.text == "-":
                 rnum = -rnum
             if den == rden:
                 num = num + rnum
             else:
+                self.check_degree(_degree((num, den)) + _degree((rnum, rden)), tok)
                 num, den = num * rden + rnum * den, den * rden
         return num, den
 

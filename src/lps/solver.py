@@ -28,10 +28,12 @@ The search climbs a degree ladder, one linear system per degree d.
 `_SystemBuilder` clears the identity to integers once (a positive factor
 common to every column leaves the kernel alone) and owns the row index:
 the columns of degree d are a prefix of those of degree d+1 (grlex order),
-rows are numbered in order of first appearance and each rung appends only
-its new columns, so each system is the leading block of the next.
-`_ladder` keeps one mod-p elimination (`linalg.Echelon`) across the
-rungs, and each rung reduces only its new columns.
+rows are numbered in order of first appearance and each rung assembles
+only its new columns.  Each rung's kernel is a fresh `linalg.nullspace`,
+which peels the unknowns forced to zero before it eliminates: on these
+sparse systems most are (every rung of eq8, most rungs of eq7), and the
+surviving columns are not nested from one rung to the next, so no
+elimination is carried up the ladder.
 """
 
 from __future__ import annotations
@@ -42,7 +44,7 @@ from fractions import Fraction
 from operator import add
 
 from .errors import DomainError, InternalError
-from .linalg import Echelon, RatMatrix, nullspace
+from .linalg import RatMatrix, nullspace
 from .parser import RationalODE
 from .poly import MPoly, candidate_monomials, grlex_key, rat
 
@@ -253,14 +255,13 @@ def _ladder(field: VectorField, max_degree: int, k: int, den: MPoly):
     whose system has one, as (chosen element normalized, degree, all
     kernel elements normalized, (rows, cols) of the system), or None.
 
-    Rung d's system is the leading block of rung d+1's, so one Echelon
-    carries the mod-p elimination up the ladder and each rung reduces
-    only its new columns; every rung still goes through `nullspace`."""
+    The builder assembles only each rung's new columns; every rung's
+    kernel is a fresh `nullspace` of the whole (unpeeled) system, whose
+    shape is the one reported."""
     builder = _SystemBuilder(field, k, den)
-    echelon = Echelon()
     for degree in range(max_degree + 1):
         mat, cols = builder.build(degree)
-        basis = nullspace(mat, echelon=echelon)
+        basis = nullspace(mat)
         if not basis:
             continue
         choice, polys = _select_kernel_poly(basis, cols, field.ring)

@@ -15,7 +15,7 @@ import pytest
 import lps
 import lps.darboux
 import lps.factor
-from lps import cli
+from lps import cli, linalg
 from lps.cli import main
 from lps.darboux import reconstruct_first_integral
 from lps.errors import InternalError
@@ -74,6 +74,22 @@ def test_solve_eq8_matches_expected_record():
     assert report == blob["report"]
     assert report["denominators_tried"] == ["y"]
     assert "nothing found" in err
+
+
+def test_solve_eq8_needs_no_elimination(monkeypatch):
+    # every rung of both of eq8's ladders peels to no column at all, so
+    # neither kernel engine runs
+    def refuse(mat):
+        raise AssertionError("a kernel engine ran")
+
+    monkeypatch.setattr(linalg, "_nullspace_exact", refuse)
+    monkeypatch.setattr(linalg, "_nullspace_modular", refuse)
+    blob = expected_blob("eq8")
+    code, out, _ = run_cli(blob["args"] + ["--file", fixture_path("eq8")])
+    assert code == blob["exit_code"]
+    report = json.loads(out)
+    report.pop("timings_ms")
+    assert report == blob["report"]
 
 
 def test_json_round_trip_reproduces_canonical_objects():
@@ -189,6 +205,18 @@ def test_parse_refuses_an_oversized_power_at_once():
     assert code == 0 and json.loads(out)["numerator"] == "x^128"
 
 
+def test_parse_refuses_a_long_sum_of_fractions_at_once():
+    # the denominators differ, so each + cross-multiplies; the one that
+    # would add a 129th degree is refused where it stands
+    text = "y' = " + " + ".join(f"1/(x+{i})" for i in range(1, 201))
+    start = time.perf_counter()
+    code, out, err = run_cli(["parse", text])
+    assert code == 2 and out == ""
+    col = text.index("+ 1/(x+129)") + 1
+    assert f"degree 129 exceeds 128 (line 1, column {col})" in err
+    assert time.perf_counter() - start < 5
+
+
 def test_parse_reads_stdin_dash():
     code, out, _ = run_cli(["parse", "-"], stdin_text="y' = y/x\n")
     assert code == 0
@@ -283,13 +311,15 @@ def test_threads_flag_is_usage_error():
     assert "--threads" in err
 
 
-def test_solve_eq5_under_python_O_matches_expected_record():
-    # the exact re-verifications must not depend on assert or __debug__
-    blob = expected_blob("eq5")
+@pytest.mark.parametrize("name", ["eq5", "eq8"])
+def test_solve_under_python_O_matches_expected_record(name):
+    # the exact re-verifications must not depend on assert or __debug__;
+    # eq8's rungs are all decided by the peel and its certificate alone
+    blob = expected_blob(name)
     src = str(Path(lps.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     proc = subprocess.run(
-        [sys.executable, "-O", "-m", "lps.cli"] + blob["args"] + ["--file", fixture_path("eq5")],
+        [sys.executable, "-O", "-m", "lps.cli"] + blob["args"] + ["--file", fixture_path(name)],
         capture_output=True, text=True, env=env, timeout=600,
     )
     assert proc.returncode == blob["exit_code"]

@@ -12,9 +12,9 @@ from hypothesis import strategies as st
 
 from lps import linalg
 from lps.errors import InternalError
-from lps.linalg import AffineSolutionSet, Echelon, RatMatrix, nullspace, solve_affine
+from lps.linalg import AffineSolutionSet, RatMatrix, nullspace, solve_affine
 
-P0 = linalg._PRIMES[0]  # the modular engine's first prime, and the ladder's
+P0 = linalg._PRIMES[0]  # the modular engine's first prime
 
 
 def from_rows(rows, ncols):
@@ -226,7 +226,7 @@ def matrix_of(cols):
     index, entries = {}, {}
     for j, col in enumerate(cols):
         for i, v in col.items():
-            entries[(index.setdefault(i, len(index)), j)] = Fraction(v)
+            entries[(index.setdefault(i, len(index)), j)] = v
     return RatMatrix(len(index), len(cols), entries)
 
 
@@ -243,12 +243,50 @@ def test_unlucky_first_prime_gives_the_exact_basis():
     assert exact == [(1, -1, P0)]
     with no_exact_fallback():
         assert linalg._nullspace_modular(mat) == exact
-    # the ladder: p0 claims a dependency at column 1, which is refuted, so
-    # the rung is answered exactly and the echelon restarts at p1
-    echelon = Echelon()
-    assert nullspace(matrix_of(cols[:2]), echelon=echelon) == []
-    assert echelon.prime_index == 1
-    assert nullspace(mat, echelon=echelon) == exact
+
+
+def test_solve_affine_with_a_forced_zero_rhs_column_is_inconsistent():
+    # row 1 reads 0 x0 = 1; its stored zero is no entry, so the peel drops
+    # the rhs column (forced to zero), and no kernel vector carries it
+    mat = RatMatrix(2, 2, {(0, 0): 1, (0, 1): 2, (1, 0): 0})
+    assert linalg._peel(RatMatrix(2, 3, {**mat.entries, (1, 2): 1})) == [(2, 1)]
+    assert solve_affine(mat, [3, 1]) is None
+    sol = solve_affine(mat, [3, 0])
+    assert sol.particular == (3, 0) and sol.nullspace_basis == [(-2, 1)]
+
+
+def test_peel_is_closed_and_only_drops_forced_zeros():
+    # after the peel no row has exactly one nonzero in a surviving column,
+    # and every dropped column is zero in every kernel vector
+    rng = random.Random(47)
+    for trial in range(150):
+        mat, rows = rand_matrix(rng, rng.randint(1, 8), rng.randint(1, 8), density=0.3)
+        peeled = {j for j, _ in linalg._peel(mat)}
+        for row in rows:
+            assert sum(1 for j, v in row.items() if v and j not in peeled) != 1
+        for vec in linalg._nullspace_exact(mat):
+            assert all(vec[j] == 0 for j in peeled)
+
+
+def test_a_forged_peel_order_is_refused(monkeypatch):
+    # rows x0 + x1, x1, x2 + x3 and x0: x0 and x1 are forced to zero
+    mat = from_rows([{0: 1, 1: 1}, {1: 1}, {2: 1, 3: 1}, {0: 1}], 4)
+    assert {j for j, _ in linalg._peel(mat)} == {0, 1}
+    assert nullspace(mat) == [(0, 0, -1, 1)]
+    forged = [
+        [(0, 0), (1, 1)],  # row 0 is nonzero at x1, listed after it
+        [(1, 1), (0, 0), (2, 2)],  # row 2 is nonzero at x3, never listed
+        [(1, 1), (0, 0), (2, 3)],  # row 3 is zero at x2
+        [(1, 1), (0, 0), (7, 3)],  # no column 7
+        [(1, 1), (0, 1)],  # row 1 twice
+        [(1, 1), (1, 0)],  # column 1 twice
+    ]
+    for order in forged:
+        with pytest.raises(InternalError):
+            linalg._drop_peeled(mat, order)
+        monkeypatch.setattr(linalg, "_peel", lambda mat, order=order: order)
+        with pytest.raises(InternalError):
+            nullspace(mat)
 
 
 def test_modular_engine_falls_back_to_exact(monkeypatch):
@@ -333,24 +371,14 @@ def test_int64_products_stay_exact_at_their_bound():
     assert x[0, 0] == (p - 1 - inner * (p - 1) ** 2) % p
 
 
-def test_echelon_rejects_a_matrix_that_does_not_extend_the_last():
-    base = RatMatrix(2, 2, {(0, 0): Fraction(1), (0, 1): Fraction(2), (1, 1): Fraction(3)})
-    changed = RatMatrix(2, 3, {**base.entries, (1, 1): Fraction(4), (1, 2): Fraction(1)})
-    below = RatMatrix(3, 3, {**base.entries, (2, 0): Fraction(5), (2, 2): Fraction(1)})
-    dropped = RatMatrix(2, 3, {(0, 0): Fraction(1), (1, 1): Fraction(3), (1, 2): Fraction(1)})
-    fewer_rows = RatMatrix(1, 3, {(0, 0): Fraction(1), (0, 1): Fraction(2), (0, 2): Fraction(1)})
-    for bad in (changed, below, dropped, fewer_rows):
-        echelon = Echelon()
-        assert nullspace(base, echelon=echelon) == []
-        with pytest.raises(InternalError):
-            nullspace(bad, echelon=echelon)
-
-
 @st.composite
 def sparse_columns(draw):
-    """Columns of a sparse integer matrix.  Some repeat an earlier column
+    """Columns of a sparse rational matrix.  Some repeat an earlier column
     plus p0 times a sparse vector and some rows are multiplied by p0, so
-    the matrix is often rank-deficient mod p0 but not over Q."""
+    the matrix is often rank-deficient mod p0 but not over Q.  Some
+    columns are divided by a small integer (non-integral Fraction
+    entries), and some hold explicit zeros (int or Fraction), which are no
+    entries: the peel must count values, not keys."""
     nrows = draw(st.integers(1, 8))
 
     def column():
@@ -366,6 +394,14 @@ def sparse_columns(draw):
         for col in cols:
             if i in col:
                 col[i] *= P0
+    for j in draw(st.sets(st.integers(0, len(cols) - 1), max_size=3)):
+        d = draw(st.integers(2, 6))
+        cols[j] = {i: Fraction(v, d) for i, v in cols[j].items()}
+    for _ in range(draw(st.integers(0, 4))):
+        col = cols[draw(st.integers(0, len(cols) - 1))]
+        i = draw(st.integers(0, nrows - 1))
+        if i not in col:
+            col[i] = draw(st.sampled_from([0, Fraction(0)]))
     return cols
 
 
@@ -376,8 +412,7 @@ def test_modular_and_ladder_match_exact(cols):
     exact = linalg._nullspace_exact(mat)
     with no_exact_fallback():
         assert linalg._nullspace_modular(mat) == exact
-    # every prefix through one echelon, continuing past nonempty kernels
-    echelon = Echelon()
+    # every prefix, as the ladder's rungs, continuing past nonempty kernels
     for k in range(1, len(cols) + 1):
         sub = matrix_of(cols[:k])
-        assert nullspace(sub, echelon=echelon) == linalg._nullspace_exact(sub)
+        assert nullspace(sub) == linalg._nullspace_exact(sub)

@@ -181,6 +181,19 @@ def test_degree_budget():
         assert (e.value.line, e.value.col) == (1, col), text
 
 
+def test_degree_budget_on_sums():
+    # equal denominators add without a check; unequal ones cross-multiply,
+    # so the degree sum is checked at the + or - before expanding
+    assert parse_poly("x^64*x^64 + y^64*y^64") == X**128 + Y**128
+    assert same(parse_expr("x^64*x^63/y + 1/y"), X**127 + 1, Y)
+    assert same(parse_expr("1/x^64 - 1/y^64"), Y**64 - X**64, X**64 * Y**64)
+    for text, col in [("1/x^64 + 1/(y*y^64)", 8), ("x - 1/(x^64*y^64)", 3)]:
+        with pytest.raises(ParseError) as e:
+            parse_expr(text)
+        assert (e.value.line, e.value.col) == (1, col), text
+        assert "degree 129 exceeds 128" in e.value.message
+
+
 _VARS = st.sampled_from(["x", "y", "z"]).map(lambda v: ("var", v))
 _CONSTS = st.integers(0, 9).map(lambda c: ("num", c))
 

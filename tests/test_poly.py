@@ -432,7 +432,8 @@ def test_coefficients_stay_canonical(a, b, c, s, k):
     for d in (b, c):
         if not d.is_zero():
             results.append((a * d).exact_divide(d))
-            results.append((a * d + a).exact_divide(d + 1))
+            if not (d + 1).is_zero():
+                results.append((a * d + a).exact_divide(d + 1))
             q = a.exact_divide(d)
             if q is not None:
                 results.append(q)

@@ -262,20 +262,25 @@ def test_ladder_matches_per_rung_exact_search():
     check_ladder_against_exact_search()
 
 
-def test_ladder_restarts_after_unlucky_prime(monkeypatch):
-    # every ladder starts at p = 3, where dependencies that do not hold
-    # over Q are common; each must be refuted and the echelon restarted
+def test_ladder_matches_exact_search_with_an_unlucky_first_prime(monkeypatch):
+    # every modular elimination starts at p = 3, where dependencies that
+    # do not hold over Q are common and nothing reconstructs; the bases
+    # must not change.  The order-1 ladders peel down to the exact engine,
+    # so eq7's is checked too: its peeled rungs 9 to 13 are modular.
+    want = lps2_search(load_ode("eq7"), max_degree=13)
     monkeypatch.setattr(linalg, "_PRIMES", [3] + linalg._PRIMES)
-    restarted = []
-    restart = linalg.Echelon.restart
+    primes_seen = []
+    modular = linalg._nullspace_modular
 
-    def counting_restart(self):
-        restarted.append(self.p)
-        restart(self)
+    def recording_modular(mat):
+        primes_seen.append(linalg._PRIMES[0])
+        return modular(mat)
 
-    monkeypatch.setattr(linalg.Echelon, "restart", counting_restart)
+    monkeypatch.setattr(linalg, "_nullspace_modular", recording_modular)
     check_ladder_against_exact_search()
-    assert restarted.count(3) >= 5
+    got = lps2_search(load_ode("eq7"), max_degree=13)
+    assert (got.degree_found, got.basis, got.system) == (want.degree_found, want.basis, want.system)
+    assert primes_seen and set(primes_seen) == {3}
 
 
 def reference_image(field, k, pbar, mono):
