@@ -257,24 +257,31 @@ def _emit_solve(args, report, field, found, warnings) -> None:
 # -- verify ---------------------------------------------------------------
 
 
+def _action(ode):
+    """The field's action D(p) rebuilt from m and n alone: N p_x + M p_y
+    for order 1, and for order 2 N times the Cartan field,
+    N p_x + z N p_y + M p_z."""
+    m, n = ode.m, ode.n
+    if ode.order == 1:
+        return lambda p: n * p.derivative("x") + m * p.derivative("y")
+    z = MPoly.variable("z")
+    return lambda p: n * p.derivative("x") + z * n * p.derivative("y") + m * p.derivative("z")
+
+
 def _identity_from_scratch(ode, num: MPoly, den: MPoly, k: int) -> bool:
     """The defining identity assembled from nothing but the parsed input:
     den X(num) - num X(den) = k div num den, cleared of denominators (for
-    order 2, the closedness identity of the Cartan field times N^2 den^2).
-    solve reports it as its `closedness` flag."""
+    order 2, the closedness identity of the Cartan field times N^2 den^2:
+    N (den D(num) - num D(den)) = k div num den).  solve reports it as its
+    `closedness` flag."""
     m, n = ode.m, ode.n
+    act = _action(ode)
+    lhs = den * act(num) - num * act(den)
     if ode.order == 1:
-        x_num = n * num.derivative("x") + m * num.derivative("y")
-        x_den = n * den.derivative("x") + m * den.derivative("y")
         divergence = n.derivative("x") + m.derivative("y")
-        lhs = den * x_num - num * x_den
-        return (lhs - k * divergence * num * den).is_zero()
-    z = MPoly.variable("z")
-    nn = n * n
-    x_num = nn * num.derivative("x") + z * nn * num.derivative("y") + n * m * num.derivative("z")
-    x_den = nn * den.derivative("x") + z * nn * den.derivative("y") + n * m * den.derivative("z")
-    divergence = m.derivative("z") * n - m * n.derivative("z")
-    lhs = den * x_num - num * x_den
+    else:
+        lhs = n * lhs
+        divergence = m.derivative("z") * n - m * n.derivative("z")
     return (lhs - k * divergence * num * den).is_zero()
 
 
@@ -284,25 +291,18 @@ def _integral_from_scratch(ode, blob: dict) -> bool:
     For order 2, D = N X is used instead of X: the nonzero factor N does
     not change whether the sum is zero."""
     ring = ("x", "y") if ode.order == 1 else ("x", "y", "z")
-    m, n = ode.m, ode.n
-
-    def apply(p: MPoly) -> MPoly:
-        if ode.order == 1:
-            return n * p.derivative("x") + m * p.derivative("y")
-        z = MPoly.variable("z")
-        return n * p.derivative("x") + z * n * p.derivative("y") + m * p.derivative("z")
-
+    act = _action(ode)
     a = parse_poly(str(blob["A"]), ring)
     b = parse_poly(str(blob["B"]), ring)
     if b.is_zero():
         raise ZeroDivisionError("division by the zero rational function")
-    num, den = b * apply(a) - a * apply(b), b * b
+    num, den = b * act(a) - a * act(b), b * b
     for text, exponent in blob["factors"]:
         p = parse_poly(str(text), ring)
         c = Fraction(str(exponent))
         if p.is_zero():
             raise ZeroDivisionError("rational function with zero denominator")
-        num, den = num * p + c * apply(p) * den, den * p
+        num, den = num * p + c * act(p) * den, den * p
     return num.is_zero()
 
 

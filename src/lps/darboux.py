@@ -28,7 +28,7 @@ from math import gcd, lcm
 
 from .errors import DomainError, InternalError
 from .factor import DarbouxFactor, darboux_check, factor_multivariate
-from .linalg import AffineSolutionSet, nullspace, solve_affine
+from .linalg import nullspace
 from .poly import MPoly, candidate_monomials, mpoly_gcd
 from .solver import (
     InverseIntegratingFactor,
@@ -37,19 +37,6 @@ from .solver import (
     _SystemBuilder,
     poly_system,
 )
-
-
-@dataclass(frozen=True)
-class CofactorRelation:
-    """Exponent solutions of sum(n_i q_i) = target for known cofactors.
-
-    Every vector in `solutions` (the particular one and any kernel
-    shift) satisfies the relation exactly.
-    """
-
-    cofactors: tuple
-    target: MPoly
-    solutions: AffineSolutionSet
 
 
 @dataclass(frozen=True)
@@ -73,39 +60,6 @@ class DarbouxFirstIntegral:
                 for p, n in self.factors
             ],
         }
-
-
-def _common_ring(polys: list) -> tuple:
-    acc = polys[0]
-    for p in polys[1:]:
-        acc, _ = acc._unify(p)
-    return acc.ring
-
-
-def solve_cofactor_relation(cofactors: list, target: MPoly) -> CofactorRelation | None:
-    """Solve sum(n_i q_i) = target linearly over the exponents n_i.
-
-    Returns the full affine solution set, or None when no exponent
-    assignment exists.  Callers hunting an integrating factor of the
-    plain product form prod p_i^(n_i) pass target = -div(X).
-    """
-    cofs = [MPoly._coerce(q) for q in cofactors]
-    target = MPoly._coerce(target)
-    ring = _common_ring(cofs + [target])
-    cofs = [q.extend_ring(ring) for q in cofs]
-    target = target.extend_ring(ring)
-
-    sols = solve_affine(*poly_system(cofs, target))
-    if sols is None:
-        return None
-
-    for vec, want in [(sols.particular, target)] + [(v, 0) for v in sols.nullspace_basis]:
-        acc = MPoly.zero(ring)
-        for nj, q in zip(vec, cofs):
-            acc = acc + q * nj
-        if acc != want:
-            raise InternalError("cofactor relation verification failed")
-    return CofactorRelation(tuple(cofs), target, sols)
 
 
 def _cleared_log_derivative(op, a: MPoly, b: MPoly, factors) -> MPoly:

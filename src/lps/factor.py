@@ -60,15 +60,6 @@ def _factor_key(p: MPoly):
     return (p.total_degree(), p.num_terms(), grlex_key(p.leading_term()[0]), p.to_text())
 
 
-def _dense_int_coeffs(p: MPoly, var: str) -> list[int]:
-    """Dense integer coefficient list of a univariate integer polynomial."""
-    idx = p.ring.index(var)
-    out = [0] * (p.degree_in(var) + 1)
-    for expo, c in p.terms.items():
-        out[expo[idx]] = int(c)
-    return out
-
-
 def _poly_from_dense(coeffs: list[int], var: str) -> MPoly:
     return MPoly.from_dict((var,), {(i,): c for i, c in enumerate(coeffs) if c})
 
@@ -178,7 +169,7 @@ def _factor_squarefree_part(part: MPoly) -> list[MPoly]:
     if len(vs) == 0:
         return []
     if len(vs) == 1:
-        return _factor_dense(_dense_int_coeffs(part.project_ring(), vs[0]), vs[0])
+        return _factor_dense(_dense_rat(part.project_ring(), vs[0]), vs[0])
 
     part = part.project_ring()
     vs, weights = _kronecker_weights(part)
@@ -192,7 +183,7 @@ def _factor_squarefree_part(part: MPoly) -> list[MPoly]:
     # (x^2 + y^7 maps to x^2 * (x^19 + 1)), so decompose before splitting
     uni: list[list[int]] = []
     for ipart, imult in squarefree_decompose(_poly_from_dense(image, "x")).parts:
-        ic = _dense_int_coeffs(ipart, "x")
+        ic = _dense_rat(ipart, "x")
         if len(ic) == 1:
             continue
         uni.extend([list(f) for f in zassenhaus(ic)] * imult)

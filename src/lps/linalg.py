@@ -26,33 +26,36 @@ kernel vector, and mat ext(v) = sub v identically.  The reduced basis,
 zero-extended, is therefore exactly mat's canonical basis, and it needs no
 second verification.
 
-The mod-p elimination is `Echelon`.  Each column is scaled to primitive
-integers (which only rescales kernel entries), reduced mod a prime
-p < 2^20 and then reduced, in column order, against a fully reduced basis
-that is stored with its transformation to the original columns.  Column j
-becomes a pivot iff it is independent mod p of the columns before it, so
-the pivots are the RREF pivot columns mod p, and the transformation of a
-dependent column f is the canonical kernel vector mod p: 1 at f, 0 at the
-other free columns.  Products are float64 BLAS with the inner dimension cut
-to 2^13, so every sum stays below 2^53 and is exact (the FFLAS-FFPACK
-approach; Dumas, Giorgi & Pernet 2008).
+The mod-p elimination is `_kernel_mod_p`, a sparse row elimination over
+dict rows (Bouillaguet & Delaplace, Sparse Gaussian elimination modulo p,
+2016).  The rows are scaled to primitive integers once per call, which
+leaves the kernel unchanged, and reduced mod a prime p < 2^20.  The
+columns are walked in order; a column that some remaining row holds
+becomes a pivot, with the sparsest such row as pivot row, and is
+eliminated from the others.  So column j becomes a pivot iff it is
+independent mod p of the columns before it: the pivots are the RREF pivot
+columns mod p.  Back-substitution then gives, for each dependent column f,
+the canonical kernel vector mod p: 1 at f, 0 at the other dependent
+columns and 0 after f, since a pivot row holds only its own column and
+later ones.
 
 Why a verified basis is the canonical one.  Let P and F be the pivot and
-free columns over Q, and P' and F' those mod p.  The mod-p rank of every leading set of columns is at
-most its rank over Q, so |P'| <= |P|, and all columns independent mod p
-means an empty kernel.  Suppose P' != P and every candidate verifies.  The
-|F'| >= |F| candidates are independent kernel vectors, so |P'| = |P|, and
-the columns of P' are a basis of the column space over Q.  Take f in P
-but not in P'.  Mod p, column f is a combination of the columns of P'
-before f alone, so its candidate is 0 on the columns of P' after f.  Over
-Q, f is independent of the columns before it, so its coefficients on the
-columns of P' after f are not all 0: they are 0 mod p but nonzero, and
-the candidate fails verification at every modulus accumulated with profile
-P'.  Hence a verified basis has profile P, and it is the canonical one,
-since the kernel vector with 1 at a free column, 0 at the other free
-columns and support on the pivots is unique.  By the same prefix-rank
-bound, the true profile is the best one any prime shows: highest rank,
-then lexicographically first pivot columns.
+free columns over Q, and P' and F' those mod p.  The mod-p rank of every
+leading set of columns is at most its rank over Q, so |P'| <= |P|, and
+all columns independent mod p means an empty kernel.  Suppose P' != P and
+every candidate verifies.  The |F'| >= |F| candidates are independent
+kernel vectors, so |P'| = |P|, and the columns of P' are a basis of the
+column space over Q.  Take f in P but not in P'.  Mod p, column f is a
+combination of the columns of P' before f alone, so its candidate is 0 on
+the columns of P' after f.  Over Q, f is independent of the columns
+before it, so its coefficients on the columns of P' after f are not all
+0: they are 0 mod p but nonzero, and the candidate fails verification at
+every modulus accumulated with profile P'.  Hence a verified basis has
+profile P, and it is the canonical one, since the kernel vector with 1 at
+a free column, 0 at the other free columns and support on the pivots is
+unique.  By the same prefix-rank bound, the true profile is the best one
+any prime shows: highest rank, then lexicographically first pivot
+columns.
 """
 
 from __future__ import annotations
@@ -60,8 +63,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-
-import numpy as np
 
 from .errors import InternalError
 from .intarith import primes_below, rational_reconstruct
@@ -223,191 +224,63 @@ def _nullspace_exact(mat: RatMatrix) -> list[tuple]:
 # Modular engine.
 # ---------------------------------------------------------------------------
 
-# Every product below takes residues in [0, p) with p < 2^20.  An inner
-# dimension of at most 2^13 keeps (p-1)^2 * 2^13 + p below 2^53, so float64
-# sums are exact, and for integer |acc| < 2^53, q = floor(acc * fl(1/p)) is
-# off by at most one: acc - q p is exact and in [-p, 2p), and one +p and one
-# -p by comparison reduce it (a second floor would not: p fl(1/p) may round
-# below 1).  Only the nonzero rows and columns of the coefficient block b
-# take part: a zero row drops a column of a, a zero column leaves that
-# column of x as it is.  Products of fewer multiply-adds than _SMALL on
-# that restricted shape run and reduce in int64, exactly, since
-# |x - a b| < p + 2^22 (p-1)^2 < 2^63; they skip BLAS, whose first call
-# adds about 6.6 MB of RSS (2-core x86-64, numpy 2.4) that the small
-# order-1 systems never need.  Updates walk the rows in slices of about
-# _CELLS cells (at least 64 rows), gathering a's columns one slice at a
-# time, to keep temporaries small.
-_INNER = 2**13
-_SMALL = 2**22
-_CELLS = 2**13
-# Columns reduced against the basis at once, and columns eliminated one
-# by one inside such a block.
-_BLOCK = 128
-_BASE = 8
 
-
-def _submul(x: np.ndarray, a: np.ndarray, b: np.ndarray, p: int) -> None:
-    """x <- (x - a b) mod p in place, exactly.  The columns of x where b
-    is zero are left as they are."""
-    rows, cols = np.flatnonzero(b.any(axis=1)), np.flatnonzero(b.any(axis=0))
-    if not rows.size:
-        return
-    # plain slices when nothing is dropped, so a dense b pays no gather
-    R = rows if rows.size < b.shape[0] else slice(None)
-    C = cols if cols.size < b.shape[1] else slice(None)
-    n, inner, k = a.shape[0], rows.size, cols.size
-    small = n * inner * k < _SMALL
-    b = b[R][:, C].astype(np.int64 if small else np.float64)
-    step = max(64, _CELLS // max(inner, k))
-    for r in range(0, n, step):
-        part = a[r : r + step, R]
-        if small:
-            acc = x[r : r + step, C].astype(np.int64)
-            acc -= part.astype(np.int64) @ b
-            acc %= p
-            x[r : r + step, C] = acc
+def _kernel_mod_p(rows: list[dict[int, int]], ncols: int, p: int) -> dict[int, list[int]]:
+    """Sparse Gaussian elimination mod p, walking the columns in order and
+    pivoting on the sparsest row holding each one.  Returns, for every
+    dependent column f, its canonical kernel vector mod p (1 at f, 0 at
+    the other dependent columns), by back-substitution."""
+    active = []
+    for row in rows:
+        reduced = {j: v % p for j, v in row.items() if v % p}
+        if reduced:
+            active.append(reduced)
+    # pivots[c]: the pivot row of column c divided by its entry at c,
+    # without that entry; it holds later columns only
+    pivots: dict[int, dict[int, int]] = {}
+    for c in range(ncols):
+        holders = [r for r in active if c in r]
+        if not holders:
             continue
-        acc = x[r : r + step, C].astype(np.float64)
-        for s in range(0, inner, _INNER):
-            acc -= part[:, s : s + _INNER].astype(np.float64) @ b[s : s + _INNER]
-            acc -= np.floor(acc * (1.0 / p)) * p
-            np.add(acc, p, out=acc, where=acc < 0)
-            np.subtract(acc, p, out=acc, where=acc >= p)
-        x[r : r + step, C] = acc
-
-
-def _primitive_column(col: dict[int, Fraction]) -> tuple[dict[int, int], Fraction]:
-    """Column scaled to primitive integers, and the scale s with
-    scaled = s * col."""
-    den = 1
-    for v in col.values():
-        den = math.lcm(den, v.denominator)
-    ints = {i: v.numerator * (den // v.denominator) for i, v in col.items()}
-    g = math.gcd(*ints.values())
-    if g == 0:
-        return ints, Fraction(1)
-    return {i: n // g for i, n in ints.items()}, Fraction(den, g)
-
-
-def _eliminate(V: np.ndarray, T: np.ndarray, p: int) -> list[tuple[int, int]]:
-    """Gauss-Jordan mod p on the columns of V, in order, in place: each
-    column becomes a pivot column (1 at its pivot row, 0 at the other
-    pivot rows) or zero.  T undergoes the same column operations.
-    Returns [(column, pivot row)] in column order.  Halves are eliminated
-    recursively and combined by matrix products."""
-    k = V.shape[1]
-    if k > _BASE:
-        h = k // 2
-        left = _eliminate(V[:, :h], T[:, :h], p)
-        # coefficients on the left pivot columns only, so that no dependent
-        # column (zero in V, its kernel vector in T) is subtracted
-        coef = np.zeros((h, k - h), np.int64)
-        coef[[t for t, _ in left]] = V[[i for _, i in left], h:]
-        _submul(V[:, h:], V[:, :h], coef, p)
-        _submul(T[:, h:], T[:, :h], coef, p)
-        right = _eliminate(V[:, h:], T[:, h:], p)
-        coef = np.zeros((k - h, h), np.int64)
-        coef[[t for t, _ in right]] = V[[i for _, i in right], :h]
-        _submul(V[:, :h], V[:, h:], coef, p)
-        _submul(T[:, :h], T[:, h:], coef, p)
-        return left + [(h + t, i) for t, i in right]
-    pivots = []
-    for t in range(k):
-        nz = np.flatnonzero(V[:, t])
-        if not nz.size:
+        row = min(holders, key=len)
+        inv = pow(row.pop(c), -1, p)
+        prow = pivots[c] = {j: v * inv % p for j, v in row.items()}
+        for r in holders:
+            if r is not row:
+                f = r.pop(c)
+                for j, v in prow.items():
+                    s = (r.get(j, 0) - f * v) % p
+                    if s:
+                        r[j] = s
+                    else:
+                        r.pop(j, None)
+        active = [r for r in active if r and r is not row]
+    # x[j] maps each dependent column f to entry j of f's kernel vector
+    x: dict[int, dict[int, int]] = {}
+    for c in reversed(range(ncols)):
+        prow = pivots.get(c)
+        if prow is None:
+            x[c] = {c: 1}
             continue
-        i = int(nz[0])
-        inv = pow(int(V[i, t]), -1, p)
-        V[:, t] = V[:, t] * inv % p
-        T[:, t] = T[:, t] * inv % p
-        f = V[i].copy()
-        f[t] = 0
-        hit = np.flatnonzero(f)
-        if hit.size:
-            V[:, hit] = (V[:, hit] - V[:, t, None] * f[hit]) % p
-            T[:, hit] = (T[:, hit] - T[:, t, None] * f[hit]) % p
-        pivots.append((t, i))
-    return pivots
+        acc: dict[int, int] = {}
+        for j, v in prow.items():
+            for f, a in x[j].items():
+                acc[f] = (acc.get(f, 0) - v * a) % p
+        x[c] = {f: a for f, a in acc.items() if a}
+    return {f: [x[j].get(f, 0) for j in range(ncols)] for f in range(ncols) if f not in pivots}
 
 
-class Echelon:
-    """The mod-p column elimination of one matrix at one prime (see the
-    module docstring).
-
-    State: the basis `top` (one column per pivot, fully reduced: 1 at its
-    pivot row, 0 at the other pivot rows), its transformation `bot` to the
-    primitive-scaled input columns (both float32, exact for residues below
-    2^24), and for each dependent column its canonical kernel vector mod p.
-    """
-
-    def __init__(self, mat: RatMatrix, prime_index: int):
-        self.p = _PRIMES[prime_index]
-        self.scales: list[Fraction] = []
-        self.pivot_rows: list[int] = []
-        self.top = np.zeros((0, 0), np.float32)
-        self.bot = np.zeros((0, 0), np.float32)
-        self.free: dict[int, np.ndarray] = {}
-        cols: list[dict[int, Fraction]] = [{} for _ in range(mat.ncols)]
-        for (i, j), v in mat.entries.items():
-            cols[j][i] = v
-        for c0 in range(0, len(cols), _BLOCK):
-            chunk = cols[c0 : c0 + _BLOCK]
-            block = np.zeros((mat.nrows, len(chunk)), np.int64)
-            for t, col in enumerate(chunk):
-                ints, scale = _primitive_column(col)
-                self.scales.append(scale)
-                for i, n in ints.items():
-                    block[i, t] = n % self.p
-            self._reduce(block)
-
-    def _reduce(self, block: np.ndarray) -> None:
-        """Eliminate the next block of residue columns (all rows of the
-        matrix; rows beyond the basis' own are zero in it)."""
-        p = self.p
-        m0, r = self.top.shape
-        n, k = self.bot.shape[0], block.shape[1]
-        coef = block[self.pivot_rows]
-        _submul(block[:m0], self.top, coef, p)
-        trans = np.zeros((n + k, k), np.int64)
-        _submul(trans[:n], self.bot, coef, p)
-        trans[n + np.arange(k), np.arange(k)] = 1
-        new = _eliminate(block, trans, p)
-        pivots = [t for t, _ in new]
-        for t in sorted(set(range(k)) - set(pivots)):
-            self.free[n + t] = trans[: n + t + 1, t].copy()
-        top = np.zeros((block.shape[0], r + len(new)), np.float32)
-        top[:m0, :r] = self.top
-        bot = np.zeros((n + k, r + len(new)), np.float32)
-        bot[:n, :r] = self.bot
-        if new:
-            rows = [i for _, i in new]
-            d = np.zeros((k, r), np.float32)
-            d[pivots] = top[rows, :r]
-            _submul(top[:, :r], block, d, p)
-            _submul(bot[:, :r], trans, d, p)
-            for c, t in enumerate(pivots, r):
-                top[:, c] = block[:, t]
-                bot[:, c] = trans[:, t]
-            self.pivot_rows += rows
-        self.top, self.bot = top, bot
-
-    def residues(self) -> dict[int, list[int]]:
-        """The canonical kernel vector mod p of every dependent column."""
-        n = len(self.scales)
-        return {f: [int(a) for a in vec] + [0] * (n - len(vec)) for f, vec in self.free.items()}
-
-
-def _reconstruct(residues: dict[int, list[int]], modulus: int, scales: list) -> list[tuple] | None:
-    """Canonical kernel vectors from their residues mod `modulus` (over
-    the primitive-scaled columns), or None if one does not reconstruct."""
+def _reconstruct(residues: dict[int, list[int]], modulus: int) -> list[tuple] | None:
+    """Canonical kernel vectors from their residues mod `modulus`, or None
+    if one does not reconstruct."""
     basis = []
     for f, vec in residues.items():
         x = []
-        for a, s in zip(vec, scales):
+        for a in vec:
             q = rational_reconstruct(a, modulus) if a else Fraction(0)
             if q is None:
                 return None
-            x.append(q * s)
+            x.append(q)
         basis.append(_primitive_vector(x, f))
     return basis
 
@@ -418,31 +291,31 @@ def _in_kernel(mat: RatMatrix, basis: list[tuple]) -> bool:
 
 
 def _nullspace_modular(mat: RatMatrix) -> list[tuple]:
-    """Kernel by one Echelon per prime, CRT across primes with the best
-    pivot profile seen (highest rank, then lexicographically first pivot
-    columns; the true profile is best, see the module docstring), rational
-    reconstruction and exact verification.  Falls back to the exact engine
-    if no number of primes gives a verified basis."""
+    """Kernel by one `_kernel_mod_p` per prime, CRT across primes with the
+    best pivot profile seen (highest rank, then lexicographically first
+    pivot columns; the true profile is best, see the module docstring),
+    rational reconstruction and exact verification.  Falls back to the
+    exact engine if no number of primes gives a verified basis."""
+    rows = _integer_rows(mat)
     best = None
-    for index in range(len(_PRIMES)):
-        echelon = Echelon(mat, index)
-        if not echelon.free:
+    for p in _PRIMES:
+        residues = _kernel_mod_p(rows, mat.ncols, p)
+        if not residues:
             return []
-        free = list(echelon.free)
+        free = list(residues)
         profile = (-len(free), free)
         if best is None or profile > best:
             best, modulus = profile, 1
             acc = {f: [0] * mat.ncols for f in free}
         elif profile != best:
             continue
-        p = echelon.p
         inv_m = pow(modulus, -1, p)
-        for f, vec in echelon.residues().items():
+        for f, vec in residues.items():
             a = acc[f]
             for j, rp in enumerate(vec):
                 a[j] += modulus * ((rp - a[j]) * inv_m % p)
         modulus *= p
-        basis = _reconstruct(acc, modulus, echelon.scales)
+        basis = _reconstruct(acc, modulus)
         if basis is not None and _in_kernel(mat, basis):
             return basis
     return _nullspace_exact(mat)

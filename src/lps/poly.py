@@ -450,25 +450,25 @@ class MPoly:
         return hash(self._signature())
 
 
-def candidate_monomials(ring: tuple[str, ...], degree: int) -> list[tuple[int, ...]]:
-    """All exponent tuples of total degree <= degree, ascending grlex."""
-    if degree < 0:
-        return []
-    n = len(ring)
+def monomials_of_degree(ring: tuple[str, ...], degree: int) -> list[tuple[int, ...]]:
+    """All exponent tuples of total degree exactly `degree`, ascending
+    grlex: the last variable's exponent varies slowest."""
     out: list[tuple[int, ...]] = []
 
-    def rec(prefix: list[int], remaining: int, i: int):
-        if i == n:
-            out.append(tuple(prefix))
+    def rec(suffix: tuple[int, ...], remaining: int, i: int):
+        if i == 0:
+            out.append((remaining,) + suffix)
             return
         for e in range(remaining + 1):
-            prefix.append(e)
-            rec(prefix, remaining - e, i + 1)
-            prefix.pop()
+            rec((e,) + suffix, remaining - e, i - 1)
 
-    rec([], degree, 0)
-    out.sort(key=grlex_key)
+    rec((), degree, len(ring) - 1)
     return out
+
+
+def candidate_monomials(ring: tuple[str, ...], degree: int) -> list[tuple[int, ...]]:
+    """All exponent tuples of total degree <= degree, ascending grlex."""
+    return [m for d in range(degree + 1) for m in monomials_of_degree(ring, d)]
 
 
 # ---------------------------------------------------------------------------

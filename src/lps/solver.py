@@ -46,7 +46,7 @@ from operator import add
 from .errors import DomainError, InternalError
 from .linalg import RatMatrix, nullspace
 from .parser import RationalODE
-from .poly import MPoly, candidate_monomials, grlex_key, rat
+from .poly import MPoly, grlex_key, monomials_of_degree, rat
 
 
 @dataclass(frozen=True)
@@ -180,7 +180,8 @@ class _SystemBuilder:
         self._images: dict[tuple[int, ...], MPoly] = {}
         self._rows: dict[tuple[int, ...], int] = {}
         self._entries: dict = {}
-        self._ncols = 0
+        self._cols: list[tuple[int, ...]] = []
+        self._degree = -1
 
     def _int_image(self, mono: tuple[int, ...]) -> dict:
         """lcm E(m) as {monomial: int}."""
@@ -206,15 +207,17 @@ class _SystemBuilder:
 
     def build(self, degree: int) -> tuple[RatMatrix, list[tuple[int, ...]]]:
         """The system (columns lcm E(m)) of the candidate monomials of degree
-        <= degree, for non-decreasing degrees: only new columns are
-        assembled and rows keep their numbers, so it extends the last one."""
-        cols = candidate_monomials(self.ring, degree)
-        rows, entries = self._rows, dict(self._entries)
-        for j in range(self._ncols, len(cols)):
-            for t, c in self._int_image(cols[j]).items():
-                entries[(rows.setdefault(t, len(rows)), j)] = c
-        self._entries, self._ncols = entries, len(cols)
-        return RatMatrix(len(rows), len(cols), entries), cols
+        <= degree, for non-decreasing degrees: only the new degrees'
+        columns are assembled, appended in grlex order, and rows keep their
+        numbers, so it extends the last one."""
+        cols, rows, entries = self._cols, self._rows, dict(self._entries)
+        for d in range(self._degree + 1, degree + 1):
+            for mono in monomials_of_degree(self.ring, d):
+                for t, c in self._int_image(mono).items():
+                    entries[(rows.setdefault(t, len(rows)), len(cols))] = c
+                cols.append(mono)
+        self._entries, self._degree = entries, max(self._degree, degree)
+        return RatMatrix(len(rows), len(cols), entries), list(cols)
 
 
 def _select_kernel_poly(basis_vectors: list, cols: list, ring: tuple[str, ...]) -> tuple[MPoly, list[MPoly]]:

@@ -25,14 +25,13 @@ from lps.cli import main
 from lps.darboux import (
     reconstruct_first_integral,
     compute_pol_pair,
-    solve_cofactor_relation,
     verify_first_integral,
 )
 from lps.factor import darboux_check, degree1_dp_search, factor_multivariate
 from lps.linalg import RatMatrix, nullspace, solve_affine
 from lps.parser import parse_ode, parse_poly
 from lps.poly import MPoly, mpoly_gcd, squarefree_decompose
-from lps.solver import build_field, lps2_search, lps_search, verify_iif_identity
+from lps.solver import build_field, lps2_search, lps_search, poly_system, verify_iif_identity
 from lps.synth import measure_recovery, plant
 
 X = MPoly.variable("x")
@@ -388,14 +387,14 @@ def test_criterion_8_exponents_balance_divergence():
             q.append(fac.q)
     divergence = ode.n.derivative("x") + ode.m.derivative("y")
     if not problems:
-        relation = solve_cofactor_relation(q, -divergence)
-        if relation is None:
+        solutions = solve_affine(*poly_system(q, -divergence))
+        if solutions is None:
             problems.append("cofactor relation is inconsistent")
-        elif relation.solutions.particular != (Fraction(-2), Fraction(-1)):
+        elif solutions.particular != (Fraction(-2), Fraction(-1)):
             problems.append(
-                f"exponents {relation.solutions.particular} != (-2, -1)"
+                f"exponents {solutions.particular} != (-2, -1)"
             )
-        elif relation.solutions.nullspace_basis:
+        elif solutions.nullspace_basis:
             problems.append("exponent solution unexpectedly non-unique")
         elif not (-2 * q[0] - q[1] + divergence).is_zero():
             problems.append("exponent/divergence balance has nonzero residual")

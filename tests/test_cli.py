@@ -311,21 +311,28 @@ def test_threads_flag_is_usage_error():
     assert "--threads" in err
 
 
+def python_with_lps(*argv):
+    """Run a fresh Python process that imports this checkout's lps."""
+    src = str(Path(lps.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    return subprocess.run([sys.executable, *argv], capture_output=True, text=True, env=env, timeout=600)
+
+
 @pytest.mark.parametrize("name", ["eq5", "eq8"])
 def test_solve_under_python_O_matches_expected_record(name):
     # the exact re-verifications must not depend on assert or __debug__;
     # eq8's rungs are all decided by the peel and its certificate alone
     blob = expected_blob(name)
-    src = str(Path(lps.__file__).resolve().parent.parent)
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    proc = subprocess.run(
-        [sys.executable, "-O", "-m", "lps.cli"] + blob["args"] + ["--file", fixture_path(name)],
-        capture_output=True, text=True, env=env, timeout=600,
-    )
+    proc = python_with_lps("-O", "-m", "lps.cli", *blob["args"], "--file", fixture_path(name))
     assert proc.returncode == blob["exit_code"]
     report = json.loads(proc.stdout)
     report.pop("timings_ms")
     assert report == blob["report"]
+
+
+def test_the_cli_does_not_load_numpy():
+    proc = python_with_lps("-c", "import lps.cli, sys; assert 'numpy' not in sys.modules")
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_solve_second_order_text_output():

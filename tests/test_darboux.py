@@ -12,7 +12,6 @@ from lps.darboux import (
     compute_pol_pair,
     lps2_postprocess,
     reconstruct_first_integral,
-    solve_cofactor_relation,
     verify_first_integral,
 )
 from lps.errors import DomainError
@@ -36,34 +35,6 @@ ONE = MPoly.constant(1, ("x", "y"))
 
 def load_ode(name):
     return parse_ode((FIXTURES / f"{name}.txt").read_text())
-
-
-def residual(relation, vector):
-    acc = MPoly.zero(relation.target.ring)
-    for n, q in zip(vector, relation.cofactors):
-        acc = acc + q * n
-    return acc - relation.target
-
-
-def test_cofactor_relation_inhomogeneous():
-    # two unit cofactors against target -2: one constraint, one kernel line
-    rel = solve_cofactor_relation([ONE, ONE], MPoly.constant(-2, ("x", "y")))
-    assert residual(rel, rel.solutions.particular).is_zero()
-    assert len(rel.solutions.nullspace_basis) == 1
-    direction = rel.solutions.nullspace_basis[0]
-    assert direction[0] == -direction[1] != 0
-
-
-def test_cofactor_relation_homogeneous_single():
-    rel = solve_cofactor_relation([X], MPoly.zero(("x",)))
-    assert rel.solutions.particular == (Fraction(0),)
-    assert rel.solutions.nullspace_basis == []
-
-
-def test_cofactor_relation_inconsistent():
-    assert solve_cofactor_relation([], MPoly.constant(5, ("x",))) is None
-    # x cannot combine to a constant either
-    assert solve_cofactor_relation([X], MPoly.constant(3, ("x",))) is None
 
 
 def test_reconstruct_product_form():

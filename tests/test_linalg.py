@@ -5,7 +5,6 @@ import random
 from fractions import Fraction
 from unittest import mock
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -296,79 +295,24 @@ def test_modular_engine_falls_back_to_exact(monkeypatch):
     assert linalg._nullspace_modular(mat) == [(1, -1, P0)]
 
 
-def test_float_products_stay_exact(monkeypatch):
-    # large odd residues over an inner dimension above 2^13: the float64
-    # sums pass 2^53 unless the product is cut into slices of 2^13
-    monkeypatch.setattr(linalg, "_SMALL", 0)
-    n, v = 2**13 + 101, P0 - 2  # n * v * v is odd and above 2^53
-    x = np.zeros((2, 3), np.int64)
-    linalg._submul(x, np.full((2, n), v, np.float32), np.full((n, 3), v), P0)
-    assert (x == -n * v * v % P0).all()
+def test_a_kernel_with_big_entries_needs_several_primes(monkeypatch):
+    # 3x3 minors of entries near 10^4 are near 10^12, so the kernel's
+    # numerators and denominators reconstruct only modulo several primes
+    rng = random.Random(48)
+    mat = from_rows([[rng.randint(-(10**4), 10**4) for _ in range(5)] for _ in range(3)], 5)
+    exact = linalg._nullspace_exact(mat)
+    assert len(exact) == 2
+    primes = []
+    kernel_mod_p = linalg._kernel_mod_p
 
+    def recording(rows, ncols, p):
+        primes.append(p)
+        return kernel_mod_p(rows, ncols, p)
 
-# a prime whose float reciprocal times itself rounds below 1, so that
-# floor(k p fl(1/p)) = k - 1 for most k
-ROUNDS_LOW = next(p for p in linalg._PRIMES if p * (1.0 / p) < 1)
-
-
-@pytest.mark.parametrize("p", [3, P0, ROUNDS_LOW, linalg._PRIMES[-1]])
-def test_float_reduction_is_exact_at_its_edges(monkeypatch, p):
-    # accumulators +-(k p + d), d in {-1, 0, 1}, from k = 0 up to the
-    # largest k that keeps |k p + d| below 2^53, against Python's %
-    monkeypatch.setattr(linalg, "_SMALL", 0)
-    top = 2**53 // p - 1
-    ks = {0, 1, 2, top - 2, top - 1, top} | set(random.Random(p).sample(range(top), 200))
-    values = [s * (k * p + d) for k in sorted(ks) for d in (-1, 0, 1) for s in (1, -1)]
-    x = np.zeros((1, len(values)), np.int64)
-    linalg._submul(x, np.ones((1, 1)), np.array([values], np.int64), p)
-    assert x[0].tolist() == [-v % p for v in values]
-
-
-# (x, a, b) dtypes of the echelon's products: the basis top/bot times a
-# block's coefficients, a block times the basis' coefficients d, and the
-# all-int64 products inside `_eliminate`
-SUBMUL_DTYPES = [(np.int64, np.float32, np.int64), (np.float32, np.int64, np.float32), (np.int64,) * 3]
-
-
-@pytest.mark.parametrize("small", [linalg._SMALL, 0])
-@pytest.mark.parametrize("dtypes", SUBMUL_DTYPES)
-def test_submul_skips_zero_rows_and_columns_exactly(monkeypatch, small, dtypes):
-    # b with planted zero rows and columns, and an all-zero b, against
-    # (x - a b) mod p in Python ints; x is a column slice of a wider
-    # array, as top[:, :r] is, and its columns where b is zero stay as
-    # they were
-    monkeypatch.setattr(linalg, "_SMALL", small)
-    x_type, a_type, b_type = dtypes
-    rng = np.random.default_rng(10)
-    p = linalg._PRIMES[-1]
-    for n, inner, k in [(3, 4, 5), (150, 37, 11), (70, 130, 1), (9, 1, 140)]:
-        base = rng.integers(0, p, (n, k + 2)).astype(x_type)
-        a = rng.integers(0, p, (n, inner)).astype(a_type)
-        b = rng.integers(0, p, (inner, k)).astype(b_type)
-        b[rng.random(inner) < 0.4] = 0
-        zero_cols = rng.random(k) < 0.4
-        b[:, zero_cols] = 0
-        for b in (b, np.zeros_like(b)):
-            x = base[:, :k]
-            xs, as_, bs = x.astype(int).tolist(), a.astype(int).tolist(), b.astype(int).tolist()
-            want = [
-                [(xs[i][j] - sum(as_[i][t] * bs[t][j] for t in range(inner))) % p for j in range(k)]
-                for i in range(n)
-            ]
-            before = base.copy()
-            linalg._submul(x, a, b, p)
-            assert x.astype(int).tolist() == want
-            untouched = np.append(~b.any(axis=0), [True, True])
-            assert (base[:, untouched] == before[:, untouched]).all()
-
-
-def test_int64_products_stay_exact_at_their_bound():
-    # the largest int64 product: _SMALL - 1 multiply-adds of (p-1)^2 each
-    p = linalg._PRIMES[-1]
-    inner = linalg._SMALL - 1
-    x = np.full((1, 1), p - 1, np.int64)
-    linalg._submul(x, np.full((1, inner), p - 1, np.float32), np.full((inner, 1), p - 1), p)
-    assert x[0, 0] == (p - 1 - inner * (p - 1) ** 2) % p
+    monkeypatch.setattr(linalg, "_kernel_mod_p", recording)
+    with no_exact_fallback():
+        assert linalg._nullspace_modular(mat) == exact
+    assert len(primes) > 1 and primes == linalg._PRIMES[: len(primes)]
 
 
 @st.composite
