@@ -38,7 +38,9 @@ def _fail(message: str, code: int) -> int:
 
 
 def _read_ode_text(args) -> str:
-    if args.file:
+    if args.file is not None and args.ode is not None:
+        raise LpsError("the equation is given twice (as an argument and via --file); pass one")
+    if args.file is not None:
         try:
             with open(args.file, encoding="utf-8") as handle:
                 return handle.read()
@@ -376,6 +378,8 @@ def _fixture_text(name: str) -> str:
 
 
 def cmd_bench(args) -> int:
+    if args.synthetic < 0:
+        return _fail("--synthetic must be nonnegative", 2)
     names = args.fixtures or list(_FIXTURE_NAMES)
     for name in names:
         if name not in _BENCH:
@@ -384,7 +388,7 @@ def cmd_bench(args) -> int:
     for name in names:
         cfg = _BENCH[name]
         ode = parse_ode(_fixture_text(name))
-        max_degree = args.max_degree if args.max_degree else cfg["max_degree"]
+        max_degree = cfg["max_degree"] if args.max_degree is None else args.max_degree
 
         t0 = time.perf_counter()
         if cfg["order"] == 1:
@@ -506,7 +510,7 @@ def build_argparser() -> argparse.ArgumentParser:
 
     bench = sub.add_parser("bench", help="time the bundled fixtures")
     bench.add_argument("fixtures", nargs="*", help=f"subset of {', '.join(_FIXTURE_NAMES)}")
-    bench.add_argument("--max-degree", type=int, default=0,
+    bench.add_argument("--max-degree", type=int,
                        help="override the per-fixture degree bound")
     bench.add_argument("--synthetic", type=int, default=0, metavar="N",
                        help="also generate N random integrable equations and measure recovery")

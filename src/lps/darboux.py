@@ -29,14 +29,8 @@ from math import gcd, lcm
 from .errors import DomainError, InternalError
 from .factor import DarbouxFactor, darboux_check, factor_multivariate
 from .linalg import nullspace
-from .poly import MPoly, candidate_monomials, mpoly_gcd
-from .solver import (
-    InverseIntegratingFactor,
-    JacobiMultiplier,
-    VectorField,
-    _SystemBuilder,
-    poly_system,
-)
+from .poly import MPoly, mpoly_gcd
+from .solver import InverseIntegratingFactor, JacobiMultiplier, VectorField, _SystemBuilder
 
 
 @dataclass(frozen=True)
@@ -99,14 +93,13 @@ def _joint_solve(builder: _SystemBuilder, b: MPoly, cofactors: list, d_a: int):
     """Kernel of D(A) b - A D(b) + b^2 sum(n_j q_j) = 0 over the
     coefficients of A (deg A <= d_a) and the exponents n_j; returns the
     first solution that is not a multiple of the trivial (A = b, n = 0).
-    The A-columns are the search images for denominator b and k = 0."""
-    ring = builder.ring
-    monos = candidate_monomials(ring, d_a)
+    The A-columns are the search columns for denominator b and k = 0, and
+    the exponent columns b^2 q_j ride along, scaled by the same lcm."""
     b2 = b * b
-    columns = [builder.image(m) for m in monos] + [b2 * q for q in cofactors]
-    basis = nullspace(poly_system(columns)[0])
+    mat, monos = builder.build(d_a, [b2 * q for q in cofactors])
+    basis = nullspace(mat)
 
-    trivial = [Fraction(0)] * len(columns)
+    trivial = [Fraction(0)] * mat.ncols
     for i, m in enumerate(monos):
         if m in b.terms:
             trivial[i] = b.terms[m]
@@ -124,7 +117,7 @@ def _joint_solve(builder: _SystemBuilder, b: MPoly, cofactors: list, d_a: int):
             break
     if chosen is None:
         return None
-    a = MPoly(ring, {m: chosen[i] for i, m in enumerate(monos) if chosen[i]})
+    a = MPoly(builder.ring, {m: chosen[i] for i, m in enumerate(monos) if chosen[i]})
     return a, [Fraction(chosen[n_off + j]) for j in range(len(cofactors))]
 
 

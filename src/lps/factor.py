@@ -1,25 +1,21 @@
 """Irreducible factorization over the rationals and Darboux-polynomial
 extraction.
 
-Univariate polynomials go through rational-root stripping and then the
-Zassenhaus routine; multivariate ones are reduced to a single variable by
-a Kronecker substitution with per-variable degree weights, factored
-there, and reassembled by validated subset recombination.  Both paths
-factor the squarefree parts separately, which keeps the Kronecker images
-small for the inputs this library produces.
+Univariate polynomials go straight to the Zassenhaus routine, which finds
+linear factors along with the rest; multivariate ones are reduced to a
+single variable by a Kronecker substitution with per-variable degree
+weights, factored there, and reassembled by the same validated subset
+recombination.  Both paths factor the squarefree parts separately, which
+keeps the Kronecker images small for the inputs this library produces.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 
 from .errors import DomainError, InternalError
-from .intarith import divisors
 from .poly import MPoly, Rat, grlex_key, mpoly_gcd, squarefree_decompose
 from .solver import VectorField
-from .unifactor import _divides_exact, zassenhaus
-
-_DIVISOR_GUARD = 10**12
+from .unifactor import recombine, zassenhaus
 
 
 @dataclass(frozen=True)
@@ -62,51 +58,6 @@ def _factor_key(p: MPoly):
 
 def _poly_from_dense(coeffs: list[int], var: str) -> MPoly:
     return MPoly.from_dict((var,), {(i,): c for i, c in enumerate(coeffs) if c})
-
-
-def _strip_rational_roots(coeffs: list[int]) -> tuple[list[list[int]], list[int]]:
-    """Peel linear factors q*v - p off a primitive squarefree polynomial
-    by the classical divisor test on the end coefficients.  Purely an
-    optimization: skipped when those ends are too big to factor quickly,
-    in which case recombination finds the linear factors anyway."""
-    found = []
-    if len(coeffs) <= 2 or coeffs[0] == 0:
-        return found, coeffs
-    if abs(coeffs[0]) > _DIVISOR_GUARD or abs(coeffs[-1]) > _DIVISOR_GUARD:
-        return found, coeffs
-    ps = divisors(coeffs[0], 4000)
-    qs = divisors(coeffs[-1], 4000)
-    if ps is None or qs is None:
-        return found, coeffs
-    for p in ps:
-        for q in qs:
-            for s in (1, -1):
-                if len(coeffs) <= 2:
-                    return found, coeffs
-                # evaluate at s*p/q by Horner
-                acc = Fraction(0)
-                r = Fraction(s * p, q)
-                for c in reversed(coeffs):
-                    acc = acc * r + c
-                if acc == 0:
-                    lin = [-s * p, q]
-                    quot = _divides_exact(coeffs, lin)
-                    if quot is not None:
-                        found.append(lin)
-                        coeffs = quot
-    return found, coeffs
-
-
-def _factor_dense(coeffs: list[int], var: str) -> list[MPoly]:
-    """Irreducible factors of a primitive squarefree integer polynomial
-    with positive leading coefficient."""
-    if len(coeffs) <= 1:
-        return []
-    linear, rest = _strip_rational_roots(coeffs)
-    out = [_poly_from_dense(c, var) for c in linear]
-    if len(rest) > 1:
-        out.extend(_poly_from_dense(c, var) for c in zassenhaus(rest))
-    return out
 
 
 def _strip_monomial(p: MPoly) -> tuple[list[tuple[MPoly, int]], MPoly]:
@@ -169,7 +120,8 @@ def _factor_squarefree_part(part: MPoly) -> list[MPoly]:
     if len(vs) == 0:
         return []
     if len(vs) == 1:
-        return _factor_dense(_dense_rat(part.project_ring(), vs[0]), vs[0])
+        dense = _dense_rat(part.project_ring(), vs[0])
+        return [_poly_from_dense(c, vs[0]) for c in zassenhaus(dense)]
 
     part = part.project_ring()
     vs, weights = _kronecker_weights(part)
@@ -188,36 +140,25 @@ def _factor_squarefree_part(part: MPoly) -> list[MPoly]:
             continue
         uni.extend([list(f) for f in zassenhaus(ic)] * imult)
 
-    found = []
-    remaining = list(range(len(uni)))
-    current = part
-    size = 1
-    while 2 * size <= len(remaining):
-        restart = False
-        for subset in combinations(remaining, size):
-            prod = [1]
-            for i in subset:
-                nxt = [0] * (len(prod) + len(uni[i]) - 1)
-                for a, ca in enumerate(prod):
-                    if ca:
-                        for b, cb in enumerate(uni[i]):
-                            nxt[a + b] += ca * cb
-                prod = nxt
-            cand = _kronecker_decode(prod, vs, weights, bounds)
-            if cand is None:
-                continue
-            cand = cand.normalized()
-            if cand.is_constant():
-                continue
-            quot = current.exact_divide(cand)
-            if quot is not None:
-                found.append(cand)
-                current = quot.normalized()
-                remaining = [i for i in remaining if i not in subset]
-                restart = True
-                break
-        if not restart:
-            size += 1
+    def trial(subset, current):
+        prod = [1]
+        for i in subset:
+            nxt = [0] * (len(prod) + len(uni[i]) - 1)
+            for a, ca in enumerate(prod):
+                if ca:
+                    for b, cb in enumerate(uni[i]):
+                        nxt[a + b] += ca * cb
+            prod = nxt
+        cand = _kronecker_decode(prod, vs, weights, bounds)
+        if cand is None:
+            return None
+        cand = cand.normalized()
+        if cand.is_constant():
+            return None
+        quot = current.exact_divide(cand)
+        return None if quot is None else (cand, quot.normalized())
+
+    found, current = recombine(len(uni), part, trial)
     if not current.is_constant():
         found.append(current.normalized())
     return found
@@ -244,16 +185,6 @@ def _factor_normalized(p: MPoly) -> Factorization:
     return result
 
 
-def factor_univariate(p: MPoly) -> Factorization:
-    """Irreducible factorization over the rationals of a polynomial in at
-    most one variable."""
-    if p.is_zero():
-        raise DomainError("cannot factor the zero polynomial")
-    if len(p.vars_used()) > 1:
-        raise DomainError("factor_univariate needs a univariate input")
-    return _factor_normalized(p)
-
-
 def factor_multivariate(p: MPoly) -> Factorization:
     """Irreducible factorization over the rationals, any number of
     variables."""
@@ -274,16 +205,6 @@ def darboux_check(field: VectorField, p: MPoly, multiplicity: int = 1) -> Darbou
     if q is None:
         return None
     return DarbouxFactor(p, q, multiplicity)
-
-
-class LinearFactorList(list):
-    """Verified degree-1 Darboux polynomials.  When the field admits a
-    one-parameter continuum of invariant lines, `family` is True and the
-    list holds finitely many representatives."""
-
-    def __init__(self, items=(), family: bool = False):
-        super().__init__(items)
-        self.family = family
 
 
 def _coeffs_in(p: MPoly, var: str) -> list[MPoly]:
@@ -401,14 +322,7 @@ def _rational_roots(p: MPoly) -> list[Fraction]:
     if p.is_constant():
         return []
     roots = []
-    monos, stripped = _strip_monomial(p)
-    if monos:
-        roots.append(Fraction(0))
-        p = stripped
-        if p.is_constant():
-            return roots
-    fac = factor_univariate(p)
-    for f, _ in fac.factors:
+    for f, _ in _factor_normalized(p).factors:
         if f.total_degree() == 1:
             fl = _dense_rat(f.project_ring(), f.vars_used()[0])
             roots.append(Fraction(-fl[0], fl[1]))
@@ -442,15 +356,14 @@ def _curve_points(g: MPoly, limit: int = 8) -> list[tuple[Fraction, Fraction]]:
     return pts[:limit]
 
 
-def degree1_dp_search(field: VectorField) -> LinearFactorList:
+def degree1_dp_search(field: VectorField) -> list[MPoly]:
     """All degree-1 Darboux polynomials of an order-1 field up to
-    scaling, via two charts: y - s*x - t (parameters eliminated by
-    resultants) and x - c.  A curve of admissible (s, t) is reported as a
-    family with representatives."""
+    scaling, sorted, via two charts: y - s*x - t (parameters eliminated by
+    resultants) and x - c.  A curve of admissible (s, t) contributes a
+    few representatives."""
     if field.order != 1:
         raise DomainError("degree-1 search is defined for order-1 fields")
     out = []
-    family = False
 
     # chart 1: p = y - s*x - t, with s, t carried by the symbols z, w
     ring = ("x", "y", "z", "w")
@@ -470,7 +383,6 @@ def degree1_dp_search(field: VectorField) -> LinearFactorList:
         for r in system[1:]:
             g = mpoly_gcd(g, r)
         if not g.is_constant():
-            family = True
             candidates.update(_curve_points(g))
         reduced = [r.exact_divide(g) for r in system]
         nonconst = [r for r in reduced if not r.is_constant()]
@@ -503,7 +415,7 @@ def degree1_dp_search(field: VectorField) -> LinearFactorList:
     for p in sorted(out, key=_factor_key):
         if p not in seen:
             seen.append(p)
-    return LinearFactorList(seen, family)
+    return seen
 
 
 def _eliminant(system: list[MPoly], elim: str, keep: str) -> MPoly:

@@ -1,5 +1,5 @@
-"""Integer arithmetic utilities: primality, factorization, divisors,
-rational reconstruction.  Everything here is deterministic."""
+"""Integer arithmetic utilities: primality, prime lists, rational
+reconstruction.  Everything here is deterministic."""
 
 from __future__ import annotations
 
@@ -33,66 +33,6 @@ def is_probable_prime(n: int) -> bool:
         else:
             return False
     return True
-
-
-def _pollard_rho(n: int) -> int:
-    """Find a nontrivial factor of composite odd n. Deterministic: the
-    polynomial increment walks a fixed schedule."""
-    if n % 2 == 0:
-        return 2
-    for c in range(1, 101):
-        x = y = 2
-        d = 1
-        f = lambda v: (v * v + c) % n
-        while d == 1:
-            x = f(x)
-            y = f(f(y))
-            d = math.gcd(abs(x - y), n)
-        if d != n:
-            return d
-    raise ArithmeticError(f"rho failed on {n}")  # pragma: no cover
-
-
-def factor_int(n: int) -> dict[int, int]:
-    """Prime factorization of |n| as {prime: exponent}.  factor_int(0) is an
-    error; units are dropped (factor_int(1) == {})."""
-    if n == 0:
-        raise ValueError("cannot factor 0")
-    n = abs(n)
-    out: dict[int, int] = {}
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47):
-        while n % p == 0:
-            out[p] = out.get(p, 0) + 1
-            n //= p
-    if n == 1:
-        return out
-    stack = [n]
-    while stack:
-        m = stack.pop()
-        if m == 1:
-            continue
-        if is_probable_prime(m):
-            out[m] = out.get(m, 0) + 1
-            continue
-        d = _pollard_rho(m)
-        stack.append(d)
-        stack.append(m // d)
-    return out
-
-
-def divisors(n: int, limit: int | None = None) -> list[int] | None:
-    """Sorted positive divisors of |n|.  Returns None if there would be more
-    than `limit` of them (guard for highly composite inputs)."""
-    fac = factor_int(n)
-    count = 1
-    for e in fac.values():
-        count *= e + 1
-    if limit is not None and count > limit:
-        return None
-    divs = [1]
-    for p, e in fac.items():
-        divs = [d * p**k for d in divs for k in range(e + 1)]
-    return sorted(divs)
 
 
 def rational_reconstruct(a: int, m: int) -> Fraction | None:

@@ -177,7 +177,6 @@ class _SystemBuilder:
 
         self._partials = [cleared(p) for p in partials]
         self._cterm = cleared(-cterm)
-        self._images: dict[tuple[int, ...], MPoly] = {}
         self._rows: dict[tuple[int, ...], int] = {}
         self._entries: dict = {}
         self._cols: list[tuple[int, ...]] = []
@@ -195,21 +194,13 @@ class _SystemBuilder:
                     out[t] = out.get(t, 0) + e * c
         return {t: c for t, c in out.items() if c}
 
-    def image(self, mono: tuple[int, ...]) -> MPoly:
-        """E(m) = scale (pbar D(m) - m D(pbar)) - k div m pbar for one monomial."""
-        cached = self._images.get(mono)
-        if cached is None:
-            terms = self._int_image(mono)
-            if self.lcm != 1:
-                terms = {t: rat(Fraction(c, self.lcm)) for t, c in terms.items()}
-            cached = self._images[mono] = MPoly(self.ring, terms)
-        return cached
-
-    def build(self, degree: int) -> tuple[RatMatrix, list[tuple[int, ...]]]:
+    def build(self, degree: int, extra=()) -> tuple[RatMatrix, list[tuple[int, ...]]]:
         """The system (columns lcm E(m)) of the candidate monomials of degree
         <= degree, for non-decreasing degrees: only the new degrees'
         columns are assembled, appended in grlex order, and rows keep their
-        numbers, so it extends the last one."""
+        numbers, so it extends the last one.  Each polynomial in `extra`
+        adds one more column, lcm times it, after the monomials' columns;
+        those go into this system only, not into the next one."""
         cols, rows, entries = self._cols, self._rows, dict(self._entries)
         for d in range(self._degree + 1, degree + 1):
             for mono in monomials_of_degree(self.ring, d):
@@ -217,7 +208,12 @@ class _SystemBuilder:
                     entries[(rows.setdefault(t, len(rows)), len(cols))] = c
                 cols.append(mono)
         self._entries, self._degree = entries, max(self._degree, degree)
-        return RatMatrix(len(rows), len(cols), entries), list(cols)
+        if extra:
+            entries, rows = dict(entries), dict(rows)
+            for j, p in enumerate(extra, len(cols)):
+                for t, c in p.terms.items():
+                    entries[(rows.setdefault(t, len(rows)), j)] = rat(c * self.lcm)
+        return RatMatrix(len(rows), len(cols) + len(extra), entries), list(cols)
 
 
 def _select_kernel_poly(basis_vectors: list, cols: list, ring: tuple[str, ...]) -> tuple[MPoly, list[MPoly]]:

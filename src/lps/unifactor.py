@@ -6,7 +6,8 @@ polynomial and returns its irreducible factors, also primitive, with
 positive leading coefficients.  The classical pipeline: factor modulo a
 small prime with few modular factors, Hensel-lift the factorization past
 the Mignotte coefficient bound, then recombine modular factors by subset
-search with exact trial division.
+search with exact trial division.  recombine() is that subset search; the
+Kronecker reassembly of multivariate factors in `factor` runs on it too.
 """
 
 import math
@@ -327,32 +328,50 @@ def zassenhaus(f: list[int]) -> list[list[int]]:
     # normalize every lifted factor to monic mod p^(2^steps)
     lifted = [_scale_mod(g, pow(g[-1], -1, big), big) for g in lifted]
 
-    found = []
-    remaining = list(range(len(lifted)))
-    current = list(f)
-    size = 1
-    while 2 * size <= len(remaining):
-        restart = False
-        for subset in combinations(remaining, size):
-            prod = [current[-1]]
-            for i in subset:
-                prod = _mul_mod(prod, lifted[i], big)
-            cand = _primitive(_symmetric(prod, big))
-            # cheap pruning: candidate's constant term must divide
-            # lc(current) * current(0)
-            if current[0] != 0 and cand and cand[0] != 0:
-                if (current[0] * current[-1]) % cand[0] != 0:
-                    continue
-            q = _divides_exact(current, cand)
-            if q is not None:
-                found.append(cand)
-                current = _primitive(q)
-                remaining = [i for i in remaining if i not in subset]
-                restart = True
-                break
-        if not restart:
-            size += 1
+    def trial(subset, current):
+        prod = [current[-1]]
+        for i in subset:
+            prod = _mul_mod(prod, lifted[i], big)
+        cand = _primitive(_symmetric(prod, big))
+        # cheap pruning: candidate's constant term must divide
+        # lc(current) * current(0)
+        if current[0] != 0 and cand and cand[0] != 0:
+            if (current[0] * current[-1]) % cand[0] != 0:
+                return None
+        q = _divides_exact(current, cand)
+        return None if q is None else (cand, _primitive(q))
+
+    found, current = recombine(len(lifted), list(f), trial)
     if _deg(current) > 0:
         found.append(_primitive(current))
     found.sort(key=lambda g: (len(g), g))
     return found
+
+
+def recombine(count: int, current, trial):
+    """Subset recombination: which products of `count` factors of an image
+    of `current` (modular factors in zassenhaus, factors of the Kronecker
+    image in `factor`) are its true factors.
+
+    Subsets of the remaining factor indices are tried smallest first;
+    trial(subset, current) returns (factor, cofactor) when the subset's
+    product is a true factor of current, and None otherwise.  After a
+    hit the same size is tried again on the cofactor, and the search
+    stops once twice the size exceeds the factors that remain, since a
+    larger subset's complement has been tried already.  Returns the
+    factors found and the last cofactor, which is irreducible (or a
+    unit)."""
+    found = []
+    remaining = list(range(count))
+    size = 1
+    while 2 * size <= len(remaining):
+        for subset in combinations(remaining, size):
+            hit = trial(subset, current)
+            if hit is not None:
+                factor, current = hit
+                found.append(factor)
+                remaining = [i for i in remaining if i not in subset]
+                break
+        else:
+            size += 1
+    return found, current

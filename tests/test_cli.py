@@ -375,6 +375,19 @@ def test_bench_unknown_fixture():
     assert "unknown fixture" in err
 
 
+def test_bench_max_degree_zero_is_honoured():
+    code, out, _ = run_cli(["bench", "eq5", "--max-degree", "0", "--json"])
+    assert code == 0
+    (row,) = json.loads(out)["rows"]
+    assert (row["degree"], row["cols"], row["result"]) == (0, 1, "not found")
+
+
+def test_bench_negative_synthetic_is_usage_error():
+    code, out, err = run_cli(["bench", "eq5", "--synthetic", "-2"])
+    assert code == 2 and out == ""
+    assert "--synthetic" in err
+
+
 def test_bench_synthetic_summary():
     code, out, _ = run_cli(["bench", "eq5", "--synthetic", "5", "--seed", "3", "--json"])
     assert code == 0
@@ -431,6 +444,21 @@ def test_missing_file_is_usage_error(tmp_path):
     code, _, err = run_cli(["solve", "--file", str(tmp_path / "missing.txt")])
     assert code == 2
     assert "cannot read" in err
+
+
+def test_equation_given_twice_is_usage_error(tmp_path):
+    path = tmp_path / "eq.txt"
+    path.write_text("y' = y/x")
+    for argv in (
+        ["solve", "y' = 2*y/x", "--file", str(path)],
+        ["solve", "-", "--file", str(path)],
+        ["verify", "y' = y/x", "--file", str(path), "--v", "x"],
+        ["parse", "y' = y/x", "--file", str(path)],
+        ["parse", "y' = y/x", "--file", ""],
+    ):
+        code, out, err = run_cli(argv, stdin_text="y' = y/x")
+        assert code == 2 and out == "", argv
+        assert err.count("\n") == 1 and "given twice" in err, argv
 
 
 def test_verify_malformed_integral_is_usage_error():

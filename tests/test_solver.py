@@ -328,8 +328,19 @@ def test_builder_columns_are_the_cleared_images(case):
         for j, mono in enumerate(cols):
             if mono not in expected:
                 expected[mono] = reference_image(field, k, pbar, mono)
-                assert builder.image(mono) == expected[mono]
             assert columns[j] == {t: builder.lcm * c for t, c in expected[mono].terms.items()}
+        # an extra column (lcm times the polynomial, new rows appended)
+        # joins this rung's system only; the next rung is checked as above
+        probe = (MPoly.variable("x").extend_ring(field.ring) ** (top + 2) - 1) * Fraction(1, 3)
+        wide, wide_cols = builder.build(degree, [probe])
+        assert wide_cols == cols and wide.ncols == mat.ncols + 1
+        assert {ij: c for ij, c in wide.entries.items() if ij[1] < mat.ncols} == mat.entries
+        new_rows = [t for t in probe.terms if t not in builder._rows]
+        monomial_of.update({mat.nrows + n: t for n, t in enumerate(new_rows)})
+        assert wide.nrows == mat.nrows + len(new_rows)
+        extra = {monomial_of[i]: c for (i, j), c in wide.entries.items() if j == mat.ncols}
+        assert extra == {t: builder.lcm * c for t, c in probe.terms.items()}
+        assert len(builder._rows) == mat.nrows
 
 
 def test_builder_cases_clear_denominators():
