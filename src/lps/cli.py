@@ -15,6 +15,7 @@ Exit codes: 0 success, 1 verification failed, 2 usage or parse error,
 import argparse
 import functools
 import json
+import math
 import random
 import sys
 import time
@@ -32,9 +33,26 @@ from .synth import measure_recovery, plant
 _FIXTURE_NAMES = ("eq5", "eq7", "eq8", "eq9")
 
 
+# The top rung of a search to degree d in n variables (2 for first order,
+# 3 for second) has C(d + n, n) columns; a --max-degree above this budget
+# is refused before anything is assembled.
+_MAX_COLUMNS = 10_000
+
+
 def _fail(message: str, code: int) -> int:
     print(f"lps: {message}", file=sys.stderr)
     return code
+
+
+def _max_degree_problem(max_degree: int, nvars: int) -> str | None:
+    """Why --max-degree is refused for a search in nvars variables, or None."""
+    if max_degree < 0:
+        return "--max-degree must be nonnegative"
+    columns = math.comb(max_degree + nvars, nvars)
+    if columns > _MAX_COLUMNS:
+        return (f"--max-degree {max_degree} gives {columns} columns on the top rung "
+                f"in {nvars} variables (at most {_MAX_COLUMNS})")
+    return None
 
 
 def _read_ode_text(args) -> str:
@@ -113,6 +131,9 @@ def cmd_solve(args) -> int:
     t0 = time.perf_counter()
     ode = parse_ode(_read_ode_text(args), order=args.order)
     timings["parse"] = time.perf_counter() - t0
+    problem = _max_degree_problem(args.max_degree, len(ode.ring))
+    if problem:
+        return _fail(problem, 2)
     if ode.order == 2:
         order1_only = [
             flag
@@ -384,6 +405,10 @@ def cmd_bench(args) -> int:
     for name in names:
         if name not in _BENCH:
             return _fail(f"unknown fixture {name!r} (have {', '.join(_FIXTURE_NAMES)})", 2)
+        if args.max_degree is not None:
+            problem = _max_degree_problem(args.max_degree, _BENCH[name]["order"] + 1)
+            if problem:
+                return _fail(problem, 2)
     rows = []
     for name in names:
         cfg = _BENCH[name]

@@ -29,7 +29,9 @@ The search climbs a degree ladder, one linear system per degree d.
 common to every column leaves the kernel alone) and owns the row index:
 the columns of degree d are a prefix of those of degree d+1 (grlex order),
 rows are numbered in order of first appearance and each rung assembles
-only its new columns.  Each rung's kernel is a fresh `linalg.nullspace`,
+only its new columns.  Its row keys are monomials packed into ints, a
+fixed number of bits per variable, so shifting a term by a column's
+monomial is one integer addition.  Each rung's kernel is a fresh `linalg.nullspace`,
 which peels the unknowns forced to zero before it eliminates: on these
 sparse systems most are (every rung of eq8, most rungs of eq7), and the
 surviving columns are not nested from one rung to the next, so no
@@ -41,7 +43,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import add
 
 from .errors import DomainError, InternalError
 from .linalg import RatMatrix, nullspace
@@ -162,7 +163,16 @@ class _SystemBuilder:
     """Assembles the linear systems for one (field, k, denominator) choice
     in integers: pbar scale c_v (per variable) and scale D(pbar) + k div
     pbar are multiplied once by the positive lcm of their coefficient
-    denominators, which scales every column alike."""
+    denominators, which scales every column alike.
+
+    Row monomials are packed into ints, `_BITS` bits per variable (the
+    first variable lowest), so the product of two monomials is one
+    integer addition; a degree whose exponents could overflow a field is
+    refused."""
+
+    # ample: the CLI's column budget keeps a column's degree below 140 and
+    # the parser's degree budget keeps the ingredients' to a few hundred
+    _BITS = 16
 
     def __init__(self, field: VectorField, k: int, denominator: MPoly):
         self.ring = field.ring
@@ -171,28 +181,34 @@ class _SystemBuilder:
         partials = [den * (field.scale * c) for c in field.coeffs]
         cterm = field.scale * field.apply(den) + k * field.divergence * den
         self.lcm = math.lcm(*(c.denominator for p in (*partials, cterm) for c in p.terms.values()))
+        # a row monomial's exponents are at most its column's degree plus this
+        self._reach = max(p.total_degree() for p in (*partials, cterm))
 
         def cleared(p: MPoly) -> list:
-            return [(m, c.numerator * (self.lcm // c.denominator)) for m, c in p.terms.items()]
+            return [(self._pack(m), c.numerator * (self.lcm // c.denominator)) for m, c in p.terms.items()]
 
         self._partials = [cleared(p) for p in partials]
         self._cterm = cleared(-cterm)
-        self._rows: dict[tuple[int, ...], int] = {}
+        self._rows: dict[int, int] = {}
         self._entries: dict = {}
         self._cols: list[tuple[int, ...]] = []
         self._degree = -1
 
+    def _pack(self, mono: tuple[int, ...]) -> int:
+        return sum(e << (self._BITS * i) for i, e in enumerate(mono))
+
     def _int_image(self, mono: tuple[int, ...]) -> dict:
-        """lcm E(m) as {monomial: int}."""
-        out = {tuple(map(add, t, mono)): c for t, c in self._cterm}
+        """lcm E(m) as {packed monomial: int}; terms that cancel stay, as 0."""
+        base = self._pack(mono)
+        out = {t + base: c for t, c in self._cterm}
         for i, terms in enumerate(self._partials):
             e = mono[i]
             if e:
-                shift = mono[:i] + (e - 1,) + mono[i + 1 :]
+                shift = base - (1 << (self._BITS * i))
                 for t, c in terms:
-                    t = tuple(map(add, t, shift))
+                    t += shift
                     out[t] = out.get(t, 0) + e * c
-        return {t: c for t, c in out.items() if c}
+        return out
 
     def build(self, degree: int, extra=()) -> tuple[RatMatrix, list[tuple[int, ...]]]:
         """The system (columns lcm E(m)) of the candidate monomials of degree
@@ -201,18 +217,22 @@ class _SystemBuilder:
         numbers, so it extends the last one.  Each polynomial in `extra`
         adds one more column, lcm times it, after the monomials' columns;
         those go into this system only, not into the next one."""
+        if max([degree + self._reach, *(p.total_degree() for p in extra)]) >> self._BITS:
+            raise DomainError(f"exponents at degree {degree} overflow the packed row monomials")
         cols, rows, entries = self._cols, self._rows, dict(self._entries)
         for d in range(self._degree + 1, degree + 1):
             for mono in monomials_of_degree(self.ring, d):
+                j = len(cols)
                 for t, c in self._int_image(mono).items():
-                    entries[(rows.setdefault(t, len(rows)), len(cols))] = c
+                    if c:
+                        entries[(rows.setdefault(t, len(rows)), j)] = c
                 cols.append(mono)
         self._entries, self._degree = entries, max(self._degree, degree)
         if extra:
             entries, rows = dict(entries), dict(rows)
             for j, p in enumerate(extra, len(cols)):
                 for t, c in p.terms.items():
-                    entries[(rows.setdefault(t, len(rows)), j)] = rat(c * self.lcm)
+                    entries[(rows.setdefault(self._pack(t), len(rows)), j)] = rat(c * self.lcm)
         return RatMatrix(len(rows), len(cols) + len(extra), entries), list(cols)
 
 

@@ -8,6 +8,15 @@ small prime with few modular factors, Hensel-lift the factorization past
 the Mignotte coefficient bound, then recombine modular factors by subset
 search with exact trial division.  recombine() is that subset search; the
 Kronecker reassembly of multivariate factors in `factor` runs on it too.
+
+The prime is the one, among the first six that keep the input squarefree
+with a unit leading coefficient, whose distinct-degree split counts the
+fewest modular factors.  Each split reads x^(p^d) mod f off the Frobenius
+matrix of f (Berlekamp's Q-matrix, rows x^(i p) mod f, used as in von zur
+Gathen & Shoup 1992): one vector-matrix product per degree d in place of
+a powering, and a trial prime is abandoned as soon as its partial count
+cannot beat the best so far.  Products and remainders mod p reduce each
+output coefficient once.
 """
 
 import math
@@ -57,11 +66,10 @@ def _mul_mod(a, b, p):
         return []
     out = [0] * (len(a) + len(b) - 1)
     for i, ca in enumerate(a):
-        if ca == 0:
-            continue
-        for j, cb in enumerate(b):
-            out[i + j] = (out[i + j] + ca * cb) % p
-    return _trim(out)
+        if ca:
+            for j, cb in enumerate(b, i):
+                out[j] += ca * cb
+    return _trim([c % p for c in out])
 
 
 def _scale_mod(a, c, p):
@@ -69,34 +77,39 @@ def _scale_mod(a, c, p):
     return _trim([x * c % p for x in a])
 
 
+def _reduce(a, b, p):
+    """Divide a by b mod p in place, for b reduced and nonzero (its leading
+    coefficient is inverted mod p): returns the quotient and leaves the
+    remainder in a's first len(b) - 1 entries.  Working coefficients are
+    reduced only when read as a leading coefficient."""
+    inv = pow(b[-1], -1, p)
+    lb = len(b)
+    q = [0] * max(len(a) - lb + 1, 0)
+    for k in range(len(a) - lb, -1, -1):
+        c = a[k + lb - 1] * inv % p
+        if c:
+            q[k] = c
+            for i, cb in enumerate(b, k):
+                a[i] -= c * cb
+    return q
+
+
 def _divmod_mod(a, b, p):
-    """Division with remainder mod p; b need not be monic (its leading
-    coefficient is inverted mod p)."""
-    a = _mod(a, p)
+    """Division with remainder mod p; b need not be monic."""
     b = _mod(b, p)
     if not b:
         raise ZeroDivisionError("polynomial division by zero")
-    inv = pow(b[-1], -1, p)
     a = list(a)
-    q = [0] * max(len(a) - len(b) + 1, 0)
-    while len(a) >= len(b):
-        c = a[-1] * inv % p
-        k = len(a) - len(b)
-        if c:
-            q[k] = c
-            for i, cb in enumerate(b):
-                a[i + k] = (a[i + k] - c * cb) % p
-        a.pop()
-        _trim(a)
-        if not a:
-            break
-    return _trim(q), a
+    q = _reduce(a, b, p)
+    return _trim(q), _mod(a[: len(b) - 1], p)
 
 
 def _gcd_mod(a, b, p):
+    """The monic gcd mod p, by Euclid's algorithm."""
     a, b = _mod(a, p), _mod(b, p)
     while b:
-        a, b = b, _divmod_mod(a, b, p)[1]
+        _reduce(a, b, p)
+        a, b = b, _mod(a[: len(b) - 1], p)
     if a:
         a = _scale_mod(a, pow(a[-1], -1, p), p)
     return a
@@ -118,21 +131,70 @@ def _deriv(a):
     return _trim([i * c for i, c in enumerate(a)][1:])
 
 
-def _distinct_degree(f, p):
+def _vecmat(v, matrix, n, p):
+    """v times an n-column matrix mod p.  `matrix` is (bits, rows) as
+    `_packed_rows` makes it: each row is one integer holding its entries
+    in fields of `bits` bits, so the product is one integer multiply-add
+    per nonzero entry of v, read back one field per column."""
+    bits, packed = matrix
+    acc = 0
+    for c, row in zip(v, packed):
+        if c:
+            acc += c * row
+    mask = (1 << bits) - 1
+    return _trim([(acc >> (bits * j) & mask) % p for j in range(n)])
+
+
+def _packed_rows(rows, n, p):
+    """Rows of residues mod p, at most n each, packed for `_vecmat`; a
+    field holds a sum of n products of residues without carrying."""
+    bits = (n * (p - 1) ** 2).bit_length()
+    return bits, [sum(c << (bits * j) for j, c in enumerate(row)) for row in rows]
+
+
+def _frobenius_rows(f, p):
+    """The Frobenius matrix of monic f mod p (Berlekamp's Q-matrix), its
+    row i being x^(i p) mod f, packed for `_vecmat`: h^p mod f is h times
+    it for any h of degree < deg f.  Row i is row i-1 times the matrix of
+    multiplication by x^p, whose rows x^(p+j) mod f come by shifting."""
+    n = _deg(f)
+    x = [0] * (n - 1) + [1]
+    powers = [[0] * e + [1] for e in range(n)]  # x^e mod f, e < n
+    for _ in range(p):  # then e = n, ..., n + p - 1
+        top = x[-1]
+        x = [(a - top * c) % p for a, c in zip([0] + x[:-1], f)]
+        powers.append(x)
+    by_xp = _packed_rows(powers[p:], n, p)
+    rows = [[1]]
+    for _ in range(1, n):
+        rows.append(_vecmat(rows[-1], by_xp, n, p))
+    return _packed_rows(rows, n, p)
+
+
+def _distinct_degree(f, p, limit=None):
     """Split monic squarefree f mod p into products of irreducibles of a
-    common degree.  Returns [(product, degree)]."""
+    common degree.  Returns [(product, degree)], or None as soon as the
+    split is known to count at least `limit` irreducible factors.
+
+    x^(p^d) mod f comes from x^(p^(d-1)) by one product with the
+    Frobenius matrix of f (von zur Gathen & Shoup 1992); it stays modulo
+    f while each gcd is taken against the cofactor left so far."""
+    n = _deg(f)
     out = []
+    count = 0
     h = [0, 1]
     d = 0
-    f = list(f)
+    frobenius = _frobenius_rows(f, p) if n >= 2 else None
     while len(f) - 1 >= 2 * (d + 1):
         d += 1
-        h = _powmod(h, p, f, p)
+        h = _vecmat(h, frobenius, n, p)
         g = _gcd_mod(_sub_mod(h, [0, 1], p), f, p)
         if _deg(g) > 0:
             out.append((g, d))
+            count += _deg(g) // d
             f = _divmod_mod(f, g, p)[0]
-            h = _divmod_mod(h, f, p)[1]
+        if limit is not None and count + (_deg(f) > 0) >= limit:
+            return None
     if _deg(f) > 0:
         out.append((f, _deg(f)))
     return out
@@ -265,9 +327,10 @@ def _pick_prime(f: list[int]) -> tuple[int, list[list[int]]]:
     coefficient; among the first six such primes, take the one whose
     modular factorization is shortest (the first on ties, at once on a
     single factor).  The distinct-degree split already counts the
-    modular factors, so only the chosen prime is split into irreducibles
-    (its monic factors, sorted; the splitting randomness is seeded from
-    p and the degree)."""
+    modular factors, and a prime's split is abandoned as soon as its
+    count cannot beat the best so far; only the chosen prime is split
+    into irreducibles (its monic factors, sorted; the splitting
+    randomness is seeded from p and the degree)."""
     best = None
     valid = 0
     rejected = 0
@@ -280,7 +343,10 @@ def _pick_prime(f: list[int]) -> tuple[int, list[list[int]]]:
                 raise InternalError("input to zassenhaus is not squarefree")
             continue
         valid += 1
-        parts = _distinct_degree(_scale_mod(f, pow(f[-1] % p, -1, p), p), p)
+        limit = None if best is None else best[0]
+        parts = _distinct_degree(_scale_mod(f, pow(f[-1] % p, -1, p), p), p, limit)
+        if parts is None:
+            continue
         count = sum(_deg(g) // d for g, d in parts)
         if best is None or count < best[0]:
             best = (count, p, parts)

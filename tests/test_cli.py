@@ -1,5 +1,6 @@
 import io
 import json
+import math
 import os
 import random
 import subprocess
@@ -15,6 +16,7 @@ import pytest
 import lps
 import lps.darboux
 import lps.factor
+import lps.solver
 from lps import cli, linalg
 from lps.cli import main
 from lps.darboux import reconstruct_first_integral
@@ -409,7 +411,39 @@ def test_solve_power_zero_is_usage_error():
 def test_solve_negative_max_degree_is_usage_error():
     code, _, err = run_cli(["solve", "--max-degree", "-1", "y' = y/x"])
     assert code == 2
-    assert "max_degree" in err
+    assert "--max-degree must be nonnegative" in err
+
+
+def test_bench_negative_max_degree_is_usage_error():
+    code, out, err = run_cli(["bench", "eq5", "--max-degree", "-1"])
+    assert code == 2 and out == ""
+    assert "--max-degree must be nonnegative" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve", "--max-degree", "45", "z' = z^3 + x*y + 1"],
+    ["bench", "eq5", "eq7", "--max-degree", "45"],
+])
+def test_max_degree_over_column_budget_exits_2_at_once(monkeypatch, argv):
+    # degree 45 in x, y, z: C(48, 3) = 17,296 columns on the top rung
+    def refuse(*args, **kwargs):
+        raise AssertionError("assembled a system over the column budget")
+
+    monkeypatch.setattr(lps.solver._SystemBuilder, "build", refuse)
+    code, out, err = run_cli(argv)
+    assert code == 2 and out == ""
+    assert "17296 columns" in err and str(cli._MAX_COLUMNS) in err
+
+
+@pytest.mark.parametrize("order, top", [(1, 139), (2, 37)])
+def test_max_degree_budget_edge(order, top):
+    # the largest degree within the budget passes the check, one more is refused
+    nvars = order + 1
+    assert math.comb(top + nvars, nvars) <= cli._MAX_COLUMNS < math.comb(top + 1 + nvars, nvars)
+    text = "y' = y/x" if order == 1 else "y'' = z"
+    assert run_cli(["solve", "--max-degree", str(top), text])[0] == 0
+    code, _, err = run_cli(["solve", "--max-degree", str(top + 1), text])
+    assert code == 2 and "columns on the top rung" in err
 
 
 def test_solve_denominator_outside_ring_is_usage_error():

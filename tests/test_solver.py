@@ -308,6 +308,13 @@ def builder_cases():
     return cases
 
 
+def unpack(key, nvars):
+    """A packed row key back to its exponent tuple (first variable in the
+    lowest field)."""
+    bits = _SystemBuilder._BITS
+    return tuple((key >> (bits * i)) & ((1 << bits) - 1) for i in range(nvars))
+
+
 @pytest.mark.parametrize("case", range(15))
 def test_builder_columns_are_the_cleared_images(case):
     ode, k, den, top = builder_cases()[case]
@@ -319,7 +326,7 @@ def test_builder_columns_are_the_cleared_images(case):
     for degree in range(top + 1):
         mat, cols = builder.build(degree)
         assert cols == candidate_monomials(field.ring, degree)
-        monomial_of = {i: t for t, i in builder._rows.items()}
+        monomial_of = {i: unpack(t, len(field.ring)) for t, i in builder._rows.items()}
         assert sorted(monomial_of) == list(range(mat.nrows))
         columns = [{} for _ in cols]
         for (i, j), c in mat.entries.items():
@@ -335,12 +342,24 @@ def test_builder_columns_are_the_cleared_images(case):
         wide, wide_cols = builder.build(degree, [probe])
         assert wide_cols == cols and wide.ncols == mat.ncols + 1
         assert {ij: c for ij, c in wide.entries.items() if ij[1] < mat.ncols} == mat.entries
-        new_rows = [t for t in probe.terms if t not in builder._rows]
+        known = set(monomial_of.values())
+        new_rows = [t for t in probe.terms if t not in known]
         monomial_of.update({mat.nrows + n: t for n, t in enumerate(new_rows)})
         assert wide.nrows == mat.nrows + len(new_rows)
         extra = {monomial_of[i]: c for (i, j), c in wide.entries.items() if j == mat.ncols}
         assert extra == {t: builder.lcm * c for t, c in probe.terms.items()}
         assert len(builder._rows) == mat.nrows
+
+
+def test_builder_refuses_exponents_that_overflow_the_packing():
+    field = build_field(parse_ode("y' = y/x"))
+    builder = _SystemBuilder(field, 1, MPoly.constant(1, field.ring))
+    top = (1 << _SystemBuilder._BITS) - 1  # y' = y/x adds degree 1 to a column
+    with pytest.raises(DomainError, match="overflow"):
+        builder.build(top)
+    with pytest.raises(DomainError, match="overflow"):
+        builder.build(0, [X ** (top + 1)])
+    assert builder._cols == [] and builder._rows == {}
 
 
 def test_builder_cases_clear_denominators():

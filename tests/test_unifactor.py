@@ -1,6 +1,8 @@
 """Zassenhaus prime choice against a reference copy of the full-split
 rule: factor modulo each of the first six admissible primes and keep the
-shortest factorization (the first on ties, at once on one factor)."""
+shortest factorization (the first on ties, at once on one factor).  The
+reference's distinct-degree split is a copy of the repeated-squaring
+split, independent of the library's Frobenius-matrix one."""
 
 import json
 import random
@@ -11,21 +13,45 @@ from lps.factor import factor_multivariate
 from lps.parser import parse_poly
 from lps.poly import MPoly, squarefree_decompose
 from lps.unifactor import (
+    _deg,
     _distinct_degree,
+    _divmod_mod,
     _equal_degree,
+    _gcd_mod,
     _next_prime_after,
     _pick_prime,
+    _powmod,
     _primitive,
     _scale_mod,
     _squarefree_mod,
+    _sub_mod,
     zassenhaus,
 )
+
+
+def _reference_distinct_degree(f, p):
+    """The split by repeated squaring: h = x^(p^d) mod the cofactor left."""
+    out = []
+    h = [0, 1]
+    d = 0
+    f = list(f)
+    while len(f) - 1 >= 2 * (d + 1):
+        d += 1
+        h = _powmod(h, p, f, p)
+        g = _gcd_mod(_sub_mod(h, [0, 1], p), f, p)
+        if _deg(g) > 0:
+            out.append((g, d))
+            f = _divmod_mod(f, g, p)[0]
+            h = _divmod_mod(h, f, p)[1]
+    if _deg(f) > 0:
+        out.append((f, _deg(f)))
+    return out
 
 
 def _reference_factor_mod_p(f, p):
     f = _scale_mod(f, pow(f[-1] % p, -1, p), p)
     out = []
-    for g, d in _distinct_degree(f, p):
+    for g, d in _reference_distinct_degree(f, p):
         rng = random.Random(p * 1000003 + d)
         out.extend(_equal_degree(g, d, p, rng))
     out.sort()
@@ -114,3 +140,38 @@ def test_pick_prime_matches_full_split_rule_on_fixture_images(monkeypatch):
     assert max(len(f) - 1 for f in images) >= 10
     for f in images:
         assert _pick_prime(f) == _reference_pick_prime(f)
+
+
+ODD_PRIMES = (3, 5, 7, 11, 13, 17, 19, 23)
+
+
+def _random_monic_squarefree_mod_p(rng, p):
+    while True:
+        f = [rng.randrange(p) for _ in range(rng.randint(2, 30))] + [1]
+        if _squarefree_mod(f, p):
+            return f
+
+
+def test_distinct_degree_matches_repeated_squaring():
+    rng = random.Random(20261019)
+    degrees = set()
+    abandoned = 0
+    for p in ODD_PRIMES:
+        for _ in range(25):
+            f = _random_monic_squarefree_mod_p(rng, p)
+            want = _reference_distinct_degree(f, p)
+            assert _distinct_degree(f, p) == want, (f, p)
+            degrees.update(d for _, d in want)
+            count = sum(_deg(g) // d for g, d in want)
+            # with a limit, the split is abandoned only once its count
+            # reaches the limit, and is otherwise the same split
+            for limit in range(1, count + 3):
+                got = _distinct_degree(f, p, limit)
+                if got is None:
+                    assert count >= limit, (f, p, limit)
+                    abandoned += 1
+                else:
+                    assert got == want, (f, p, limit)
+            assert _distinct_degree(f, p, count + 1) == want
+    # the sample splits off several distinct degrees and abandons splits
+    assert max(degrees) >= 5 and abandoned
