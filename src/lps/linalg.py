@@ -1,4 +1,4 @@
-"""Exact rational linear algebra: sparse matrices, kernels, affine solves.
+"""Exact rational linear algebra: sparse matrices and their kernels.
 
 `nullspace` first peels the forced-zero unknowns.  If a row's only nonzero
 entry among the remaining columns is in column j, every kernel vector has
@@ -8,13 +8,14 @@ peel repeats (the singleton-row presolve of sparse LP, Andersen & Andersen
 Delaplace 2016).  Before it is trusted, the peel is re-checked as a
 certificate: each forcing row has a nonzero in its own column and nonzeros
 elsewhere only in columns dropped before it.  The surviving columns go to
-one of two engines that produce the same canonical answer: a fraction-free
-sparse elimination over the integers (used for small systems) and a modular
-engine (one mod-p elimination per prime, CRT, rational reconstruction).
-The canonical kernel basis is the reduced-row-echelon one: one vector per
-free column (ascending), scaled integer-primitive with a positive entry at
-its free column.  Every vector either engine emits is verified exactly
-over Q before it is returned.
+the modular engine (one mod-p elimination per prime, CRT, rational
+reconstruction).  A fraction-free sparse elimination over the integers
+gives the same canonical answer; it is the modular engine's fallback when
+no number of primes reconstructs, and the reference the tests compare it
+against.  The canonical kernel basis is the reduced-row-echelon one: one
+vector per free column (ascending), scaled integer-primitive with a
+positive entry at its free column.  Every vector either engine emits is
+verified exactly over Q before it is returned.
 
 Why the peel cannot change the answer.  Column f is free iff some kernel
 vector has its last nonzero at f, and the canonical vector of f is the
@@ -66,12 +67,11 @@ from fractions import Fraction
 
 from .errors import InternalError
 from .intarith import primes_below, rational_reconstruct
-from .poly import rat
 
 _PRIMES = primes_below(2**20, 48)
 
-# Systems at most this big go through the fraction-free exact engine.
-_EXACT_CELL_LIMIT = 5000
+# Unused by lps; perfbench/tracing.py reads it, and at 0 labels every nonempty call "modular".
+_EXACT_CELL_LIMIT = 0
 
 
 @dataclass
@@ -97,15 +97,6 @@ class RatMatrix:
             if vec[j]:
                 out[i] += v * vec[j]
         return out
-
-
-@dataclass
-class AffineSolutionSet:
-    """Solutions of A x = b as particular + span(nullspace_basis).
-    Every reported vector satisfies the defining system exactly."""
-
-    particular: tuple
-    nullspace_basis: list
 
 
 def _integer_rows(mat: RatMatrix) -> list[dict[int, int]]:
@@ -390,16 +381,12 @@ def nullspace(mat: RatMatrix) -> list[tuple]:
     """Canonical kernel basis of mat (RREF form, see module docstring).
     Deterministic: identical input gives bit-identical output.  The
     forced-zero columns are peeled first; the surviving ones go through
-    the exact engine if they make at most _EXACT_CELL_LIMIT cells, through
-    the modular engine otherwise, and either verifies what it returns.
-    The basis is zero-extended over the peeled columns."""
+    the modular engine, which verifies what it returns.  The basis is
+    zero-extended over the peeled columns."""
     sub, keep = _drop_peeled(mat, _peel(mat))
     if not keep:
         return []
-    if sub.nrows * sub.ncols <= _EXACT_CELL_LIMIT:
-        basis = _nullspace_exact(sub)
-    else:
-        basis = _nullspace_modular(sub)
+    basis = _nullspace_modular(sub)
     if len(keep) == mat.ncols:
         return basis
     out = []
@@ -410,31 +397,3 @@ def nullspace(mat: RatMatrix) -> list[tuple]:
         out.append(tuple(x))
     return out
 
-
-def solve_affine(mat: RatMatrix, rhs: list) -> AffineSolutionSet | None:
-    """Solve A x = rhs exactly.  Returns None when inconsistent; otherwise
-    the canonical particular solution (free variables zero) plus the
-    canonical kernel basis of A."""
-    n = mat.ncols
-    entries = dict(mat.entries)
-    for i, v in enumerate(rhs):
-        v = Fraction(v)
-        if v:
-            entries[(i, n)] = v
-    aug = RatMatrix(mat.nrows, n + 1, entries)
-    basis = nullspace(aug)
-    particular = None
-    kernel = []
-    for vec in basis:
-        if vec[n] == 0:
-            kernel.append(vec[:n])
-        else:
-            s = vec[n]
-            particular = tuple(rat(Fraction(-v, s)) for v in vec[:n])
-    if particular is None:
-        # the rhs column was a pivot column: no solution
-        return None
-    out = mat.apply(particular)
-    if any(out[i] != Fraction(rhs[i]) for i in range(mat.nrows)):
-        raise InternalError("affine solve verification failed")
-    return AffineSolutionSet(particular, kernel)

@@ -260,8 +260,7 @@ def parse_ode(text: str, order: int | None = None) -> RationalODE:
         )
     variables = RING1 if head_order == 1 else RING2
     parser = _Parser(text, tokens, variables)
-    head = parser.take()
-    assert head.kind == "NAME"
+    parser.take()  # the head, checked above
     parser.expect_op("=")
     num, den = parser.expr()
     parser.finish()

@@ -466,11 +466,6 @@ def monomials_of_degree(ring: tuple[str, ...], degree: int) -> list[tuple[int, .
     return out
 
 
-def candidate_monomials(ring: tuple[str, ...], degree: int) -> list[tuple[int, ...]]:
-    """All exponent tuples of total degree <= degree, ascending grlex."""
-    return [m for d in range(degree + 1) for m in monomials_of_degree(ring, d)]
-
-
 # ---------------------------------------------------------------------------
 # GCD.  The default is GCDHEU (Char, Geddes & Gonnet 1989): evaluate the last
 # variable at a large integer xi, recurse down to an integer gcd, and

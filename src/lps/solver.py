@@ -29,20 +29,20 @@ The search climbs a degree ladder, one linear system per degree d.
 common to every column leaves the kernel alone) and owns the row index:
 the columns of degree d are a prefix of those of degree d+1 (grlex order),
 rows are numbered in order of first appearance and each rung assembles
-only its new columns.  Its row keys are monomials packed into ints, a
-fixed number of bits per variable, so shifting a term by a column's
-monomial is one integer addition.  Each rung's kernel is a fresh `linalg.nullspace`,
-which peels the unknowns forced to zero before it eliminates: on these
-sparse systems most are (every rung of eq8, most rungs of eq7), and the
-surviving columns are not nested from one rung to the next, so no
-elimination is carried up the ladder.
+only its new columns.  It is the library's only polynomials->matrix
+builder.  Its row keys are monomials packed into ints, a fixed number of
+bits per variable, so shifting a term by a column's monomial is one
+integer addition.  Each rung's kernel is a fresh `linalg.nullspace`,
+which peels the unknowns forced to zero before its modular engine
+eliminates: on these sparse systems most are (every rung of eq8, most
+rungs of eq7), and the surviving columns are not nested from one rung to
+the next, so no elimination is carried up the ladder.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import DomainError, InternalError
 from .linalg import RatMatrix, nullspace
@@ -88,28 +88,6 @@ def build_field(ode: RationalODE) -> VectorField:
         scale = n
         divergence = m.derivative("z") * n - m * n.derivative("z")
     return VectorField(ode.order, m, n, coeffs, scale, divergence)
-
-
-def poly_system(columns: list, target: MPoly | None = None) -> tuple[RatMatrix, list | None]:
-    """The linear system sum_j u_j columns[j] = target over Q: one row per
-    monomial of the union of the supports, in order of first appearance
-    (target's terms first, then each column's), one column per
-    polynomial.  All polynomials share a ring.  The right-hand side is
-    None without a target."""
-    index: dict = {}
-    if target is not None:
-        for m in target.terms:
-            index.setdefault(m, len(index))
-    entries = {}
-    for j, p in enumerate(columns):
-        for m, c in p.terms.items():
-            entries[(index.setdefault(m, len(index)), j)] = c
-    rhs = None
-    if target is not None:
-        rhs = [Fraction(0)] * len(index)
-        for m, c in target.terms.items():
-            rhs[index[m]] = c
-    return RatMatrix(len(index), len(columns), entries), rhs
 
 
 @dataclass(frozen=True)

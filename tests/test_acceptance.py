@@ -28,10 +28,10 @@ from lps.darboux import (
     verify_first_integral,
 )
 from lps.factor import darboux_check, degree1_dp_search, factor_multivariate
-from lps.linalg import RatMatrix, nullspace, solve_affine
+from lps.linalg import RatMatrix, nullspace
 from lps.parser import parse_ode, parse_poly
 from lps.poly import MPoly, mpoly_gcd, squarefree_decompose
-from lps.solver import build_field, lps2_search, lps_search, poly_system, verify_iif_identity
+from lps.solver import build_field, lps2_search, lps_search, verify_iif_identity
 from lps.synth import measure_recovery, plant
 
 X = MPoly.variable("x")
@@ -311,6 +311,24 @@ def _rand_kernel_poly(rng, nvars=2, max_deg=2, max_terms=3, bound=4):
     return MPoly.from_dict(ring, terms)
 
 
+def _affine_solve(mat, rhs):
+    """(particular, kernel basis) of mat x = rhs, from the kernel of mat
+    with rhs as one more column: the system is consistent iff a kernel
+    vector is nonzero in that column (the canonical basis has at most one),
+    and x = -v[:n] / v[n] for that vector v.  particular is None when the
+    system is inconsistent."""
+    n = mat.ncols
+    entries = dict(mat.entries)
+    entries.update({(i, n): v for i, v in enumerate(rhs) if v})
+    particular, kernel = None, []
+    for vec in nullspace(RatMatrix(mat.nrows, n + 1, entries)):
+        if vec[n]:
+            particular = tuple(Fraction(-v, vec[n]) for v in vec[:n])
+        else:
+            kernel.append(vec[:n])
+    return particular, kernel
+
+
 def test_criterion_7_algebra_kernel_properties():
     rng = random.Random(777)
     problems = []
@@ -367,8 +385,8 @@ def test_criterion_7_algebra_kernel_properties():
                 break
         point = tuple(Fraction(rng.randint(-3, 3)) for _ in range(ncols))
         rhs = mat.apply(point)
-        sol = solve_affine(mat, rhs)
-        if sol is None or mat.apply(sol.particular) != rhs:
+        particular, _ = _affine_solve(mat, rhs)
+        if particular is None or mat.apply(particular) != rhs:
             problems.append("affine solve missed a consistent system")
 
     _report("7 (1000-case factor/gcd/squarefree/nullspace loops, exact)", problems)
@@ -387,14 +405,20 @@ def test_criterion_8_exponents_balance_divergence():
             q.append(fac.q)
     divergence = ode.n.derivative("x") + ode.m.derivative("y")
     if not problems:
-        solutions = solve_affine(*poly_system(q, -divergence))
-        if solutions is None:
+        # u_1 q_1 + u_2 q_2 = -divergence, one row per monomial
+        rows = {}
+        entries = {
+            (rows.setdefault(m, len(rows)), j): c
+            for j, p in enumerate([*q, -divergence])
+            for m, c in p.terms.items()
+        }
+        rhs = [entries.pop((i, 2), 0) for i in range(len(rows))]
+        particular, kernel = _affine_solve(RatMatrix(len(rows), 2, entries), rhs)
+        if particular is None:
             problems.append("cofactor relation is inconsistent")
-        elif solutions.particular != (Fraction(-2), Fraction(-1)):
-            problems.append(
-                f"exponents {solutions.particular} != (-2, -1)"
-            )
-        elif solutions.nullspace_basis:
+        elif particular != (Fraction(-2), Fraction(-1)):
+            problems.append(f"exponents {particular} != (-2, -1)")
+        elif kernel:
             problems.append("exponent solution unexpectedly non-unique")
         elif not (-2 * q[0] - q[1] + divergence).is_zero():
             problems.append("exponent/divergence balance has nonzero residual")

@@ -397,6 +397,14 @@ def test_bench_synthetic_summary():
     assert blob["synthetic"]["cases"] == 5
 
 
+@pytest.mark.parametrize("seed", [7, 11])
+def test_bench_synthetic_recovery_is_pinned(seed):
+    code, out, _ = run_cli(["bench", "eq5", "--synthetic", "50", "--seed", str(seed), "--json"])
+    assert code == 0
+    counts = json.loads(out)["synthetic"]
+    assert (counts["cases"], counts["coprime"], counts["recovered"]) == (50, 47, 47)
+
+
 def test_usage_error_on_unknown_flag():
     code, _, _ = run_cli(["solve", "--nope", "y' = y/x"])
     assert code == 2

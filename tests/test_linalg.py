@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from lps import linalg
 from lps.errors import InternalError
-from lps.linalg import AffineSolutionSet, RatMatrix, nullspace, solve_affine
+from lps.linalg import RatMatrix, nullspace
 
 P0 = linalg._PRIMES[0]  # the modular engine's first prime
 
@@ -158,47 +158,29 @@ def test_zero_and_identity():
     assert nullspace(eye) == []
 
 
-def test_solve_affine_constructed():
-    rng = random.Random(45)
-    for trial in range(100):
-        nr = rng.randint(1, 7)
-        nc = rng.randint(1, 7)
-        mat, _ = rand_matrix(rng, nr, nc, density=0.6)
-        x0 = [Fraction(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(nc)]
-        rhs = mat.apply(tuple(x0))
-        sol = solve_affine(mat, rhs)
-        assert isinstance(sol, AffineSolutionSet)
-        assert mat.apply(sol.particular) == rhs
-        for vec in sol.nullspace_basis:
-            assert all(v == 0 for v in mat.apply(vec))
-        assert sol.nullspace_basis == nullspace(mat)
-
-
 def test_kernel_vectors_are_ints_and_particulars_canonical():
-    """Kernel vectors come back as primitive ints (every engine), and a
-    particular solution holds ints where integral, Fractions otherwise."""
+    """Kernel vectors come back as primitive ints (every engine).  With a
+    consistent right-hand side b as one more column, exactly one kernel
+    vector v is nonzero there, and -v[:n] / v[n] is the canonical
+    particular solution of A x = b: zero at the free columns of A."""
     rng = random.Random(46)
     for trial in range(60):
-        mat, _ = rand_matrix(rng, rng.randint(1, 6), rng.randint(2, 7), density=0.6)
+        mat, rows = rand_matrix(rng, rng.randint(1, 6), rng.randint(2, 7), density=0.6)
         for engine in (linalg._nullspace_exact, linalg._nullspace_modular):
             for vec in engine(mat):
                 assert all(type(v) is int for v in vec)
-        x0 = [Fraction(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(mat.ncols)]
-        sol = solve_affine(mat, mat.apply(tuple(x0)))
-        assert all(type(v) is int or v.denominator > 1 for v in sol.particular)
-
-
-def test_solve_affine_inconsistent():
-    # x + y = 1 and x + y = 2 cannot both hold
-    mat = from_rows([{0: 1, 1: 1}, {0: 1, 1: 1}], 2)
-    assert solve_affine(mat, [1, 2]) is None
-
-
-def test_solve_affine_unique():
-    mat = from_rows([{0: 2}, {1: 3}], 2)
-    sol = solve_affine(mat, [Fraction(1), Fraction(1)])
-    assert sol.particular == (Fraction(1, 2), Fraction(1, 3))
-    assert sol.nullspace_basis == []
+        n = mat.ncols
+        x0 = [Fraction(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(n)]
+        rhs = mat.apply(tuple(x0))
+        aug = RatMatrix(mat.nrows, n + 1, {**mat.entries, **{(i, n): v for i, v in enumerate(rhs) if v}})
+        basis = nullspace(aug)
+        carrying = [vec for vec in basis if vec[n]]
+        assert len(carrying) == 1
+        particular = [Fraction(-v, carrying[0][n]) for v in carrying[0][:n]]
+        assert mat.apply(tuple(particular)) == rhs
+        pivots = set(rref_pivot_cols(dense_of(rows, n)))
+        assert all(particular[j] == 0 for j in range(n) if j not in pivots)
+        assert [vec[:n] for vec in basis if not vec[n]] == nullspace(mat)
 
 
 def test_big_aspect_ratio_modular():
@@ -244,14 +226,12 @@ def test_unlucky_first_prime_gives_the_exact_basis():
         assert linalg._nullspace_modular(mat) == exact
 
 
-def test_solve_affine_with_a_forced_zero_rhs_column_is_inconsistent():
-    # row 1 reads 0 x0 = 1; its stored zero is no entry, so the peel drops
-    # the rhs column (forced to zero), and no kernel vector carries it
-    mat = RatMatrix(2, 2, {(0, 0): 1, (0, 1): 2, (1, 0): 0})
-    assert linalg._peel(RatMatrix(2, 3, {**mat.entries, (1, 2): 1})) == [(2, 1)]
-    assert solve_affine(mat, [3, 1]) is None
-    sol = solve_affine(mat, [3, 0])
-    assert sol.particular == (3, 0) and sol.nullspace_basis == [(-2, 1)]
+def test_a_stored_zero_is_no_entry():
+    # row 1 reads 0 x0 + x2 = 0 with its zero stored; the peel counts it as
+    # no entry, so row 1 forces x2 to zero
+    mat = RatMatrix(2, 3, {(0, 0): 1, (0, 1): 2, (1, 0): 0, (1, 2): 1})
+    assert linalg._peel(mat) == [(2, 1)]
+    assert nullspace(mat) == [(-2, 1, 0)]
 
 
 def test_peel_is_closed_and_only_drops_forced_zeros():

@@ -20,9 +20,9 @@ from lps import cli, poly
 from lps.parser import parse_poly
 from lps.poly import (
     MPoly,
-    candidate_monomials,
     grlex_key,
     lowest_terms,
+    monomials_of_degree,
     mpoly_gcd,
     squarefree_decompose,
 )
@@ -30,6 +30,12 @@ from lps.poly import (
 X = MPoly.variable("x")
 Y = MPoly.variable("y")
 Z = MPoly.variable("z")
+
+
+def candidates(ring, degree):
+    """Exponent tuples of total degree <= degree, ascending grlex: the
+    columns of the search's degree-`degree` system."""
+    return [m for d in range(degree + 1) for m in monomials_of_degree(ring, d)]
 
 
 def rand_poly(rng, nvars=2, max_deg=3, max_terms=5, rational=False):
@@ -51,17 +57,17 @@ def rand_point(rng, poly):
 
 
 def test_grlex_candidate_order_degree_one():
-    monos = candidate_monomials(("x", "y"), 1)
+    monos = candidates(("x", "y"), 1)
     assert monos == [(0, 0), (1, 0), (0, 1)]  # 1, x, y
 
 
 def test_grlex_candidate_counts():
-    assert len(candidate_monomials(("x", "y"), 13)) == 105
-    assert len(candidate_monomials(("x", "y", "z"), 13)) == 560
+    assert len(candidates(("x", "y"), 13)) == 105
+    assert len(candidates(("x", "y", "z"), 13)) == 560
 
 
 def test_grlex_degree_two_order():
-    monos = candidate_monomials(("x", "y"), 2)
+    monos = candidates(("x", "y"), 2)
     assert monos == [(0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2)]
 
 

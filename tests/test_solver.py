@@ -11,7 +11,7 @@ import pytest
 from lps import linalg
 from lps.errors import DomainError
 from lps.parser import parse_ode, parse_poly
-from lps.poly import MPoly, candidate_monomials
+from lps.poly import MPoly, monomials_of_degree
 from lps.solver import (
     _select_kernel_poly,
     _SystemBuilder,
@@ -29,6 +29,12 @@ Y = MPoly.variable("y")
 Z = MPoly.variable("z")
 
 
+def candidates(ring, degree):
+    """Exponent tuples of total degree <= degree, ascending grlex: the
+    columns of the search's degree-`degree` system."""
+    return [m for d in range(degree + 1) for m in monomials_of_degree(ring, d)]
+
+
 def load_ode(name):
     return parse_ode((FIXTURES / f"{name}.txt").read_text())
 
@@ -41,8 +47,8 @@ def test_build_field_divergence():
 
 
 def test_candidate_sizes():
-    assert len(candidate_monomials(("x", "y"), 13)) == 105
-    assert len(candidate_monomials(("x", "y", "z"), 13)) == 560
+    assert len(candidates(("x", "y"), 13)) == 105
+    assert len(candidates(("x", "y", "z"), 13)) == 560
 
 
 def test_assemble_zero_rhs_field():
@@ -265,8 +271,8 @@ def test_ladder_matches_per_rung_exact_search():
 def test_ladder_matches_exact_search_with_an_unlucky_first_prime(monkeypatch):
     # every modular elimination starts at p = 3, where dependencies that
     # do not hold over Q are common and nothing reconstructs; the bases
-    # must not change.  The order-1 ladders peel down to the exact engine,
-    # so eq7's is checked too: its peeled rungs 9 to 13 are modular.
+    # must not change.  Every rung that survives the peel runs the modular
+    # engine: the order-1 ladders' and eq7's (its peeled rungs 9 to 13).
     want = lps2_search(load_ode("eq7"), max_degree=13)
     monkeypatch.setattr(linalg, "_PRIMES", [3] + linalg._PRIMES)
     primes_seen = []
@@ -325,7 +331,7 @@ def test_builder_columns_are_the_cleared_images(case):
     expected = {}
     for degree in range(top + 1):
         mat, cols = builder.build(degree)
-        assert cols == candidate_monomials(field.ring, degree)
+        assert cols == candidates(field.ring, degree)
         monomial_of = {i: unpack(t, len(field.ring)) for t, i in builder._rows.items()}
         assert sorted(monomial_of) == list(range(mat.nrows))
         columns = [{} for _ in cols]

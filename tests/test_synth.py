@@ -5,7 +5,7 @@ from lps.darboux import DarbouxFirstIntegral, compute_pol_pair, verify_first_int
 from lps.parser import RationalODE
 from lps.poly import MPoly, mpoly_gcd
 from lps.solver import build_field, verify_iif_identity
-from lps.synth import PlantedODE, _in_span, measure_recovery, plant
+from lps.synth import PlantedODE, measure_recovery, plant
 
 X = MPoly.variable("x")
 Y = MPoly.variable("y")
@@ -59,30 +59,46 @@ def test_coprime_plants_satisfy_identity_and_recover():
     assert seen_coprime >= 20
 
 
-def test_hand_planted_product_xy():
-    integral = DarbouxFirstIntegral(
-        a=ZERO, b=ONE, factors=((X, Fraction(1)), (Y, Fraction(-1)))
-    )
+def hand_planted(a, b, factors):
+    integral = DarbouxFirstIntegral(a=a, b=b, factors=tuple(factors))
     pol_x, pol_y, coprime = compute_pol_pair(integral)
-    assert (pol_x, pol_y, coprime) == (Y, -X, True)
-    ode = RationalODE.from_quotient(1, -pol_x, pol_y)
-    planted = PlantedODE(
-        ode=ode,
+    planted_v = b * b
+    for p, _ in factors:
+        planted_v = planted_v * p
+    return PlantedODE(
+        ode=RationalODE.from_quotient(1, -pol_x, pol_y),
         integral=integral,
-        planted_v=(X * Y).normalized(),
+        planted_v=planted_v.normalized(),
         pol_x=pol_x,
         pol_y=pol_y,
         coprime=coprime,
     )
+
+
+def test_hand_planted_product_xy():
+    planted = hand_planted(ZERO, ONE, [(X, Fraction(1)), (Y, Fraction(-1))])
+    assert (planted.pol_x, planted.pol_y, planted.coprime) == (Y, -X, True)
     outcome = measure_recovery(planted)
     assert outcome.identity_holds
     assert outcome.recovered
     assert outcome.degree_found == 2
 
 
-def test_in_span_detects_membership():
-    basis = (X * X, X * Y)
-    assert _in_span(X * X + 3 * X * Y, basis)
-    assert _in_span(X * Y, basis)
-    assert not _in_span(Y * Y, basis)
-    assert not _in_span(X, basis)
+def test_recovery_through_the_identity_alone():
+    # the search selects another kernel element than the planted V, at V's
+    # degree (exp(y/(1+x)): V = (1+x)^2, found y^2) or below it
+    # ((y-2)(y^2-xy)/(1+y): V of degree 4, found (1+y)^2); V still lies in
+    # the kernel, which the search identity decides
+    cases = [
+        (hand_planted(Y, X + 1, []), Y * Y, 2),
+        (
+            hand_planted(ZERO, ONE, [(Y - 2, Fraction(1)), (Y + 1, Fraction(-1)), (Y * Y - X * Y, Fraction(1))]),
+            (Y + 1) ** 2,
+            2,
+        ),
+    ]
+    for planted, found, degree in cases:
+        outcome = measure_recovery(planted)
+        assert (outcome.found_v, outcome.degree_found) == (found, degree)
+        assert found.exact_divide(planted.planted_v) is None
+        assert outcome.identity_holds and outcome.recovered
