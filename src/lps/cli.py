@@ -22,7 +22,7 @@ import time
 from fractions import Fraction
 from importlib import resources
 
-from .darboux import check_v_factors, lps2_postprocess, reconstruct_first_integral
+from .darboux import check_v_factors, reconstruct_first_integral
 from .errors import InternalError, LpsError, ParseError
 from .factor import degree1_dp_search, factor_multivariate
 from .parser import parse_ode, parse_poly
@@ -184,19 +184,13 @@ def cmd_solve(args) -> int:
 
     report["degree_found"] = found.degree_found
     t0 = time.perf_counter()
-    if ode.order == 1:
-        factored = factor_multivariate(found.v_num)
-        kind, k, denominator = found.kind, found.k, found.v_den.to_text()
-        checked = check_v_factors(field, found, factored)
-    else:
-        factored = factor_multivariate(found.p_j)
-        kind, k, denominator = "polynomial", 1, "1"
-        checked = (lps2_postprocess(field, found, factorization=factored),)
+    factored = factor_multivariate(found.v_num)
+    checked = check_v_factors(field, found, factored)
     report["v"] = {
         "factored": [[f.to_text(), mult] for f, mult in factored.factors],
-        "kind": kind,
-        "k": k,
-        "denominator": denominator,
+        "kind": found.kind,
+        "k": found.k,
+        "denominator": found.v_den.to_text(),
     }
     report["darboux"] = [fac.to_json_dict() for part in checked for fac in part]
     warnings.extend(p.to_text() for part in checked for p, _ in part.failed)
@@ -214,13 +208,9 @@ def cmd_solve(args) -> int:
     report["verified"]["pde"] = True
     if integral is not None:
         report["verified"]["integral"] = True
-    if ode.order == 1:
-        report["verified"]["closedness"] = _identity_from_scratch(
-            ode, found.v_num, found.v_den, found.k
-        )
-    else:
-        one = MPoly.constant(1, field.ring)
-        report["verified"]["closedness"] = _identity_from_scratch(ode, found.p_j, one, 1)
+    report["verified"]["closedness"] = _identity_from_scratch(
+        ode, found.v_num, found.v_den, found.k
+    )
     timings["verify"] = time.perf_counter() - t0
 
     _finish_timings(timings, t_total)
@@ -313,7 +303,7 @@ def _integral_from_scratch(ode, blob: dict) -> bool:
     summed over one common denominator by cross-multiplication (no gcd).
     For order 2, D = N X is used instead of X: the nonzero factor N does
     not change whether the sum is zero."""
-    ring = ("x", "y") if ode.order == 1 else ("x", "y", "z")
+    ring = ode.ring
     act = _action(ode)
     a = parse_poly(str(blob["A"]), ring)
     b = parse_poly(str(blob["B"]), ring)
@@ -353,7 +343,7 @@ def cmd_verify(args) -> int:
         except (ValueError, KeyError, TypeError, ZeroDivisionError) as exc:
             return _fail(f"bad --integral: {exc}", 2)
     else:
-        ring = ("x", "y") if ode.order == 1 else ("x", "y", "z")
+        ring = ode.ring
         num = parse_poly(args.v, ring)
         den = parse_poly(args.v_den, ring) if args.v_den else MPoly.constant(1, ring)
         holds = _identity_from_scratch(ode, num, den, args.power)
@@ -433,9 +423,8 @@ def cmd_bench(args) -> int:
                      "found" if found else "not found"))
 
         if found is not None:
-            target = found.v_num if cfg["order"] == 1 else found.p_j
             t0 = time.perf_counter()
-            factor_multivariate(target)
+            factor_multivariate(found.v_num)
             rows.append((name, "factor", (time.perf_counter() - t0) * 1000,
                          degree, *shape, "ok"))
 

@@ -18,8 +18,9 @@ is op(log I) times B^2 prod p_j.  With op the field's D it must vanish
 gives (Pol_x, Pol_y).  B = 0 or a zero p_j is rejected, since the cleared
 expression would vanish trivially.
 
-Second-order multipliers do not lead to a quadrature here; they are
-decomposed into their verified Darboux factors instead.
+`check_v_factors` Darboux-checks the factors of a found V for either
+order.  Second-order multipliers do not lead to a quadrature here; they
+are decomposed into their verified Darboux factors only.
 """
 
 from dataclasses import dataclass
@@ -30,7 +31,7 @@ from .errors import DomainError, InternalError
 from .factor import DarbouxFactor, darboux_check, factor_multivariate
 from .linalg import nullspace
 from .poly import MPoly, mpoly_gcd
-from .solver import InverseIntegratingFactor, JacobiMultiplier, VectorField, _SystemBuilder
+from .solver import InverseIntegratingFactor, VectorField, _SystemBuilder
 
 
 @dataclass(frozen=True)
@@ -131,31 +132,32 @@ class DarbouxFactorList(list):
         self.failed = list(failed)
 
 
-def check_darboux_factors(field: VectorField, pairs) -> DarbouxFactorList:
-    """Darboux-check every (p, multiplicity) pair of a factorization."""
-    good: list[DarbouxFactor] = []
-    bad = []
-    for f, mult in pairs:
-        fac = darboux_check(field, f.extend_ring(field.ring), mult)
-        if fac is None:
-            bad.append((f, mult))
-        else:
-            good.append(fac)
-    return DarbouxFactorList(good, bad)
-
-
 def check_v_factors(
     field: VectorField, v: InverseIntegratingFactor, factorization=None
 ) -> tuple:
     """V's numerator and (non-constant) denominator, each factored once,
     with every factor Darboux-checked: a pair of DarbouxFactorLists.
-    Pass a precomputed Factorization of v.v_num to skip refactoring it."""
+    Pass a precomputed Factorization of v.v_num to skip refactoring it.
+    For a second order field v.v_num is the Jacobi multiplier and the
+    denominator part is empty."""
+
+    def checked(pairs) -> DarbouxFactorList:
+        good: list[DarbouxFactor] = []
+        bad = []
+        for f, mult in pairs:
+            fac = darboux_check(field, f.extend_ring(field.ring), mult)
+            if fac is None:
+                bad.append((f, mult))
+            else:
+                good.append(fac)
+        return DarbouxFactorList(good, bad)
+
     if factorization is None:
         factorization = factor_multivariate(v.v_num)
-    num = check_darboux_factors(field, factorization.factors)
+    num = checked(factorization.factors)
     if v.v_den.is_constant():
         return num, DarbouxFactorList()
-    return num, check_darboux_factors(field, factor_multivariate(v.v_den).factors)
+    return num, checked(factor_multivariate(v.v_den).factors)
 
 
 def reconstruct_first_integral(
@@ -239,21 +241,3 @@ def compute_pol_pair(integral: DarbouxFirstIntegral) -> tuple:
     g = mpoly_gcd(pair[0], pair[1])
     coprime = not g.is_zero() and g.total_degree() == 0
     return pair[0], pair[1], coprime
-
-
-def lps2_postprocess(
-    field: VectorField, multiplier: JacobiMultiplier, factorization=None
-) -> DarbouxFactorList:
-    """Factor a polynomial Jacobi multiplier and verify every irreducible
-    factor as a Darboux polynomial of the cleared second-order field.
-
-    Pass a precomputed Factorization of multiplier.p_j to skip the
-    (possibly expensive) refactoring."""
-    if field.order != 2:
-        raise DomainError("multiplier postprocessing needs a second-order field")
-    p = multiplier.p_j.extend_ring(field.ring)
-    if p.is_constant():
-        return DarbouxFactorList()
-    if factorization is None:
-        factorization = factor_multivariate(p)
-    return check_darboux_factors(field, factorization.factors)

@@ -22,7 +22,9 @@ identity is cleared of denominators with the factor `scale` (1 for order
     div = N_x + M_y (order 1),  M_z N - M N_z (order 2),
 
 so scale D = N^2 dx + z N^2 dy + N M dz for order 2.  Every linear
-system is read off D.
+system is read off D, and both orders share one search and one result,
+`InverseIntegratingFactor`: for order 2 its v_num is the Jacobi
+multiplier, with v_den = 1 and k = 1.
 
 The search climbs a degree ladder, one linear system per degree d.
 `_SystemBuilder` clears the identity to integers once (a positive factor
@@ -46,7 +48,7 @@ from dataclasses import dataclass
 
 from .errors import DomainError, InternalError
 from .linalg import RatMatrix, nullspace
-from .parser import RationalODE
+from .parser import RING1, RING2, RationalODE
 from .poly import MPoly, grlex_key, monomials_of_degree, rat
 
 
@@ -65,7 +67,7 @@ class VectorField:
 
     @property
     def ring(self) -> tuple[str, ...]:
-        return ("x", "y") if self.order == 1 else ("x", "y", "z")
+        return RING1 if self.order == 1 else RING2
 
     def apply(self, p: MPoly) -> MPoly:
         """D(p) = sum_v c_v dp/dv."""
@@ -96,45 +98,17 @@ class InverseIntegratingFactor:
     normalized; the defining identity (cleared of denominators) is
 
         scale (v_den D(v_num) - v_num D(v_den)) = k div v_num v_den.
-    """
+
+    For a second order equation v_num is the polynomial inverse Jacobi
+    multiplier (kind "polynomial", v_den = 1, k = 1)."""
 
     kind: str  # "polynomial" | "rational" | "kth_root"
     v_num: MPoly
     v_den: MPoly
     k: int
     degree_found: int
-    nullspace_dim: int
     basis: tuple = ()
     system: tuple = ()  # (rows, cols) of the system at degree_found
-
-    def to_json_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "v_num": self.v_num.to_text(),
-            "v_den": self.v_den.to_text(),
-            "k": self.k,
-            "degree_found": self.degree_found,
-            "nullspace_dim": self.nullspace_dim,
-        }
-
-
-@dataclass(frozen=True)
-class JacobiMultiplier:
-    """Polynomial inverse Jacobi multiplier of a rational 2ODE:
-    N D(p_j) = (M_z N - M N_z) p_j, D being N times the Cartan field."""
-
-    p_j: MPoly
-    degree_found: int
-    nullspace_dim: int
-    basis: tuple = ()
-    system: tuple = ()  # (rows, cols) of the system at degree_found
-
-    def to_json_dict(self) -> dict:
-        return {
-            "p_j": self.p_j.to_text(),
-            "degree_found": self.degree_found,
-            "nullspace_dim": self.nullspace_dim,
-        }
 
 
 class _SystemBuilder:
@@ -269,22 +243,12 @@ def _ladder(field: VectorField, max_degree: int, k: int, den: MPoly):
     return None
 
 
-def lps_search(
-    ode: RationalODE,
-    max_degree: int = 20,
-    k: int = 1,
-    denominator: MPoly | None = None,
+def _search(
+    ode: RationalODE, max_degree: int, k: int, denominator: MPoly | None
 ) -> InverseIntegratingFactor | None:
-    """Find a polynomial (or rational / k-th root, per arguments) inverse
-    integrating factor by degree-increasing kernel search.  Returns None
-    when every degree up to max_degree has an empty kernel.  A returned
-    factor has passed the exact check `verify_iif_identity`."""
-    if ode.order != 1:
-        raise DomainError("lps_search handles first order equations; use lps2_search")
+    """The degree ladder for either order, as an InverseIntegratingFactor."""
     if max_degree < 0:
         raise DomainError("max_degree must be nonnegative")
-    if k < 1:
-        raise DomainError("power k must be a positive integer")
     field = build_field(ode)
     den = _normalize_denominator(field, denominator)
     found = _ladder(field, max_degree, k, den)
@@ -297,35 +261,31 @@ def lps_search(
         kind = "polynomial"
     else:
         kind = "rational"
-    return InverseIntegratingFactor(
-        kind=kind,
-        v_num=v_num,
-        v_den=den,
-        k=k,
-        degree_found=degree,
-        nullspace_dim=len(basis),
-        basis=basis,
-        system=system,
-    )
+    return InverseIntegratingFactor(kind, v_num, den, k, degree, basis, system)
 
 
-def lps2_search(ode: RationalODE, max_degree: int = 20) -> JacobiMultiplier | None:
+def lps_search(
+    ode: RationalODE,
+    max_degree: int = 20,
+    k: int = 1,
+    denominator: MPoly | None = None,
+) -> InverseIntegratingFactor | None:
+    """Find a polynomial (or rational / k-th root, per arguments) inverse
+    integrating factor by degree-increasing kernel search.  Returns None
+    when every degree up to max_degree has an empty kernel.  A returned
+    factor has passed the exact check `verify_iif_identity`."""
+    if ode.order != 1:
+        raise DomainError("lps_search handles first order equations; use lps2_search")
+    if k < 1:
+        raise DomainError("power k must be a positive integer")
+    return _search(ode, max_degree, k, denominator)
+
+
+def lps2_search(ode: RationalODE, max_degree: int = 20) -> InverseIntegratingFactor | None:
     """Find a polynomial inverse Jacobi multiplier of a rational 2ODE by
-    the same degree-increasing kernel search.  A returned multiplier has
-    passed the exact check `verify_iif_identity` (with k = 1, den = 1)."""
+    the same degree-increasing kernel search; it is returned as the v_num
+    of a polynomial InverseIntegratingFactor (v_den = 1, k = 1) and has
+    passed the exact check `verify_iif_identity`."""
     if ode.order != 2:
         raise DomainError("lps2_search handles second order equations")
-    if max_degree < 0:
-        raise DomainError("max_degree must be nonnegative")
-    field = build_field(ode)
-    found = _ladder(field, max_degree, 1, MPoly.constant(1, field.ring))
-    if found is None:
-        return None
-    p_j, degree, basis, system = found
-    return JacobiMultiplier(
-        p_j=p_j,
-        degree_found=degree,
-        nullspace_dim=len(basis),
-        basis=basis,
-        system=system,
-    )
+    return _search(ode, max_degree, 1, None)

@@ -222,7 +222,7 @@ def test_criterion_5_identity_and_recovery(recovery_batch):
     found7 = lps2_search(ode7, max_degree=15)
     field7 = build_field(ode7)
     one3 = MPoly.constant(1, field7.ring)
-    if found7 is None or not verify_iif_identity(field7, found7.p_j, one3, 1):
+    if found7 is None or not verify_iif_identity(field7, found7.v_num, one3, 1):
         problems.append("eq7 emitted multiplier fails the identity")
 
     total = len(recovery_batch)

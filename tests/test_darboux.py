@@ -9,8 +9,8 @@ import pytest
 
 from lps.darboux import (
     DarbouxFirstIntegral,
+    check_v_factors,
     compute_pol_pair,
-    lps2_postprocess,
     reconstruct_first_integral,
     verify_first_integral,
 )
@@ -19,7 +19,6 @@ from lps.parser import parse_ode
 from lps.poly import MPoly
 from lps.solver import (
     InverseIntegratingFactor,
-    JacobiMultiplier,
     build_field,
     lps2_search,
     lps_search,
@@ -41,7 +40,7 @@ def test_reconstruct_product_form():
     # seeding with V = xy on y' = y/x splits into bare factors x and y
     field = build_field(parse_ode("y' = y/x"))
     seed = InverseIntegratingFactor(
-        kind="polynomial", v_num=X * Y, v_den=ONE, k=1, degree_found=2, nullspace_dim=3
+        kind="polynomial", v_num=X * Y, v_den=ONE, k=1, degree_found=2
     )
     integral = reconstruct_first_integral(field, seed)
     assert integral.a.is_zero()
@@ -109,7 +108,7 @@ def test_reconstruct_trivial_only_returns_none():
     # x + y is Darboux for the Euler field but supports no integral alone
     field = build_field(parse_ode("y' = y/x"))
     seed = InverseIntegratingFactor(
-        kind="polynomial", v_num=X + Y, v_den=ONE, k=1, degree_found=1, nullspace_dim=1
+        kind="polynomial", v_num=X + Y, v_den=ONE, k=1, degree_found=1
     )
     assert reconstruct_first_integral(field, seed) is None
 
@@ -117,7 +116,7 @@ def test_reconstruct_trivial_only_returns_none():
 def test_reconstruct_rejects_second_order():
     field = build_field(parse_ode("y'' = z"))
     seed = InverseIntegratingFactor(
-        kind="polynomial", v_num=Z, v_den=ONE, k=1, degree_found=1, nullspace_dim=1
+        kind="polynomial", v_num=Z, v_den=ONE, k=1, degree_found=1
     )
     with pytest.raises(DomainError):
         reconstruct_first_integral(field, seed)
@@ -179,11 +178,12 @@ def test_integral_json_shape():
     assert blob["factors"] == [["x^2 + y^7", "1/2"]]
 
 
-def test_lps2_postprocess_fixture_eq7():
+def test_check_v_factors_fixture_eq7():
     ode = load_ode("eq7")
     field = build_field(ode)
     found = lps2_search(ode, max_degree=13)
-    factors = lps2_postprocess(field, found)
+    factors, den = check_v_factors(field, found)
+    assert den == [] and den.failed == []
     assert factors.failed == []
     assert sorted((f.p.total_degree(), f.multiplicity) for f in factors) == [(3, 1), (5, 2)]
     for fac in factors:
@@ -195,23 +195,20 @@ def test_lps2_postprocess_fixture_eq7():
         assert image == fac.q * fac.p
 
 
-def test_lps2_postprocess_velocity_multiplier():
+def test_check_v_factors_velocity_multiplier():
     ode = parse_ode("y'' = z")
     field = build_field(ode)
     found = lps2_search(ode, max_degree=3)
-    assert found.p_j == Z
-    factors = lps2_postprocess(field, found)
+    assert found.v_num == Z
+    factors, den = check_v_factors(field, found)
     assert [(f.p, f.q, f.multiplicity) for f in factors] == [(Z, MPoly.constant(1, field.ring), 1)]
+    assert den == []
 
 
-def test_lps2_postprocess_constant_multiplier():
+def test_check_v_factors_constant_multiplier():
     field = build_field(parse_ode("y'' = z"))
-    trivial = JacobiMultiplier(p_j=MPoly.constant(1, field.ring), degree_found=0, nullspace_dim=1)
-    assert lps2_postprocess(field, trivial) == []
-
-
-def test_lps2_postprocess_rejects_first_order():
-    field = build_field(parse_ode("y' = y/x"))
-    trivial = JacobiMultiplier(p_j=X, degree_found=1, nullspace_dim=1)
-    with pytest.raises(DomainError):
-        lps2_postprocess(field, trivial)
+    one = MPoly.constant(1, field.ring)
+    trivial = InverseIntegratingFactor(
+        kind="polynomial", v_num=one, v_den=one, k=1, degree_found=0
+    )
+    assert check_v_factors(field, trivial) == ([], [])

@@ -51,3 +51,25 @@ def test_every_library_definition_is_used_in_the_library():
             if used[node.name] <= inside:
                 unused.append(f"{name}:{node.lineno} {node.name}")
     assert unused == []
+
+
+def assigned(node, name: str) -> bool:
+    """Whether node is a plain `name = ...` statement."""
+    return isinstance(node, ast.Assign) and [getattr(t, "id", None) for t in node.targets] == [name]
+
+
+def test_tracer_names_are_bound_in_the_library():
+    # perfbench/tracing.py rebinds each LAYERS entry by (module, function)
+    # name and reads linalg._EXACT_CELL_LIMIT, so a rename here would
+    # break traced benchmark runs
+    tracing = ast.parse((ROOT / "perfbench" / "tracing.py").read_text())
+    layers = next(ast.literal_eval(node.value) for node in tracing.body if assigned(node, "LAYERS"))
+    trees = {name.removesuffix(".py"): tree for name, tree in parsed()}
+    functions = {
+        name: {node.name for node in tree.body if isinstance(node, ast.FunctionDef)}
+        for name, tree in trees.items()
+    }
+    missing = [f"{module}.{function}" for module, function, _ in layers
+               if function not in functions.get(module, ())]
+    assert layers and missing == []
+    assert any(assigned(node, "_EXACT_CELL_LIMIT") for node in trees["linalg"].body)
