@@ -9,7 +9,8 @@ plain polynomial arithmetic so it shares no assembly code with the
 solver; solve's closedness flag is the same independent check.
 
 Exit codes: 0 success, 1 verification failed, 2 usage or parse error,
-3 nothing found within the degree bound, 4 internal invariant violation.
+3 nothing found within the degree bound, 4 internal invariant violation,
+5 over a work budget (see `errors.BudgetError`).
 """
 
 import argparse
@@ -23,7 +24,7 @@ from fractions import Fraction
 from importlib import resources
 
 from .darboux import check_v_factors, reconstruct_first_integral
-from .errors import InternalError, LpsError, ParseError
+from .errors import BudgetError, InternalError, LpsError, ParseError
 from .factor import degree1_dp_search, factor_multivariate
 from .parser import parse_ode, parse_poly
 from .poly import MPoly
@@ -544,6 +545,8 @@ def main(argv=None) -> int:
         return args.func(args)
     except InternalError as exc:
         return _fail(f"internal error: {exc}", 4)
+    except BudgetError as exc:
+        return _fail(str(exc), 5)
     except LpsError as exc:
         return _fail(str(exc), 2)
 

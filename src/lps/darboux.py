@@ -206,15 +206,15 @@ def reconstruct_first_integral(
 
     nonzero = [e for e in exponents if e]
     if nonzero:
-        scale = Fraction(lcm(*(e.denominator for e in nonzero)))
-        scale /= gcd(*(int(e * scale) for e in nonzero))
+        scale = Fraction(lcm(*[e.denominator for e in nonzero]))
+        scale /= gcd(*[int(e * scale) for e in nonzero])
         if nonzero[0] * scale < 0:
             scale = -scale
         a = a * scale
         exponents = [e * scale for e in exponents]
     elif not a.is_zero():
         a = a.normalized()
-    factors = tuple((fac.p, e) for fac, e in zip(candidates, exponents) if e)
+    factors = tuple([(fac.p, e) for fac, e in zip(candidates, exponents) if e])
 
     g = mpoly_gcd(a, b)
     if g.total_degree() > 0:
@@ -231,7 +231,7 @@ def compute_pol_pair(integral: DarbouxFirstIntegral) -> tuple:
     """The polynomial pair (Pol_x, Pol_y) obtained by clearing the
     exponents of I to integers and multiplying dI/dx and dI/dy by
     B^2 prod p_j / I; the third element flags gcd(Pol_x, Pol_y) constant."""
-    scale = lcm(*(n.denominator for _, n in integral.factors)) if integral.factors else 1
+    scale = lcm(*[n.denominator for _, n in integral.factors]) if integral.factors else 1
     a = integral.a * scale
     factors = [(p, n * scale) for p, n in integral.factors]
     pair = [

@@ -19,5 +19,10 @@ class DomainError(LpsError):
     """Input is well formed but outside the supported domain."""
 
 
+class BudgetError(LpsError):
+    """The input is valid, but answering it would exceed a fixed work
+    budget (`lps` exits 5)."""
+
+
 class InternalError(LpsError):
     """An internal invariant was violated; indicates a bug."""

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DomainError, InternalError
-from .poly import MPoly, Rat, grlex_key, mpoly_gcd, squarefree_decompose
+from .poly import MPoly, Rat, _as_univar, exponents, mpoly_gcd, squarefree_decompose
 from .solver import VectorField
 from .unifactor import recombine, zassenhaus
 
@@ -53,7 +53,10 @@ class DarbouxFactor:
 
 
 def _factor_key(p: MPoly):
-    return (p.total_degree(), p.num_terms(), grlex_key(p.leading_term()[0]), p.to_text())
+    # the leading monomial compares by its exponents over p's own ring, last
+    # variable first, so factors from different rings keep their order
+    lead = exponents(p.leading_term()[0], p.ring)[::-1]
+    return (p.total_degree(), p.num_terms(), lead, p.to_text())
 
 
 def _poly_from_dense(coeffs: list[int], var: str) -> MPoly:
@@ -61,19 +64,12 @@ def _poly_from_dense(coeffs: list[int], var: str) -> MPoly:
 
 
 def _strip_monomial(p: MPoly) -> tuple[list[tuple[MPoly, int]], MPoly]:
-    mins = None
-    for expo in p.terms:
-        mins = expo if mins is None else tuple(map(min, mins, expo))
-    if mins is None or not any(mins):
+    mins = tuple([min(col) for col in zip(*[exponents(m, p.ring) for m in p.terms])])
+    if not any(mins):
         return [], p
-    monos = []
-    for var, e in zip(p.ring, mins):
-        if e:
-            monos.append((MPoly.variable(var), e))
-    shifted = {
-        tuple(a - b for a, b in zip(expo, mins)): c for expo, c in p.terms.items()
-    }
-    return monos, MPoly.from_dict(p.ring, shifted)
+    monos = [(MPoly.variable(var), e) for var, e in zip(p.ring, mins) if e]
+    common = max(MPoly.from_dict(p.ring, {mins: 1}).terms)
+    return monos, MPoly(p.ring, {m - common: c for m, c in p.terms.items()})
 
 
 def _kronecker_weights(p: MPoly) -> tuple[tuple[str, ...], list[int]]:
@@ -90,9 +86,8 @@ def _kronecker_encode(p: MPoly, vs, weights) -> list[int]:
     out = [0] * (
         1 + sum(w * p.degree_in(v) for v, w in zip(vs, weights))
     )
-    pos = [p.ring.index(v) for v in vs]
-    for expo, c in p.terms.items():
-        out[sum(expo[i] * w for i, w in zip(pos, weights))] = int(c)
+    for m, c in p.terms.items():
+        out[sum(e * w for e, w in zip(exponents(m, vs), weights))] = int(c)
     return out
 
 
@@ -209,26 +204,17 @@ def darboux_check(field: VectorField, p: MPoly, multiplicity: int = 1) -> Darbou
 
 def _coeffs_in(p: MPoly, var: str) -> list[MPoly]:
     """Coefficients of powers of `var`, each projected off `var`."""
-    idx = p.ring.index(var)
-    buckets: dict[int, dict] = {}
-    for expo, c in p.terms.items():
-        rest = expo[:idx] + (0,) + expo[idx + 1 :]
-        buckets.setdefault(expo[idx], {})[rest] = c
-    out = []
-    for e in range(max(buckets) + 1 if buckets else 0):
-        out.append(MPoly.from_dict(p.ring, buckets.get(e, {})).project_ring())
-    return out
+    return [c.project_ring() for c in _as_univar(p, var)]
 
 
 def _dense_rat(p: MPoly, var: str) -> list[Rat]:
     """Dense coefficient list (ints and Fractions) of a polynomial in var."""
     if p.is_zero():
         return []
-    q = p.extend_ring((var,)) if var not in p.ring else p
-    idx = q.ring.index(var)
-    out = [0] * (q.degree_in(var) + 1)
-    for expo, c in q.terms.items():
-        out[expo[idx]] = c
+    powers = [(exponents(m, (var,))[0], c) for m, c in p.terms.items()]
+    out = [0] * (max(e for e, _ in powers) + 1)
+    for e, c in powers:
+        out[e] = c
     return out
 
 

@@ -125,7 +125,7 @@ def _integer_rows(mat: RatMatrix) -> list[dict[int, int]]:
 
 def _primitive_vector(vec: list, positive_at: int) -> tuple:
     """vec scaled to primitive integers (ints), positive at positive_at."""
-    den = math.lcm(*(v.denominator for v in vec))
+    den = math.lcm(*[v.denominator for v in vec])
     ints = [v.numerator * (den // v.denominator) for v in vec]
     g = math.gcd(*ints)
     if g > 1:

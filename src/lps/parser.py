@@ -6,12 +6,14 @@ y' for first order equations, z' or y'' for second order ones (z stands
 for y').  Every subexpression evaluates to a (numerator, denominator)
 pair of polynomials with no gcd taken along the way; the result is put
 in lowest terms once, by `poly.lowest_terms`.  A power, product or
-quotient, or a sum or difference over unequal denominators, whose degree
-would exceed _MAX_DEGREE is refused before it is expanded.
+quotient, or a sum or difference over unequal denominators, is refused
+before it is expanded when its degree would exceed _MAX_DEGREE or its
+term products _MAX_TERMS.
 """
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 
@@ -27,6 +29,14 @@ _MAX_EXP = 64
 # degree, unreduced).  Real inputs stay far below it: the fixtures, the
 # golden corpus and the benchmark's equations have total degree <= 12.
 _MAX_DEGREE = 128
+# Bound on the size of the same operations: for a product, quotient or
+# cross-multiplying sum, the product of the operands' term counts (each
+# the larger of numerator and denominator); for a power, the number
+# C(d + n, n) of monomials of degree <= d in the base's n variables.  The
+# largest value any fixture, golden-corpus text or benchmark equation
+# (seeds 7, 11, 42 and 4242) reaches is 252; within the degree budget,
+# ((x+y+z)^32)*((x-y+z)^32) would multiply 561 by 561 terms.
+_MAX_TERMS = 100_000
 
 _ONE = MPoly.constant(1)
 
@@ -77,6 +87,11 @@ def _degree(value) -> int:
     return max(num.total_degree(), den.total_degree())
 
 
+def _terms(value) -> int:
+    num, den = value
+    return max(num.num_terms(), den.num_terms())
+
+
 def _fold(num: MPoly, den: MPoly) -> tuple[MPoly, MPoly]:
     """The pair with a constant denominator folded into the numerator, so
     that every denominator is 1 or non-constant."""
@@ -111,9 +126,11 @@ class _Parser:
         if tok.kind != "OP" or tok.text != op:
             self.fail(f"expected {op!r}", tok)
 
-    def check_degree(self, degree: int, tok: _Token):
+    def check_size(self, degree: int, terms: int, tok: _Token):
         if degree > _MAX_DEGREE:
             self.fail(f"degree {degree} exceeds {_MAX_DEGREE}", tok)
+        if terms > _MAX_TERMS:
+            self.fail(f"term count {terms} exceeds {_MAX_TERMS}", tok)
 
     # expr := term (('+'|'-') term)*
     def expr(self) -> tuple[MPoly, MPoly]:
@@ -126,7 +143,8 @@ class _Parser:
             if den == rden:
                 num = num + rnum
             else:
-                self.check_degree(_degree((num, den)) + _degree((rnum, rden)), tok)
+                self.check_size(_degree((num, den)) + _degree((rnum, rden)),
+                                _terms((num, den)) * _terms((rnum, rden)), tok)
                 num, den = num * rden + rnum * den, den * rden
         return num, den
 
@@ -142,7 +160,7 @@ class _Parser:
                 if rnum.is_zero():
                     self.fail("division by zero", tok)
                 rnum, rden = rden, rnum
-            self.check_degree(_degree(value) + _degree(rhs), tok)
+            self.check_size(_degree(value) + _degree(rhs), _terms(value) * _terms(rhs), tok)
             value = _fold(num * rnum, den * rden)
         return value
 
@@ -160,7 +178,8 @@ class _Parser:
                 if num.is_zero():
                     self.fail("zero raised to a negative power", tok)
                 num, den, e = den, num, -e
-            self.check_degree(_degree(value) * e, tok)
+            n = len(set(num.vars_used()) | set(den.vars_used()))
+            self.check_size(_degree(value) * e, math.comb(_degree(value) * e + n, n), tok)
             value = _fold(num**e, den**e)
         return value
 

@@ -1,9 +1,24 @@
 """Exact sparse multivariate polynomial arithmetic over the rationals.
 
-Polynomials live in an ordered subring of Q[x, y, z, w].  Terms are stored
-as a dict mapping exponent tuples to nonzero coefficients; the monomial
-order everywhere is graded lexicographic with x < y < z < w.  Binary
-operations transparently unify operands into the union ring.
+Polynomials live in an ordered subring of Q[x, y, z, w]; the ring of an
+MPoly lists its variables in the order of `VARS`.  Binary operations
+transparently unify operands into the union ring.
+
+Terms are stored as a dict mapping packed monomial keys to nonzero
+coefficients (Monagan & Pearce 2007).  A key holds one `_BITS`-bit field
+per variable of `VARS`, x in the lowest, and the total degree in the
+field above w:
+
+    key = e_x + e_y 2^16 + e_z 2^32 + e_w 2^48 + (e_x + e_y + e_z + e_w) 2^64.
+
+So integer order is graded lexicographic order with x < y < z < w,
+max(p.terms) is the leading monomial, and the product of two monomials
+is the sum of their keys.  A key does not depend on the ring, so
+changing a polynomial's ring never rewrites its terms.  Every total
+degree stays at most `MAX_KEY_DEGREE` = 2^16 - 1, which keeps each field
+in range: a product, power or constructor that would exceed it raises
+DomainError before it forms a key, so no field ever carries into the
+next.  `from_dict` takes exponent tuples and `exponents` reads them back.
 
 Coefficients keep one invariant: an integral coefficient is an int, any
 other a Fraction in lowest terms (`rat` enforces it wherever a
@@ -29,16 +44,48 @@ Rat = Fraction
 VARS = ("x", "y", "z", "w")
 _VAR_POS = {v: i for i, v in enumerate(VARS)}
 
+_BITS = 16
+_MASK = (1 << _BITS) - 1
+MAX_KEY_DEGREE = _MASK
+_SHIFT = {v: _BITS * i for i, v in enumerate(VARS)}
+_DEG = _BITS * len(VARS)  # the total-degree field, above every variable's
+# the key of the monomial v: its own field and the degree field at 1
+VAR_KEY = {v: (1 << s) + (1 << _DEG) for v, s in _SHIFT.items()}
+# the keys of degree MAX_KEY_DEGREE + 1 and beyond start here
+_LIMIT = (MAX_KEY_DEGREE + 1) << _DEG
 
-def grlex_key(exponents: tuple[int, ...]):
-    """Sort key realizing graded lex order with x < y < z < w ascending."""
-    return (sum(exponents), tuple(reversed(exponents)))
+
+def _overflow(degree: int) -> DomainError:
+    return DomainError(f"total degree {degree} overflows the packed monomials (at most {MAX_KEY_DEGREE})")
+
+
+def _pack(ring: tuple[str, ...], mono) -> int:
+    """The key of the exponent tuple mono over ring."""
+    if len(mono) != len(ring) or min(mono, default=0) < 0:
+        raise ValueError(f"exponents {tuple(mono)} do not fit the ring {ring}")
+    degree = sum(mono)
+    if degree > MAX_KEY_DEGREE:
+        raise _overflow(degree)
+    return sum(e << _SHIFT[v] for v, e in zip(ring, mono)) + (degree << _DEG)
+
+
+def exponents(key: int, ring: tuple[str, ...]) -> tuple[int, ...]:
+    """The exponent tuple of a key over ring (the decoding of `_pack`)."""
+    return tuple([(key >> _SHIFT[v]) & _MASK for v in ring])
 
 
 def rat(c) -> Rat:
     """The canonical form of a rational coefficient c (an int or a
     Fraction): its numerator when c is integral, otherwise c itself."""
     return c.numerator if c.denominator == 1 else c
+
+
+def _canonical(terms: dict) -> dict:
+    """terms with every coefficient in canonical form; all-int dicts (the
+    usual case) are returned as they are."""
+    if set(map(type, terms.values())) <= {int}:
+        return terms
+    return {m: rat(c) for m, c in terms.items()}
 
 
 def _rat_gcd(a: Rat, b: Rat) -> Rat:
@@ -53,19 +100,25 @@ def _rat_gcd(a: Rat, b: Rat) -> Rat:
     return num if den == 1 else Fraction(num, den)
 
 
+def _ring(names) -> tuple[str, ...]:
+    return tuple([v for v in VARS if v in names])
+
+
 def _merge_rings(r1: tuple[str, ...], r2: tuple[str, ...]) -> tuple[str, ...]:
     if r1 == r2:
         return r1
-    return tuple(v for v in VARS if v in r1 or v in r2)
+    return tuple([v for v in VARS if v in r1 or v in r2])
 
 
 class MPoly:
     """Immutable sparse polynomial with rational coefficients, each an int
-    when integral and a Fraction otherwise (see the module docstring).
+    when integral and a Fraction otherwise, keyed by packed monomials (see
+    the module docstring).
 
-    The raw constructor trusts its arguments; use from_dict / constant /
-    variable (which take int or Fraction coefficients) when the term dict
-    has not been cleaned of zeros or put in canonical form.
+    The raw constructor trusts its arguments (a ring in `VARS` order and
+    canonical nonzero coefficients under keys of that ring); use
+    from_dict / constant / variable (which take exponent tuples and int
+    or Fraction coefficients) otherwise.
     """
 
     __slots__ = ("ring", "terms")
@@ -78,29 +131,28 @@ class MPoly:
 
     @classmethod
     def from_dict(cls, ring: tuple[str, ...], terms: dict) -> "MPoly":
+        """The polynomial with {exponent tuple over ring: coefficient}."""
         clean = {}
         for mono, c in terms.items():
             c = rat(c)
             if c:
-                clean[tuple(mono)] = c
-        return cls(tuple(ring), clean)
+                clean[_pack(ring, tuple(mono))] = c
+        return cls(_ring(ring), clean)
 
     @classmethod
     def constant(cls, value, ring: tuple[str, ...] = ()) -> "MPoly":
         value = rat(value)
-        if not value:
-            return cls(tuple(ring), {})
-        return cls(tuple(ring), {(0,) * len(ring): value})
+        return cls(_ring(ring), {0: value} if value else {})
 
     @classmethod
     def zero(cls, ring: tuple[str, ...] = ()) -> "MPoly":
-        return cls(tuple(ring), {})
+        return cls(_ring(ring), {})
 
     @classmethod
     def variable(cls, name: str) -> "MPoly":
         if name not in _VAR_POS:
             raise DomainError(f"unknown variable {name!r}")
-        return cls((name,), {(1,): 1})
+        return cls((name,), {VAR_KEY[name]: 1})
 
     # -- basic queries -----------------------------------------------------
 
@@ -108,47 +160,41 @@ class MPoly:
         return not self.terms
 
     def is_constant(self) -> bool:
-        return all(not any(m) for m in self.terms)
+        return not self.terms or (len(self.terms) == 1 and 0 in self.terms)
 
     def constant_value(self) -> Rat:
         if not self.terms:
             return Fraction(0)
         if not self.is_constant():
             raise ValueError("not a constant polynomial")
-        return next(iter(self.terms.values()))
+        return self.terms[0]
 
     def total_degree(self) -> int:
         """Total degree; -1 for the zero polynomial."""
         if not self.terms:
             return -1
-        return max(sum(m) for m in self.terms)
+        return max(self.terms) >> _DEG
 
     def degree_in(self, var: str) -> int:
         if var not in self.ring:
             return 0 if self.terms else -1
-        i = self.ring.index(var)
         if not self.terms:
             return -1
-        return max(m[i] for m in self.terms)
+        s = _SHIFT[var]
+        return max((m >> s) & _MASK for m in self.terms)
 
     def vars_used(self) -> tuple[str, ...]:
         """Variables with a nonzero exponent somewhere in the support."""
-        used = [False] * len(self.ring)
+        seen = 0
         for m in self.terms:
-            for i, e in enumerate(m):
-                if e:
-                    used[i] = True
-        return tuple(v for v, u in zip(self.ring, used) if u)
+            seen |= m
+        return tuple([v for v in self.ring if (seen >> _SHIFT[v]) & _MASK])
 
-    def sorted_terms(self) -> list[tuple[tuple[int, ...], Rat]]:
-        """Terms in ascending grlex order."""
-        return sorted(self.terms.items(), key=lambda kv: grlex_key(kv[0]))
-
-    def leading_term(self) -> tuple[tuple[int, ...], Rat]:
-        """Grlex-greatest (monomial, coefficient) pair."""
+    def leading_term(self) -> tuple[int, Rat]:
+        """Grlex-greatest (monomial key, coefficient) pair."""
         if not self.terms:
             raise ValueError("zero polynomial has no leading term")
-        mono = max(self.terms, key=grlex_key)
+        mono = max(self.terms)
         return mono, self.terms[mono]
 
     def num_terms(self) -> int:
@@ -157,39 +203,26 @@ class MPoly:
     # -- ring management ---------------------------------------------------
 
     def extend_ring(self, ring: tuple[str, ...]) -> "MPoly":
-        """Reinterpret in a larger (or reordered superset) ring."""
+        """Reinterpret in a larger ring (given in any order)."""
         if ring == self.ring:
             return self
-        pos = []
         for v in self.ring:
             if v not in ring:
                 raise ValueError(f"target ring drops variable {v}")
-            pos.append(ring.index(v))
-        n = len(ring)
-        terms = {}
-        for m, c in self.terms.items():
-            mm = [0] * n
-            for p, e in zip(pos, m):
-                mm[p] = e
-            terms[tuple(mm)] = c
-        return MPoly(tuple(ring), terms)
+        return MPoly(_ring(ring), self.terms)
 
     def project_ring(self) -> "MPoly":
         """Shrink the ring to the variables actually used."""
         used = self.vars_used()
         if used == self.ring:
             return self
-        keep = [self.ring.index(v) for v in used]
-        terms = {}
-        for m, c in self.terms.items():
-            terms[tuple(m[i] for i in keep)] = c
-        return MPoly(used, terms)
+        return MPoly(used, self.terms)
 
     def _unify(self, other: "MPoly") -> tuple["MPoly", "MPoly"]:
         if self.ring == other.ring:
             return self, other
         ring = _merge_rings(self.ring, other.ring)
-        return self.extend_ring(ring), other.extend_ring(ring)
+        return MPoly(ring, self.terms), MPoly(ring, other.terms)
 
     # -- arithmetic --------------------------------------------------------
 
@@ -201,19 +234,21 @@ class MPoly:
             return MPoly.constant(value)
         return None
 
-    def __add__(self, other):
+    def _sum(self, other, sign: int):
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        a, b = self._unify(other)
-        terms = dict(a.terms)
-        for m, c in b.terms.items():
-            s = terms.get(m, 0) + c
+        terms = dict(self.terms)
+        for m, c in other.terms.items():
+            s = terms.get(m, 0) + sign * c
             if s:
                 terms[m] = rat(s)
             else:
                 terms.pop(m, None)
-        return MPoly(a.ring, terms)
+        return MPoly(_merge_rings(self.ring, other.ring), terms)
+
+    def __add__(self, other):
+        return self._sum(other, 1)
 
     __radd__ = __add__
 
@@ -221,50 +256,60 @@ class MPoly:
         return MPoly(self.ring, {m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self + (-other)
+        return self._sum(other, -1)
 
     def __rsub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return other + (-self)
+        return (-self)._sum(other, 1)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             c = rat(other)
             if not c:
                 return MPoly(self.ring, {})
-            return MPoly(self.ring, {m: rat(v * c) for m, v in self.terms.items()})
-        other = self._coerce(other)
-        if other is None:
+            return MPoly(self.ring, _canonical({m: v * c for m, v in self.terms.items()}))
+        if not isinstance(other, MPoly):
             return NotImplemented
-        a, b = self._unify(other)
-        if len(a.terms) < len(b.terms):
+        ring = _merge_rings(self.ring, other.ring)
+        a, b = self.terms, other.terms
+        if len(a) < len(b):
             a, b = b, a
+        if not b:
+            return MPoly(ring, {})
+        if max(a) + max(b) >= _LIMIT:
+            raise _overflow(self.total_degree() + other.total_degree())
         out: dict = {}
-        for mb, cb in b.terms.items():
-            for ma, ca in a.terms.items():
-                m = tuple(i + j for i, j in zip(ma, mb))
-                s = out.get(m, 0) + ca * cb
+        get = out.get
+        a_items = a.items()
+        for mb, cb in b.items():
+            for ma, ca in a_items:
+                m = ma + mb
+                s = get(m, 0) + ca * cb
                 if s:
                     out[m] = s
                 else:
                     del out[m]
-        return MPoly(a.ring, {m: rat(c) for m, c in out.items()})
+        return MPoly(ring, _canonical(out))
 
     __rmul__ = __mul__
 
     def __pow__(self, k: int):
         if not isinstance(k, int) or k < 0:
             raise ValueError("polynomial powers must be nonnegative integers")
-        result = MPoly.constant(1, self.ring)
+        if k == 0:
+            return MPoly.constant(1, self.ring)
+        if not self.terms:
+            return self
+        degree = self.total_degree()
+        if degree * k > MAX_KEY_DEGREE:
+            raise _overflow(degree * k)
+        if len(self.terms) == 1:
+            (m, c), = self.terms.items()
+            return MPoly(self.ring, {m * k: c**k})
+        result = None
         base = self
         while k:
             if k & 1:
-                result = result * base
+                result = base if result is None else result * base
             base = base * base if k > 1 else base
             k >>= 1
         return result
@@ -282,14 +327,14 @@ class MPoly:
     def derivative(self, var: str) -> "MPoly":
         if var not in self.ring:
             return MPoly(self.ring, {})
-        i = self.ring.index(var)
+        s, unit = _SHIFT[var], VAR_KEY[var]
+        # m -> m - unit is one to one, so no two terms meet
         out = {}
         for m, c in self.terms.items():
-            e = m[i]
+            e = (m >> s) & _MASK
             if e:
-                mm = m[:i] + (e - 1,) + m[i + 1 :]
-                out[mm] = out.get(mm, 0) + c * e
-        return MPoly(self.ring, {m: rat(c) for m, c in out.items() if c})
+                out[m - unit] = c * e
+        return MPoly(self.ring, _canonical(out))
 
     def substitute(self, bindings: dict) -> "MPoly":
         """Substitute polynomials or rationals for variables.  Unbound
@@ -305,42 +350,37 @@ class MPoly:
             return self
         caches: dict[str, list[MPoly]] = {v: [MPoly.constant(1)] for v in subs}
         result = MPoly.zero()
-        for m, c in self.sorted_terms():
+        for m, c in sorted(self.terms.items()):
             factor = MPoly.constant(c)
-            residual = {}
-            for i, e in enumerate(m):
-                if not e:
-                    continue
-                v = self.ring[i]
-                if v in subs:
+            residual = m
+            for v, p in subs.items():
+                e = (m >> _SHIFT[v]) & _MASK
+                if e:
                     cache = caches[v]
                     while len(cache) <= e:
-                        cache.append(cache[-1] * subs[v])
+                        cache.append(cache[-1] * p)
                     factor = factor * cache[e]
-                else:
-                    residual[v] = e
+                    residual -= e * VAR_KEY[v]
             if residual:
-                ring = tuple(v for v in VARS if v in residual)
-                mono = tuple(residual.get(v, 0) for v in ring)
-                factor = factor * MPoly(ring, {mono: 1})
+                ring = tuple([v for v in self.ring if (residual >> _SHIFT[v]) & _MASK])
+                factor = factor * MPoly(ring, {residual: 1})
             result = result + factor
         return result
 
     def eval_at(self, point: dict) -> Rat:
         """Evaluate at a rational point binding every used variable."""
         total = Fraction(0)
-        vals = [Fraction(point[v]) if v in point else None for v in self.ring]
-        pows: list[dict[int, Fraction]] = [dict() for _ in self.ring]
+        vals = [(v, _SHIFT[v], Fraction(point[v]) if v in point else None, {}) for v in self.ring]
         for m, c in self.terms.items():
             term = c
-            for i, e in enumerate(m):
+            for v, s, val, cache in vals:
+                e = (m >> s) & _MASK
                 if not e:
                     continue
-                if vals[i] is None:
-                    raise ValueError(f"no value for {self.ring[i]}")
-                cache = pows[i]
+                if val is None:
+                    raise ValueError(f"no value for {v}")
                 if e not in cache:
-                    cache[e] = vals[i] ** e
+                    cache[e] = val**e
                 term *= cache[e]
             total += term
         return total
@@ -354,29 +394,32 @@ class MPoly:
             raise ZeroDivisionError("polynomial division by zero")
         if self.is_zero():
             return MPoly(self.ring, {})
-        a, b = self._unify(divisor)
-        if b.is_constant():
-            return a * (Fraction(1) / b.constant_value())
-        lm_b, lc_b = b.leading_term()
-        rem = dict(a.terms)
+        ring = _merge_rings(self.ring, divisor.ring)
+        if divisor.is_constant():
+            return MPoly(ring, self.terms) * (Fraction(1) / divisor.constant_value())
+        lm_b, lc_b = divisor.leading_term()
+        need = [(s, e) for s, e in ((_SHIFT[v], (lm_b >> _SHIFT[v]) & _MASK) for v in divisor.ring) if e]
+        b_items = divisor.terms.items()
+        rem = dict(self.terms)
         quot: dict = {}
         # Grlex leading-term division: if the division is exact, every
         # intermediate leading term must be divisible by lt(b).
         while rem:
-            mono = max(rem, key=grlex_key)
-            shift = tuple(i - j for i, j in zip(mono, lm_b))
-            if any(s < 0 for s in shift):
-                return None
+            mono = max(rem)
+            for s, e in need:
+                if (mono >> s) & _MASK < e:
+                    return None
+            shift = mono - lm_b
             qc = rat(Fraction(rem[mono], lc_b))
             quot[shift] = qc
-            for mb, cb in b.terms.items():
-                m = tuple(i + j for i, j in zip(mb, shift))
+            for mb, cb in b_items:
+                m = mb + shift
                 s = rem.get(m, 0) - cb * qc
                 if s:
                     rem[m] = rat(s)
                 else:
                     rem.pop(m, None)
-        return MPoly(a.ring, quot)
+        return MPoly(ring, quot)
 
     def rat_content(self) -> Rat:
         """Positive rational c with self/c integer-primitive (0 for 0), an
@@ -394,8 +437,7 @@ class MPoly:
         if not self.terms:
             return self, Fraction(1)
         unit, terms = _int_primitive(self)
-        _, lc = self.leading_term()
-        if lc < 0:
+        if terms[max(terms)] < 0:
             unit = -unit
             terms = {m: -c for m, c in terms.items()}
         return MPoly(self.ring, terms), unit
@@ -410,9 +452,10 @@ class MPoly:
         if not self.terms:
             return "0"
         chunks = []
-        for mono, coeff in self.sorted_terms():
+        for mono in sorted(self.terms):
+            coeff = self.terms[mono]
             parts = []
-            for v, e in zip(self.ring, mono):
+            for v, e in zip(self.ring, exponents(mono, self.ring)):
                 if e == 1:
                     parts.append(v)
                 elif e > 1:
@@ -436,34 +479,29 @@ class MPoly:
 
     # -- equality ----------------------------------------------------------
 
-    def _signature(self):
-        p = self.project_ring()
-        return (p.ring, tuple(sorted(p.terms.items(), key=lambda kv: grlex_key(kv[0]))))
-
     def __eq__(self, other):
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return self._signature() == other._signature()
+        return self.terms == other.terms
 
     def __hash__(self):
-        return hash(self._signature())
+        return hash(frozenset(self.terms.items()))
 
 
-def monomials_of_degree(ring: tuple[str, ...], degree: int) -> list[tuple[int, ...]]:
-    """All exponent tuples of total degree exactly `degree`, ascending
-    grlex: the last variable's exponent varies slowest."""
-    out: list[tuple[int, ...]] = []
-
-    def rec(suffix: tuple[int, ...], remaining: int, i: int):
-        if i == 0:
-            out.append((remaining,) + suffix)
-            return
-        for e in range(remaining + 1):
-            rec((e,) + suffix, remaining - e, i - 1)
-
-    rec((), degree, len(ring) - 1)
-    return out
+def monomials_of_degree(ring: tuple[str, ...], degree: int) -> list[int]:
+    """The keys of all monomials over ring of total degree exactly
+    `degree`, ascending (grlex)."""
+    if degree > MAX_KEY_DEGREE:
+        raise _overflow(degree)
+    units = [VAR_KEY[v] for v in _ring(ring)]
+    if not units:
+        return [0] if degree == 0 else []
+    # keys[j]: the monomials of degree j in the variables taken so far
+    keys = [[j * units[0]] for j in range(degree + 1)]
+    for unit in units[1:]:
+        keys = [[m + e * unit for e in range(j + 1) for m in keys[j - e]] for j in range(degree + 1)]
+    return sorted(keys[degree])
 
 
 # ---------------------------------------------------------------------------
@@ -480,25 +518,23 @@ def monomials_of_degree(ring: tuple[str, ...], degree: int) -> list[tuple[int, .
 def _as_univar(p: MPoly, var: str) -> list[MPoly]:
     """Dense coefficient list of p viewed as univariate in var; coefficients
     are polynomials over the remaining ring variables."""
-    i = p.ring.index(var)
-    rest = p.ring[:i] + p.ring[i + 1 :]
-    deg = p.degree_in(var)
-    coeffs: list[dict] = [dict() for _ in range(deg + 1)]
+    rest = tuple([v for v in p.ring if v != var])
+    s, unit = _SHIFT[var], VAR_KEY[var]
+    coeffs: list[dict] = [dict() for _ in range(p.degree_in(var) + 1)]
     for m, c in p.terms.items():
-        coeffs[m[i]][m[:i] + m[i + 1 :]] = c
+        e = (m >> s) & _MASK
+        coeffs[e][m - e * unit] = c
     return [MPoly(rest, d) for d in coeffs]
 
 
 def _from_univar(coeffs: list[MPoly], var: str) -> MPoly:
     out = MPoly.zero((var,))
+    unit = VAR_KEY[var]
     for e, c in enumerate(coeffs):
         if c.is_zero():
             continue
-        ring = _merge_rings(c.ring, (var,))
-        i = ring.index(var)
-        lifted = c.extend_ring(ring)
-        shift = tuple(1 if j == i else 0 for j in range(len(ring)))
-        out = out + MPoly(ring, {tuple(a + b * e for a, b in zip(m, shift)): v for m, v in lifted.terms.items()})
+        shift = e * unit
+        out = out + MPoly(_merge_rings(c.ring, (var,)), {m + shift: v for m, v in c.terms.items()})
     return out
 
 
@@ -625,58 +661,71 @@ def _int_primitive(p: MPoly) -> tuple[Rat, dict]:
     return c, {m: v.numerator * (den // v.denominator) // num for m, v in p.terms.items()}
 
 
-def _eval_last(f: dict, xi: int) -> dict:
-    """f with its last variable set to xi, in the ring one variable shorter."""
+def _eval_last(f: dict, var: str, xi: int) -> dict:
+    """f with var set to xi."""
+    s, unit = _SHIFT[var], VAR_KEY[var]
     out: dict = {}
     powers = [1]
     for m, c in f.items():
-        e = m[-1]
+        e = (m >> s) & _MASK
         while len(powers) <= e:
             powers.append(powers[-1] * xi)
-        out[m[:-1]] = out.get(m[:-1], 0) + c * powers[e]
+        m -= e * unit
+        out[m] = out.get(m, 0) + c * powers[e]
     return {m: c for m, c in out.items() if c}
 
 
-def _interpolate(h: dict, xi: int) -> dict:
+def _interpolate(h: dict, var: str, xi: int) -> dict | None:
     """Inverse of _eval_last on symmetric xi-adic digits: each integer
-    coefficient becomes a polynomial in a new last variable."""
+    coefficient becomes a polynomial in var.  None when a digit's degree
+    would not fit a key; such a candidate divides no input."""
+    unit = VAR_KEY[var]
     out = {}
     half = xi // 2
     for m, c in h.items():
-        e = 0
+        digits = []
         while c:
             d = c % xi
             if d > half:
                 d -= xi
-            if d:
-                out[m + (e,)] = d
+            digits.append(d)
             c = (c - d) // xi
-            e += 1
+        if (m >> _DEG) + len(digits) - 1 > MAX_KEY_DEGREE:
+            return None
+        for e, d in enumerate(digits):
+            if d:
+                out[m + e * unit] = d
     return out
 
 
-def _divides(h: dict, f: dict) -> bool:
-    """Whether h divides f in Z[...]; h is integer-primitive, so by Gauss's
+def _divides(h: dict, f: dict, ring: tuple[str, ...]) -> bool:
+    """Whether h divides f in Z[ring]; h is integer-primitive, so by Gauss's
     lemma a non-integer quotient coefficient already rules it out."""
-    n = len(next(iter(h)))
-    room = [max(m[i] for m in f) - max(m[i] for m in h) for i in range(n)]
-    if min(room) < 0:
-        return False
     lm = max(h)
     lc = h[lm]
+    # (field shift, exponent in lt(h), room) per variable: every quotient
+    # monomial lies in the box deg(f) - deg(h), which bounds the work when
+    # h is not a divisor
+    fields = []
+    for v in ring:
+        s = _SHIFT[v]
+        room = max((m >> s) & _MASK for m in f) - max((m >> s) & _MASK for m in h)
+        if room < 0:
+            return False
+        fields.append((s, (lm >> s) & _MASK, room))
     rem = dict(f)
-    # lex leading-term division; every quotient monomial lies in the box
-    # deg(f) - deg(h), which bounds the work when h is not a divisor
+    # grlex leading-term division
     while rem:
         m = max(rem)
-        shift = tuple(i - j for i, j in zip(m, lm))
-        if any(s < 0 or s > r for s, r in zip(shift, room)):
-            return False
+        for s, e, room in fields:
+            if not 0 <= ((m >> s) & _MASK) - e <= room:
+                return False
+        shift = m - lm
         q, r = divmod(rem[m], lc)
         if r:
             return False
         for mh, ch in h.items():
-            mm = tuple(i + j for i, j in zip(mh, shift))
+            mm = mh + shift
             s = rem.get(mm, 0) - q * ch
             if s:
                 rem[mm] = s
@@ -685,32 +734,33 @@ def _divides(h: dict, f: dict) -> bool:
     return True
 
 
-def _heu_gcd(f: dict, g: dict) -> dict | None:
-    """GCDHEU on nonzero integer polynomials over the same ring; returns
-    the gcd with its integer content, or None when the heuristic gives up."""
-    if not next(iter(f)):
-        return {(): math.gcd(f[()], g[()])}
+def _heu_gcd(f: dict, g: dict, ring: tuple[str, ...]) -> dict | None:
+    """GCDHEU on nonzero integer polynomials over ring; returns the gcd
+    with its integer content, or None when the heuristic gives up.  The
+    last variable of ring is evaluated first."""
+    if not ring:
+        return {0: math.gcd(f[0], g[0])}
     cont = math.gcd(math.gcd(*f.values()), math.gcd(*g.values()))
     if cont > 1:
         f = {m: c // cont for m, c in f.items()}
         g = {m: c // cont for m, c in g.items()}
     # the common content is a factor of the gcd; in the lower levels it
     # carries the images of the evaluated variables and must go back in
-    zero = (0,) * len(next(iter(f)))
-    if (len(f) == 1 and zero in f) or (len(g) == 1 and zero in g):
-        return {zero: cont}
+    if (len(f) == 1 and 0 in f) or (len(g) == 1 and 0 in g):
+        return {0: cont}
+    var, rest = ring[-1], ring[:-1]
     xi = 2 * min(max(map(abs, f.values())), max(map(abs, g.values()))) + 29
     for _ in range(_HEU_TRIES):
-        ff = _eval_last(f, xi)
-        gg = _eval_last(g, xi)
+        ff = _eval_last(f, var, xi)
+        gg = _eval_last(g, var, xi)
         if ff and gg:
-            low = _heu_gcd(ff, gg)
-            if low is not None:
-                h = _interpolate(low, xi)
+            low = _heu_gcd(ff, gg, rest)
+            h = None if low is None else _interpolate(low, var, xi)
+            if h is not None:
                 hc = math.gcd(*h.values())
                 if hc > 1:
                     h = {m: c // hc for m, c in h.items()}
-                if _divides(h, f) and _divides(h, g):
+                if _divides(h, f, ring) and _divides(h, g, ring):
                     return {m: c * cont for m, c in h.items()}
         xi = xi * 73794 * math.isqrt(math.isqrt(xi)) // 27011
     return None
@@ -728,11 +778,11 @@ def _gcd(a: MPoly, b: MPoly) -> MPoly:
     a, b = a._unify(b)
     ca, fa = _int_primitive(a)
     cb, fb = _int_primitive(b)
-    h = _heu_gcd(fa, fb)
+    h = _heu_gcd(fa, fb, a.ring)
     if h is None:
         return _gcd_rec(a, b)
     scale = _rat_gcd(ca, cb)
-    if len(h) == 1 and not any(next(iter(h))):
+    if len(h) == 1 and 0 in h:
         return MPoly.constant(scale)  # h is +-1: both inputs are primitive
     return MPoly(a.ring, {m: rat(scale * c) for m, c in h.items()})
 

@@ -32,9 +32,9 @@ common to every column leaves the kernel alone) and owns the row index:
 the columns of degree d are a prefix of those of degree d+1 (grlex order),
 rows are numbered in order of first appearance and each rung assembles
 only its new columns.  It is the library's only polynomials->matrix
-builder.  Its row keys are monomials packed into ints, a fixed number of
-bits per variable, so shifting a term by a column's monomial is one
-integer addition.  Each rung's kernel is a fresh `linalg.nullspace`,
+builder.  Its rows and columns are keyed by MPoly's packed monomial keys
+(see `poly`), so shifting a term by a column's monomial is one integer
+addition and the builder has no packing of its own.  Each rung's kernel is a fresh `linalg.nullspace`,
 which peels the unknowns forced to zero before its modular engine
 eliminates: on these sparse systems most are (every rung of eq8, most
 rungs of eq7), and the surviving columns are not nested from one rung to
@@ -49,7 +49,7 @@ from dataclasses import dataclass
 from .errors import DomainError, InternalError
 from .linalg import RatMatrix, nullspace
 from .parser import RING1, RING2, RationalODE
-from .poly import MPoly, grlex_key, monomials_of_degree, rat
+from .poly import MAX_KEY_DEGREE, VAR_KEY, MPoly, exponents, monomials_of_degree, rat
 
 
 @dataclass(frozen=True)
@@ -117,14 +117,9 @@ class _SystemBuilder:
     pbar are multiplied once by the positive lcm of their coefficient
     denominators, which scales every column alike.
 
-    Row monomials are packed into ints, `_BITS` bits per variable (the
-    first variable lowest), so the product of two monomials is one
-    integer addition; a degree whose exponents could overflow a field is
-    refused."""
-
-    # ample: the CLI's column budget keeps a column's degree below 140 and
-    # the parser's degree budget keeps the ingredients' to a few hundred
-    _BITS = 16
+    Rows and columns are MPoly's monomial keys, so the product of two
+    monomials is one integer addition; a degree whose row keys would not
+    fit a key is refused."""
 
     def __init__(self, field: VectorField, k: int, denominator: MPoly):
         self.ring = field.ring
@@ -132,44 +127,39 @@ class _SystemBuilder:
         # pbar scale D(m) = sum_v (pbar scale c_v) dm/dv
         partials = [den * (field.scale * c) for c in field.coeffs]
         cterm = field.scale * field.apply(den) + k * field.divergence * den
-        self.lcm = math.lcm(*(c.denominator for p in (*partials, cterm) for c in p.terms.values()))
-        # a row monomial's exponents are at most its column's degree plus this
+        self.lcm = math.lcm(*[c.denominator for p in (*partials, cterm) for c in p.terms.values()])
+        # a row monomial's degree is at most its column's degree plus this
         self._reach = max(p.total_degree() for p in (*partials, cterm))
 
         def cleared(p: MPoly) -> list:
-            return [(self._pack(m), c.numerator * (self.lcm // c.denominator)) for m, c in p.terms.items()]
+            return [(m, c.numerator * (self.lcm // c.denominator)) for m, c in p.terms.items()]
 
-        self._partials = [cleared(p) for p in partials]
+        self._partials = [(VAR_KEY[v], cleared(p)) for v, p in zip(self.ring, partials)]
         self._cterm = cleared(-cterm)
         self._rows: dict[int, int] = {}
         self._entries: dict = {}
-        self._cols: list[tuple[int, ...]] = []
+        self._cols: list[int] = []
         self._degree = -1
 
-    def _pack(self, mono: tuple[int, ...]) -> int:
-        return sum(e << (self._BITS * i) for i, e in enumerate(mono))
-
-    def _int_image(self, mono: tuple[int, ...]) -> dict:
-        """lcm E(m) as {packed monomial: int}; terms that cancel stay, as 0."""
-        base = self._pack(mono)
-        out = {t + base: c for t, c in self._cterm}
-        for i, terms in enumerate(self._partials):
-            e = mono[i]
+    def _int_image(self, mono: int) -> dict:
+        """lcm E(m) as {monomial key: int}; terms that cancel stay, as 0."""
+        out = {t + mono: c for t, c in self._cterm}
+        for e, (unit, terms) in zip(exponents(mono, self.ring), self._partials):
             if e:
-                shift = base - (1 << (self._BITS * i))
+                shift = mono - unit
                 for t, c in terms:
                     t += shift
                     out[t] = out.get(t, 0) + e * c
         return out
 
-    def build(self, degree: int, extra=()) -> tuple[RatMatrix, list[tuple[int, ...]]]:
+    def build(self, degree: int, extra=()) -> tuple[RatMatrix, list[int]]:
         """The system (columns lcm E(m)) of the candidate monomials of degree
         <= degree, for non-decreasing degrees: only the new degrees'
         columns are assembled, appended in grlex order, and rows keep their
         numbers, so it extends the last one.  Each polynomial in `extra`
         adds one more column, lcm times it, after the monomials' columns;
         those go into this system only, not into the next one."""
-        if max([degree + self._reach, *(p.total_degree() for p in extra)]) >> self._BITS:
+        if degree + self._reach > MAX_KEY_DEGREE:
             raise DomainError(f"exponents at degree {degree} overflow the packed row monomials")
         cols, rows, entries = self._cols, self._rows, dict(self._entries)
         for d in range(self._degree + 1, degree + 1):
@@ -184,7 +174,7 @@ class _SystemBuilder:
             entries, rows = dict(entries), dict(rows)
             for j, p in enumerate(extra, len(cols)):
                 for t, c in p.terms.items():
-                    entries[(rows.setdefault(self._pack(t), len(rows)), j)] = rat(c * self.lcm)
+                    entries[(rows.setdefault(t, len(rows)), j)] = rat(c * self.lcm)
         return RatMatrix(len(rows), len(cols) + len(extra), entries), list(cols)
 
 
@@ -196,7 +186,7 @@ def _select_kernel_poly(basis_vectors: list, cols: list, ring: tuple[str, ...]) 
     for vec in basis_vectors:
         terms = {cols[j]: v for j, v in enumerate(vec) if v}
         polys.append(MPoly(ring, terms))
-    best = min(polys, key=lambda p: (p.total_degree(), p.num_terms(), grlex_key(p.leading_term()[0])))
+    best = min(polys, key=lambda p: (p.total_degree(), p.num_terms(), max(p.terms)))
     return best, polys
 
 

@@ -55,7 +55,7 @@ def _random_poly(rng: random.Random, degree: int, terms: int, bound: int = 3) ->
             c = rng.choice([c for c in range(-bound, bound + 1) if c])
             mono = (ex, total - ex)
             out[mono] = out.get(mono, 0) + c
-        p = MPoly(_RING, {m: c for m, c in out.items() if c})
+        p = MPoly.from_dict(_RING, out)
         if not p.is_constant():
             return p.normalized()
 

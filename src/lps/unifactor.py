@@ -8,6 +8,10 @@ small prime with few modular factors, Hensel-lift the factorization past
 the Mignotte coefficient bound, then recombine modular factors by subset
 search with exact trial division.  recombine() is that subset search; the
 Kronecker reassembly of multivariate factors in `factor` runs on it too.
+A search that would try more than `_MAX_SUBSETS` subsets raises
+BudgetError instead of running on: the count grows exponentially with the
+number of modular factors (Swinnerton-Dyer polynomials have many at every
+prime), while no call on the benchmark's inputs tries more than 17.
 
 The prime is the one, among the first six that keep the input squarefree
 with a unit leading coefficient, whose distinct-degree split counts the
@@ -23,7 +27,7 @@ import math
 import random
 from itertools import combinations
 
-from .errors import InternalError
+from .errors import BudgetError, InternalError
 from .intarith import is_probable_prime
 
 
@@ -414,6 +418,11 @@ def zassenhaus(f: list[int]) -> list[list[int]]:
     return found
 
 
+# subset trials per recombine() call; S_4 (degree 16, 8 modular factors)
+# takes 162 and S_6 (degree 64) could take about 2^31
+_MAX_SUBSETS = 50_000
+
+
 def recombine(count: int, current, trial):
     """Subset recombination: which products of `count` factors of an image
     of `current` (modular factors in zassenhaus, factors of the Kronecker
@@ -426,12 +435,16 @@ def recombine(count: int, current, trial):
     stops once twice the size exceeds the factors that remain, since a
     larger subset's complement has been tried already.  Returns the
     factors found and the last cofactor, which is irreducible (or a
-    unit)."""
+    unit).  Raises BudgetError before the trial past `_MAX_SUBSETS`."""
     found = []
     remaining = list(range(count))
     size = 1
+    tried = 0
     while 2 * size <= len(remaining):
         for subset in combinations(remaining, size):
+            tried += 1
+            if tried > _MAX_SUBSETS:
+                raise BudgetError(f"recombining {count} factors would try more than {_MAX_SUBSETS} subsets")
             hit = trial(subset, current)
             if hit is not None:
                 factor, current = hit

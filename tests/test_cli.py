@@ -207,6 +207,22 @@ def test_parse_refuses_an_oversized_power_at_once():
     assert code == 0 and json.loads(out)["numerator"] == "x^128"
 
 
+def test_parse_refuses_an_oversized_product_at_once():
+    # within the degree budget, this took 4.7 s and printed 432 KB; the
+    # two 561-term powers are refused at the * that would multiply them
+    start = time.perf_counter()
+    code, out, err = run_cli(["parse", "y'' = ((x+y+z)^32)*((x-y+z)^32)*(x+z-y)^64"])
+    assert code == 2 and out == ""
+    assert "term count 314721 exceeds 100000 (line 1, column 19)" in err
+    assert time.perf_counter() - start < 5
+    # a power is bounded by its dense monomial count C(126 + 3, 3)
+    code, out, err = run_cli(["parse", "y'' = (x*y*z + 1)^42"])
+    assert code == 2 and out == ""
+    assert "term count 349504 exceeds 100000 (line 1, column 18)" in err
+    code, out, _ = run_cli(["parse", "--json", "y'' = (x*y*z + 1)^20"])
+    assert code == 0 and json.loads(out)["numerator"].endswith("x^20*y^20*z^20")
+
+
 def test_parse_refuses_a_long_sum_of_fractions_at_once():
     # the denominators differ, so each + cross-multiplies; the one that
     # would add a 129th degree is refused where it stands

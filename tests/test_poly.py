@@ -6,6 +6,7 @@ decompositions by expanding them back.
 """
 
 import collections
+import math
 import json
 import random
 from fractions import Fraction
@@ -17,10 +18,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lps import cli, poly
+from lps.errors import DomainError
 from lps.parser import parse_poly
 from lps.poly import (
+    VARS,
     MPoly,
-    grlex_key,
+    exponents,
     lowest_terms,
     monomials_of_degree,
     mpoly_gcd,
@@ -35,7 +38,7 @@ Z = MPoly.variable("z")
 def candidates(ring, degree):
     """Exponent tuples of total degree <= degree, ascending grlex: the
     columns of the search's degree-`degree` system."""
-    return [m for d in range(degree + 1) for m in monomials_of_degree(ring, d)]
+    return [exponents(m, ring) for d in range(degree + 1) for m in monomials_of_degree(ring, d)]
 
 
 def rand_poly(rng, nvars=2, max_deg=3, max_terms=5, rational=False):
@@ -274,7 +277,7 @@ def test_heuristic_gcd_matches_sympy():
     sympy = pytest.importorskip("sympy")
 
     def to_sympy(p, ring):
-        terms = {m: sympy.Rational(c.numerator, c.denominator) for m, c in p.terms.items()}
+        terms = {exponents(m, ring): sympy.Rational(c.numerator, c.denominator) for m, c in p.terms.items()}
         return sympy.Poly.from_dict(terms, *sympy.symbols(ring), domain="QQ")
 
     @settings(max_examples=100, deadline=None)
@@ -402,7 +405,8 @@ def test_content_is_an_int_when_integral():
 def test_leading_term_grlex():
     p = X**3 + X * Y**2 + Y
     mono, coeff = p.leading_term()
-    assert mono == (1, 2) and coeff == 1  # x*y^2 beats x^3 reversed-lex
+    assert exponents(mono, ("x", "y")) == (1, 2) and coeff == 1  # x*y^2 beats x^3 reversed-lex
+    assert mono == max(p.terms)
 
 
 def test_eq_across_rings():
@@ -480,3 +484,264 @@ def test_solves_store_only_canonical_coefficients(monkeypatch, capsys):
         assert cli.main(argv) == 0
     capsys.readouterr()
     assert set(seen) == {int, Fraction}, seen
+
+
+# -- packed monomial keys against a tuple-keyed reference ------------------
+#
+# The reference keeps a polynomial as {exponent tuple over VARS: Fraction},
+# the representation MPoly had before its terms were packed into integer
+# keys, with the textbook algorithm for each operation: grlex leading-term
+# division, a primitive PRS for the gcd and Musser's squarefree split.
+
+
+def ref_of(ring, terms):
+    """The reference polynomial of MPoly.from_dict(ring, terms)."""
+    out = {}
+    for mono, c in terms.items():
+        full = tuple(mono[ring.index(v)] if v in ring else 0 for v in VARS)
+        out[full] = Fraction(c)
+    return {m: c for m, c in out.items() if c}
+
+
+def as_ref(p):
+    return {exponents(m, VARS): Fraction(c) for m, c in p.terms.items()}
+
+
+def grlex(mono):
+    return (sum(mono), mono[::-1])
+
+
+def ref_add(a, b, sign=1):
+    out = dict(a)
+    for m, c in b.items():
+        out[m] = out.get(m, 0) + sign * c
+    return {m: c for m, c in out.items() if c}
+
+
+def ref_mul(a, b):
+    out = {}
+    for ma, ca in a.items():
+        for mb, cb in b.items():
+            m = tuple(i + j for i, j in zip(ma, mb))
+            out[m] = out.get(m, 0) + ca * cb
+    return {m: c for m, c in out.items() if c}
+
+
+ONE = {(0,) * len(VARS): Fraction(1)}
+
+
+def ref_pow(a, k):
+    out = ONE
+    for _ in range(k):
+        out = ref_mul(out, a)
+    return out
+
+
+def ref_derivative(a, var):
+    i = VARS.index(var)
+    return {m[:i] + (m[i] - 1,) + m[i + 1:]: c * m[i] for m, c in a.items() if m[i]}
+
+
+def ref_substitute(a, bindings):
+    out = {}
+    for m, c in a.items():
+        term = {tuple(0 if v in bindings else e for v, e in zip(VARS, m)): c}
+        for v, e in zip(VARS, m):
+            if v in bindings:
+                term = ref_mul(term, ref_pow(bindings[v], e))
+        out = ref_add(out, term)
+    return out
+
+
+def ref_eval(a, point):
+    total = Fraction(0)
+    for m, c in a.items():
+        for v, e in zip(VARS, m):
+            c *= Fraction(point[v]) ** e
+        total += c
+    return total
+
+
+def ref_divide(a, b):
+    """a / b by grlex leading-term division, or None when b does not divide a."""
+    lm = max(b, key=grlex)
+    rem, quot = dict(a), {}
+    while rem:
+        m = max(rem, key=grlex)
+        shift = tuple(i - j for i, j in zip(m, lm))
+        if min(shift) < 0:
+            return None
+        quot[shift] = rem[m] / b[lm]
+        rem = ref_add(rem, ref_mul({shift: quot[shift]}, b), -1)
+    return quot
+
+
+def ref_normalized(a):
+    if not a:
+        return a
+    content = Fraction(math.gcd(*(c.numerator for c in a.values())),
+                       math.lcm(*(c.denominator for c in a.values())))
+    if a[max(a, key=grlex)] < 0:
+        content = -content
+    return {m: c / content for m, c in a.items()}
+
+
+def ref_text(a):
+    text = ""
+    for m in sorted(a, key=grlex):
+        c = a[m]
+        parts = [v if e == 1 else f"{v}^{e}" for v, e in zip(VARS, m) if e]
+        if abs(c) != 1 or not parts:
+            parts.insert(0, str(abs(c)))
+        sign = "-" if c < 0 else "+"
+        text += ("-" if c < 0 else "") if not text else f" {sign} "
+        text += "*".join(parts)
+    return text or "0"
+
+
+def ref_gcd(a, b):
+    """A gcd of a and b (up to a constant factor): the primitive PRS in the
+    highest variable either uses, the contents by recursion."""
+    if not a or not b:
+        return a or b
+    used = [i for i in range(len(VARS)) if any(m[i] for m in (*a, *b))]
+    if not used:
+        return ONE
+    i = used[-1]
+
+    def coeffs(p):
+        out = {}
+        for m, c in p.items():
+            out.setdefault(m[i], {})[m[:i] + (0,) + m[i + 1:]] = c
+        return out
+
+    def content(p):
+        g = {}
+        for c in coeffs(p).values():
+            g = ref_gcd(g, c)
+        return g
+
+    def deg(p):
+        return max(m[i] for m in p)
+
+    A, B = ref_divide(a, content(a)), ref_divide(b, content(b))
+    if deg(A) < deg(B):
+        A, B = B, A
+    while B:
+        R, lc_b = A, coeffs(B)[deg(B)]
+        while R and deg(R) >= deg(B):
+            shift = tuple(deg(R) - deg(B) if j == i else 0 for j in range(len(VARS)))
+            R = ref_add(ref_mul(R, lc_b), ref_mul(ref_mul(coeffs(R)[deg(R)], {shift: 1}), B), -1)
+        A, B = B, (ref_divide(R, content(R)) if R else R)
+    return ref_mul(ref_gcd(content(a), content(b)), ref_divide(A, content(A)))
+
+
+def ref_squarefree(p):
+    """(content, {multiplicity: normalized part}) by Musser's algorithm,
+    with the gcd of p and all its partial derivatives."""
+    c = p
+    for v in VARS:
+        c = ref_gcd(c, ref_derivative(p, v))
+    w = ref_divide(p, c)
+    parts, i = {}, 1
+    while any(any(m) for m in w):
+        y = ref_gcd(w, c)
+        f = ref_divide(w, y)
+        if any(any(m) for m in f):
+            parts[i] = ref_normalized(f)
+        c, w, i = ref_divide(c, y), y, i + 1
+    prod = ONE
+    for i, f in parts.items():
+        prod = ref_mul(prod, ref_pow(f, i))
+    (content,) = ref_divide(p, prod).values()
+    return content, parts
+
+
+REF_RINGS = [(), ("x",), ("x", "y"), ("x", "y", "z"), ("y", "x")]
+
+
+@st.composite
+def ref_cases(draw, max_terms=4, max_deg=2):
+    """(MPoly, reference) from one term dict over a drawn ring."""
+    ring = draw(st.sampled_from(REF_RINGS))
+    terms = {}
+    for _ in range(draw(st.integers(0, max_terms))):
+        mono = tuple(draw(st.integers(0, max_deg)) for _ in ring)
+        terms[mono] = Fraction(draw(st.integers(-6, 6)), draw(st.sampled_from([1, 1, 2, 3])))
+    p = MPoly.from_dict(ring, terms)
+    assert p.ring == tuple(v for v in VARS if v in ring)
+    return p, ref_of(ring, terms)
+
+
+def test_keys_pack_grlex_order():
+    # x in the lowest 16 bits, then y, z and w, the total degree on top
+    p = MPoly.from_dict(("y", "x", "w"), {(3, 2, 1): 5})
+    assert p.terms == {2 + (3 << 16) + (1 << 48) + (6 << 64): 5} and p.ring == ("x", "y", "w")
+    monos = [exponents(m, VARS) for d in range(5) for m in monomials_of_degree(VARS, d)]
+    assert len(monos) == math.comb(4 + 4, 4)
+    assert monos == sorted(monos, key=grlex)
+    assert [max(MPoly.from_dict(VARS, {m: 1}).terms) for m in monos] == sorted(
+        max(MPoly.from_dict(VARS, {m: 1}).terms) for m in monos)
+
+
+def test_products_and_powers_that_overflow_a_field_are_refused():
+    top = poly.MAX_KEY_DEGREE
+    fits = X**30000 * (Y ** (top - 30000) + 1)
+    assert [exponents(m, ("x", "y")) for m in sorted(fits.terms)] == [(30000, 0), (30000, top - 30000)]
+    assert (X**top).total_degree() == top
+    for build in (
+        lambda: X**40000 * X**30000,  # x's field would carry into y's
+        lambda: (X**40000 + 1) * (Y**30000 + X),
+        lambda: X ** (top + 1),
+        lambda: (X**30000 + Y) ** 3,
+        lambda: MPoly.from_dict(("x", "y"), {(top, 1): 1}),
+    ):
+        with pytest.raises(DomainError, match="overflow"):
+            build()
+
+
+@settings(max_examples=200, deadline=None)
+@given(ref_cases(), ref_cases(), st.integers(0, 4),
+       st.fractions(min_value=-5, max_value=5, max_denominator=4).filter(bool),
+       st.sampled_from(["x", "y", "z"]))
+def test_arithmetic_matches_the_tuple_reference(case_a, case_b, k, s, var):
+    (a, ra), (b, rb) = case_a, case_b
+    assert as_ref(a) == ra and as_ref(b) == rb
+    assert as_ref(a + b) == ref_add(ra, rb)
+    assert as_ref(a - b) == ref_add(ra, rb, -1)
+    assert as_ref(a * b) == ref_mul(ra, rb)
+    assert as_ref(a**k) == ref_pow(ra, k)
+    scaled = {m: c * s for m, c in ra.items()}
+    assert as_ref(a * s) == as_ref(s * a) == scaled
+    assert as_ref(a / s) == {m: c / s for m, c in ra.items()}
+    assert as_ref(a.derivative(var)) == ref_derivative(ra, var)
+    assert as_ref(a.substitute({var: b})) == ref_substitute(ra, {var: rb})
+    point = {v: Fraction(i + 2, 5 - i) for i, v in enumerate(VARS)}
+    assert a.eval_at(point) == ref_eval(ra, point)
+    if rb:
+        assert as_ref((a * b).exact_divide(b)) == ra
+        q = a.exact_divide(b)
+        expect = ref_divide(ra, rb)
+        assert (q is None and expect is None) or as_ref(q) == expect
+    assert as_ref(a.normalized()) == ref_normalized(ra)
+    assert a.to_text() == ref_text(ra)
+    assert (a == b) == (ra == rb)
+    same = MPoly.from_dict(VARS, ra)
+    assert same == a and hash(same) == hash(a)
+    if ra == rb:
+        assert hash(a) == hash(b)
+
+
+@settings(max_examples=100, deadline=None)
+@given(ref_cases(max_terms=3), ref_cases(max_terms=3), ref_cases(max_terms=3))
+def test_gcd_and_squarefree_match_the_tuple_reference(case_f, case_g, case_h):
+    (f, rf), (g, rg), (h, rh) = case_f, case_g, case_h
+    a, b = f * g, f * h
+    assert as_ref(mpoly_gcd(a, b)) == ref_normalized(ref_gcd(ref_mul(rf, rg), ref_mul(rf, rh)))
+    p = f * g**2
+    if p.is_zero():
+        return
+    dec = squarefree_decompose(p)
+    content, parts = ref_squarefree(ref_mul(rf, ref_pow(rg, 2)))
+    assert dec.content == content
+    assert {m: as_ref(part) for part, m in dec.parts} == parts

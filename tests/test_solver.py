@@ -11,7 +11,7 @@ import pytest
 from lps import linalg
 from lps.errors import DomainError
 from lps.parser import parse_ode, parse_poly
-from lps.poly import MPoly, monomials_of_degree
+from lps.poly import MAX_KEY_DEGREE, MPoly, monomials_of_degree
 from lps.solver import (
     _select_kernel_poly,
     _SystemBuilder,
@@ -30,7 +30,7 @@ Z = MPoly.variable("z")
 
 
 def candidates(ring, degree):
-    """Exponent tuples of total degree <= degree, ascending grlex: the
+    """Monomial keys of total degree <= degree, ascending grlex: the
     columns of the search's degree-`degree` system."""
     return [m for d in range(degree + 1) for m in monomials_of_degree(ring, d)]
 
@@ -341,13 +341,6 @@ def builder_cases():
     return cases
 
 
-def unpack(key, nvars):
-    """A packed row key back to its exponent tuple (first variable in the
-    lowest field)."""
-    bits = _SystemBuilder._BITS
-    return tuple((key >> (bits * i)) & ((1 << bits) - 1) for i in range(nvars))
-
-
 @pytest.mark.parametrize("case", range(15))
 def test_builder_columns_are_the_cleared_images(case):
     ode, k, den, top = builder_cases()[case]
@@ -359,7 +352,7 @@ def test_builder_columns_are_the_cleared_images(case):
     for degree in range(top + 1):
         mat, cols = builder.build(degree)
         assert cols == candidates(field.ring, degree)
-        monomial_of = {i: unpack(t, len(field.ring)) for t, i in builder._rows.items()}
+        monomial_of = {i: t for t, i in builder._rows.items()}
         assert sorted(monomial_of) == list(range(mat.nrows))
         columns = [{} for _ in cols]
         for (i, j), c in mat.entries.items():
@@ -387,7 +380,7 @@ def test_builder_columns_are_the_cleared_images(case):
 def test_builder_refuses_exponents_that_overflow_the_packing():
     field = build_field(parse_ode("y' = y/x"))
     builder = _SystemBuilder(field, 1, MPoly.constant(1, field.ring))
-    top = (1 << _SystemBuilder._BITS) - 1  # y' = y/x adds degree 1 to a column
+    top = MAX_KEY_DEGREE  # y' = y/x adds degree 1 to a column
     with pytest.raises(DomainError, match="overflow"):
         builder.build(top)
     with pytest.raises(DomainError, match="overflow"):

@@ -73,3 +73,20 @@ def test_tracer_names_are_bound_in_the_library():
                if function not in functions.get(module, ())]
     assert layers and missing == []
     assert any(assigned(node, "_EXACT_CELL_LIMIT") for node in trees["linalg"].body)
+
+
+def test_only_poly_packs_monomials():
+    # MPoly's keys are the library's one monomial packing; a second one
+    # (a `_BITS` width or a `_pack` encoder elsewhere) would drift from it
+    found = []
+    for name, tree in parsed():
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [t.id for t in targets if isinstance(t, ast.Name)]
+            else:
+                continue
+            found += [f"{name}:{node.lineno} {n}" for n in names if n in ("_BITS", "_pack")]
+    assert found and all(f.startswith("poly.py:") for f in found), found

@@ -4,14 +4,18 @@ shortest factorization (the first on ties, at once on one factor).  The
 reference's distinct-degree split is a copy of the repeated-squaring
 split, independent of the library's Frobenius-matrix one."""
 
+import contextlib
+import io
 import json
 import random
 from importlib import resources
 
+import pytest
+
 import lps.factor as factor_module
 from lps.factor import factor_multivariate
 from lps.parser import parse_poly
-from lps.poly import MPoly, squarefree_decompose
+from lps.poly import MPoly, exponents, squarefree_decompose
 from lps.unifactor import (
     _deg,
     _distinct_degree,
@@ -77,8 +81,8 @@ def _reference_pick_prime(f):
 
 def _dense(p: MPoly) -> list[int]:
     out = [0] * (p.degree_in("x") + 1)
-    for (e,), c in p.extend_ring(("x",)).terms.items():
-        out[e] = int(c)
+    for m, c in p.terms.items():
+        out[exponents(m, ("x",))[0]] = int(c)
     return out
 
 
@@ -175,3 +179,25 @@ def test_distinct_degree_matches_repeated_squaring():
             assert _distinct_degree(f, p, count + 1) == want
     # the sample splits off several distinct degrees and abandons splits
     assert max(degrees) >= 5 and abandoned
+
+
+S4 = ("x^16 - 136*x^14 + 6476*x^12 - 141912*x^10 + 1513334*x^8 - 7453176*x^6"
+      " + 13950764*x^4 - 5596840*x^2 + 46225")
+
+
+def test_recombination_over_its_budget_raises_budget_error(monkeypatch):
+    # S_4 is irreducible with 8 modular factors at every prime; proving it
+    # takes 162 subset trials, so a budget of 161 trips and 162 does not
+    from lps import cli, unifactor
+    from lps.errors import BudgetError
+
+    s4 = parse_poly(S4, ("x",))
+    monkeypatch.setattr(unifactor, "_MAX_SUBSETS", 161)
+    with pytest.raises(BudgetError, match="more than 161 subsets"):
+        factor_multivariate(s4)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        assert cli.main(["factor", S4]) == 5
+    assert out.getvalue() == "" and len(err.getvalue().splitlines()) == 1
+    monkeypatch.setattr(unifactor, "_MAX_SUBSETS", 162)
+    assert factor_multivariate(s4).factors == ((s4, 1),)
