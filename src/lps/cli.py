@@ -38,6 +38,11 @@ _FIXTURE_NAMES = ("eq5", "eq7", "eq8", "eq9")
 # 3 for second) has C(d + n, n) columns; a --max-degree above this budget
 # is refused before anything is assembled.
 _MAX_COLUMNS = 10_000
+# --power-sweep and --auto-denominator multiply the ladders a solve runs;
+# the top rungs of all of them together may hold at most this many
+# columns, checked before the first ladder.  The largest total over the
+# fixtures, the golden corpus and the benchmark's equations is 816 (eq7).
+_MAX_LADDER_COLUMNS = 100_000
 
 
 def _fail(message: str, code: int) -> int:
@@ -105,6 +110,19 @@ def _search_order1(ode, field, args):
     denominator = None
     if args.denominator:
         denominator = parse_poly(args.denominator, ("x", "y"))
+    found_denominators = []
+    if args.auto_denominator and denominator is None:
+        found_denominators = degree1_dp_search(field)
+    ladders = len(powers) * (1 + len(found_denominators))
+    columns = ladders * math.comb(args.max_degree + 2, 2)
+    if columns > _MAX_LADDER_COLUMNS:
+        flags = ["--max-degree"]
+        if args.power_sweep:
+            flags.append("--power-sweep")
+        if found_denominators:
+            flags.append("--auto-denominator")
+        raise LpsError(f"{', '.join(flags)} give {ladders} ladders with {columns} columns on their "
+                       f"top rungs (at most {_MAX_LADDER_COLUMNS})")
     attempts = []
     for k in powers:
         found = lps_search(ode, max_degree=args.max_degree, k=k, denominator=denominator)
@@ -114,13 +132,12 @@ def _search_order1(ode, field, args):
                 "lps-power" if k > 1 else "lps"
             )
             return found, method, attempts
-    if args.auto_denominator and denominator is None:
-        for dp in degree1_dp_search(field):
-            for k in powers:
-                found = lps_search(ode, max_degree=args.max_degree, k=k, denominator=dp)
-                attempts.append((k, dp))
-                if found is not None:
-                    return found, "lps-denominator", attempts
+    for dp in found_denominators:
+        for k in powers:
+            found = lps_search(ode, max_degree=args.max_degree, k=k, denominator=dp)
+            attempts.append((k, dp))
+            if found is not None:
+                return found, "lps-denominator", attempts
     return None, "lps", attempts
 
 

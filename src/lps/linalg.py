@@ -1,21 +1,26 @@
 """Exact rational linear algebra: sparse matrices and their kernels.
 
+Matrices are stored by columns (`RatMatrix`), with two running per-row
+lists: each row's number of nonzero entries and the XOR of their columns.
 `nullspace` first peels the forced-zero unknowns.  If a row's only nonzero
 entry among the remaining columns is in column j, every kernel vector has
 x_j = 0, so column j is dropped; that may leave more such rows, and the
 peel repeats (the singleton-row presolve of sparse LP, Andersen & Andersen
 1995; "structural pivots" in sparse elimination mod p, Bouillaguet &
-Delaplace 2016).  Before it is trusted, the peel is re-checked as a
-certificate: each forcing row has a nonzero in its own column and nonzeros
-elsewhere only in columns dropped before it.  The surviving columns go to
-the modular engine (one mod-p elimination per prime, CRT, rational
-reconstruction).  A fraction-free sparse elimination over the integers
-gives the same canonical answer; it is the modular engine's fallback when
-no number of primes reconstructs, and the reference the tests compare it
-against.  The canonical kernel basis is the reduced-row-echelon one: one
-vector per free column (ascending), scaled integer-primitive with a
-positive entry at its free column.  Every vector either engine emits is
-verified exactly over Q before it is returned.
+Delaplace 2016).  It starts from copies of the per-row lists, and the
+XOR names a row's last live column.  Before it is trusted, the peel is
+re-checked as a certificate: each forcing row has a nonzero in its own
+column and nonzeros elsewhere only in columns dropped before it.  One
+pass over the columns checks it and gathers the surviving rows.  The
+surviving columns go to the modular engine (one mod-p elimination per
+prime, CRT, rational reconstruction).  A fraction-free sparse elimination
+over the integers gives the same canonical answer; it is the modular
+engine's fallback when no number of primes reconstructs, and the
+reference the tests compare it against.  The canonical kernel basis is
+the reduced-row-echelon one: one vector per free column (ascending),
+scaled integer-primitive with a positive entry at its free column.  Every
+vector either engine emits is verified exactly over Q before it is
+returned.
 
 Why the peel cannot change the answer.  Column f is free iff some kernel
 vector has its last nonzero at f, and the canonical vector of f is the
@@ -27,18 +32,27 @@ kernel vector, and mat ext(v) = sub v identically.  The reduced basis,
 zero-extended, is therefore exactly mat's canonical basis, and it needs no
 second verification.
 
-The mod-p elimination is `_kernel_mod_p`, a sparse row elimination over
-dict rows (Bouillaguet & Delaplace, Sparse Gaussian elimination modulo p,
-2016).  The rows are scaled to primitive integers once per call, which
-leaves the kernel unchanged, and reduced mod a prime p < 2^20.  The
-columns are walked in order; a column that some remaining row holds
-becomes a pivot, with the sparsest such row as pivot row, and is
-eliminated from the others.  So column j becomes a pivot iff it is
-independent mod p of the columns before it: the pivots are the RREF pivot
-columns mod p.  Back-substitution then gives, for each dependent column f,
-the canonical kernel vector mod p: 1 at f, 0 at the other dependent
-columns and 0 after f, since a pivot row holds only its own column and
-later ones.
+The mod-p elimination is `_kernel_mod_p` (Bouillaguet & Delaplace,
+Sparse Gaussian elimination modulo p, 2016).  The surviving rows are
+scaled to primitive integers, which leaves the kernel unchanged, and
+reduced mod a prime p < 2^20.  Its answer is the canonical kernel basis
+mod p: for each dependent column f (a column that depends mod p on the
+columns before it), the kernel vector with 1 at f, 0 at the other
+dependent columns and 0 after f.  That basis depends only on the row
+space mod p, so any order of elimination gives the same residues.  The
+rows go in sparsest first, each reduced by an echelon of rows keyed by
+leading column; when it meets a longer echelon row at that row's leading
+column, the two swap, so the sparser one stays.  Back-substitution from
+the last column down gives the canonical basis of an echelon.  Once that
+basis has at most _FEW vectors, the echelon is set aside and each further
+row r updates the basis directly.  If r annihilates every vector, it is
+in the span of the rows so far and changes nothing.  Otherwise let g be
+the first dependent column whose vector has r.v_g != 0.  Column g turns
+independent: v_g is dropped, and every other v_f with r.v_f != 0 becomes
+v_f - (r.v_f / r.v_g) v_g, which r annihilates.  Such an f is after g,
+and v_g is 0 at f, after it and at the other dependent columns, so the
+new v_f keeps 1 at f and 0 there: the basis is canonical again.  The walk
+stops when the basis is empty (rank ncols).
 
 Why a verified basis is the canonical one.  Let P and F be the pivot and
 free columns over Q, and P' and F' those mod p.  The mod-p rank of every
@@ -62,7 +76,8 @@ columns.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections.abc import Mapping
+from operator import mul
 from fractions import Fraction
 
 from .errors import InternalError
@@ -70,57 +85,110 @@ from .intarith import primes_below, rational_reconstruct
 
 _PRIMES = primes_below(2**20, 48)
 
+# `_kernel_mod_p` tests rows against the kernel once it has this few
+# vectors.  From 4 to 12 it times alike on eq7's surviving rungs; on the
+# plants' systems (at most 20 columns) a larger value was slower.
+_FEW = 4
+
 # Unused by lps; perfbench/tracing.py reads it, and at 0 labels every nonempty call "modular".
 _EXACT_CELL_LIMIT = 0
 
 
-@dataclass
 class RatMatrix:
-    """Sparse matrix keyed by (row, col).  Entries are rationals: ints or
-    Fractions, as polynomial coefficients are (the search's systems are
-    integer).  Kernel vectors come back as tuples of ints."""
+    """Sparse matrix of rationals (ints or Fractions; the search's systems
+    are integer), stored by columns: column j holds the values `vals[j]`
+    at the rows `rows[j]`, all nonzero.  Per row it keeps `count`, the
+    number of its nonzero entries, and `xor`, the XOR of their columns,
+    which the peel starts from.  Columns are only appended, so a copy
+    taken between appends is a prefix of every later state.  It can be
+    built from a {(row, col): value} dict, and `entries` reads it back as
+    one; stored zeros are no entries.  Kernel vectors come back as tuples
+    of ints."""
 
-    nrows: int
-    ncols: int
-    entries: dict
+    def __init__(self, nrows: int = 0, ncols: int = 0, entries: dict | None = None):
+        self.nrows = nrows
+        self.rows: list[list[int]] = [[] for _ in range(ncols)]
+        self.vals: list[list] = [[] for _ in range(ncols)]
+        self.count = [0] * nrows
+        self.xor = [0] * nrows
+        for (i, j), v in (entries or {}).items():
+            if v:
+                self.rows[j].append(i)
+                self.vals[j].append(v)
+                self.count[i] += 1
+                self.xor[i] ^= j
 
-    def row_dicts(self) -> list[dict[int, Fraction]]:
-        rows: list[dict[int, Fraction]] = [dict() for _ in range(self.nrows)]
-        for (i, j), v in self.entries.items():
-            rows[i][j] = v
-        return rows
+    @property
+    def ncols(self) -> int:
+        return len(self.rows)
+
+    @property
+    def entries(self) -> _Entries:
+        return _Entries(self)
+
+    def append(self, rows: list[list[int]], vals: list[list], nrows: int) -> None:
+        """Append columns, column t with the nonzero values vals[t] at the
+        rows rows[t], to a matrix that now has nrows rows."""
+        self.count += [0] * (nrows - self.nrows)
+        self.xor += [0] * (nrows - self.nrows)
+        self.nrows = nrows
+        count, xor = self.count, self.xor
+        for j, col in enumerate(rows, len(self.rows)):
+            for i in col:
+                count[i] += 1
+                xor[i] ^= j
+        self.rows += rows
+        self.vals += vals
+
+    def copy(self) -> RatMatrix:
+        """A copy that later appends to either side leave alone."""
+        out = RatMatrix()
+        out.nrows, out.rows, out.vals = self.nrows, self.rows[:], self.vals[:]
+        out.count, out.xor = self.count[:], self.xor[:]
+        return out
 
     def apply(self, vec: tuple) -> list:
         """Exact matrix-vector product (ints where entries and vec are)."""
         out = [0] * self.nrows
-        for (i, j), v in self.entries.items():
-            if vec[j]:
-                out[i] += v * vec[j]
+        for x, rs, vs in zip(vec, self.rows, self.vals):
+            if x:
+                for i, v in zip(rs, vs):
+                    out[i] += v * x
         return out
 
 
-def _integer_rows(mat: RatMatrix) -> list[dict[int, int]]:
-    """Rows scaled to primitive integer form (nonzero scale per row keeps
-    the kernel unchanged)."""
-    rows = mat.row_dicts()
-    out = []
-    for row in rows:
-        if not row:
-            out.append({})
-            continue
-        den = 1
-        for v in row.values():
-            den = den * v.denominator // math.gcd(den, v.denominator)
-        g = 0
-        scaled = {}
-        for j, v in row.items():
-            n = int(v * den)
-            scaled[j] = n
-            g = math.gcd(g, n)
-        if g > 1:
-            scaled = {j: n // g for j, n in scaled.items()}
-        out.append(scaled)
-    return out
+class _Entries(Mapping):
+    """A RatMatrix's nonzero entries as a read-only {(row, col): value}
+    mapping; its length is a sum over the rows, not a pass over the
+    entries."""
+
+    def __init__(self, mat: RatMatrix):
+        self._mat = mat
+
+    def __len__(self) -> int:
+        return sum(self._mat.count)
+
+    def __iter__(self):
+        for j, rs in enumerate(self._mat.rows):
+            for i in rs:
+                yield i, j
+
+    def __getitem__(self, key):
+        i, j = key
+        rs = self._mat.rows[j] if 0 <= j < len(self._mat.rows) else ()
+        if i not in rs:
+            raise KeyError(key)
+        return self._mat.vals[j][rs.index(i)]
+
+
+def _primitive_row(row: dict) -> dict[int, int]:
+    """row scaled to primitive integers by a positive factor, which leaves
+    the kernel unchanged."""
+    if any(type(v) is not int for v in row.values()):
+        den = math.lcm(*[v.denominator for v in row.values()])
+        row = {j: int(v * den) for j, v in row.items()}
+    g = math.gcd(*row.values())
+    return {j: v // g for j, v in row.items()} if g > 1 else row
 
 
 def _primitive_vector(vec: list, positive_at: int) -> tuple:
@@ -201,12 +269,11 @@ def _kernel_from_pivots(pivots, ncols: int) -> list[tuple]:
     return basis
 
 
-def _nullspace_exact(mat: RatMatrix) -> list[tuple]:
-    """Kernel by fraction-free elimination, verified exactly."""
-    rows = _integer_rows(mat)
-    pivots = _eliminate_exact(rows, mat.ncols)
-    basis = _kernel_from_pivots(pivots, mat.ncols)
-    if not _in_kernel(mat, basis):
+def _nullspace_exact(rows: list[dict[int, int]], ncols: int) -> list[tuple]:
+    """Kernel of integer rows by fraction-free elimination, verified
+    exactly."""
+    basis = _kernel_from_pivots(_eliminate_exact(rows, ncols), ncols)
+    if not _in_kernel(rows, basis):
         raise InternalError("kernel verification failed")
     return basis
 
@@ -217,39 +284,71 @@ def _nullspace_exact(mat: RatMatrix) -> list[tuple]:
 
 
 def _kernel_mod_p(rows: list[dict[int, int]], ncols: int, p: int) -> dict[int, list[int]]:
-    """Sparse Gaussian elimination mod p, walking the columns in order and
-    pivoting on the sparsest row holding each one.  Returns, for every
-    dependent column f, its canonical kernel vector mod p (1 at f, 0 at
-    the other dependent columns), by back-substitution."""
-    active = []
-    for row in rows:
-        reduced = {j: v % p for j, v in row.items() if v % p}
-        if reduced:
-            active.append(reduced)
-    # pivots[c]: the pivot row of column c divided by its entry at c,
+    """The canonical kernel vectors mod p of integer rows: for every
+    dependent column f, 1 at f, 0 at the other dependent columns and 0
+    after f.  The rows go sparsest first into an echelon keyed by leading
+    column until the kernel of the rows so far has at most _FEW vectors;
+    from there each row updates that kernel (see the module docstring),
+    and the walk stops once it is empty."""
+    reduced = [r for r in ({j: v % p for j, v in row.items() if v % p} for row in rows) if r]
+    reduced.sort(key=len)
+    # echelon[c]: a row leading at c, divided by its entry there and
     # without that entry; it holds later columns only
-    pivots: dict[int, dict[int, int]] = {}
-    for c in range(ncols):
-        holders = [r for r in active if c in r]
-        if not holders:
-            continue
-        row = min(holders, key=len)
-        inv = pow(row.pop(c), -1, p)
-        prow = pivots[c] = {j: v * inv % p for j, v in row.items()}
-        for r in holders:
-            if r is not row:
-                f = r.pop(c)
-                for j, v in prow.items():
-                    s = (r.get(j, 0) - f * v) % p
-                    if s:
-                        r[j] = s
-                    else:
-                        r.pop(j, None)
-        active = [r for r in active if r and r is not row]
+    echelon: dict[int, dict[int, int]] = {}
+    kernel = None
+    for row in reduced:
+        if kernel is None:
+            _insert(echelon, row, p)
+            if ncols - len(echelon) <= _FEW:
+                kernel = _back_substitute(echelon, ncols, p)
+        else:
+            cols, vals = list(row), list(row.values())
+            dots = {f: sum(map(mul, vals, map(vec.__getitem__, cols))) % p for f, vec in kernel.items()}
+            g = next((f for f, s in dots.items() if s), None)
+            if g is None:
+                continue
+            # column g becomes a pivot; the other vectors lose their multiple of g's
+            vg = kernel.pop(g)
+            inv = pow(dots[g], -1, p)
+            for f, vec in kernel.items():
+                if dots[f]:
+                    c = dots[f] * inv % p
+                    kernel[f] = [(a - c * b) % p for a, b in zip(vec, vg)]
+        if kernel == {}:
+            return kernel
+    return _back_substitute(echelon, ncols, p) if kernel is None else kernel
+
+
+def _insert(echelon: dict[int, dict[int, int]], row: dict[int, int], p: int) -> None:
+    """Reduce row (mod p, in place) by the echelon's rows and add what is
+    left, if anything, under its leading column."""
+    while row:
+        c = min(row)
+        f = row.pop(c)
+        prow = echelon.get(c)
+        if prow is None or len(prow) > len(row):
+            # the sparser row leads at c, and the other one is reduced on
+            inv = pow(f, -1, p)
+            echelon[c] = {j: v * inv % p for j, v in row.items()}
+            if prow is None:
+                return
+            row, prow, f = prow, echelon[c], 1
+        for j, v in prow.items():
+            s = (row.get(j, 0) - f * v) % p
+            if s:
+                row[j] = s
+            else:
+                row.pop(j, None)
+
+
+def _back_substitute(echelon: dict[int, dict[int, int]], ncols: int, p: int) -> dict[int, list[int]]:
+    """The canonical kernel vectors mod p of an echelon (see
+    `_kernel_mod_p`): x_c for each leading column c from the last up,
+    which makes each vector 0 after its own column."""
     # x[j] maps each dependent column f to entry j of f's kernel vector
     x: dict[int, dict[int, int]] = {}
     for c in reversed(range(ncols)):
-        prow = pivots.get(c)
+        prow = echelon.get(c)
         if prow is None:
             x[c] = {c: 1}
             continue
@@ -258,7 +357,7 @@ def _kernel_mod_p(rows: list[dict[int, int]], ncols: int, p: int) -> dict[int, l
             for f, a in x[j].items():
                 acc[f] = (acc.get(f, 0) - v * a) % p
         x[c] = {f: a for f, a in acc.items() if a}
-    return {f: [x[j].get(f, 0) for j in range(ncols)] for f in range(ncols) if f not in pivots}
+    return {f: [x[j].get(f, 0) for j in range(ncols)] for f in range(ncols) if f not in echelon}
 
 
 def _reconstruct(residues: dict[int, list[int]], modulus: int) -> list[tuple] | None:
@@ -276,28 +375,28 @@ def _reconstruct(residues: dict[int, list[int]], modulus: int) -> list[tuple] | 
     return basis
 
 
-def _in_kernel(mat: RatMatrix, basis: list[tuple]) -> bool:
+def _in_kernel(rows: list[dict[int, int]], basis: list[tuple]) -> bool:
     """Exact check of integer vectors (as `_primitive_vector` makes)."""
-    return not any(any(mat.apply(vec)) for vec in basis)
+    return not any(sum(v * vec[j] for j, v in row.items()) for vec in basis for row in rows)
 
 
-def _nullspace_modular(mat: RatMatrix) -> list[tuple]:
-    """Kernel by one `_kernel_mod_p` per prime, CRT across primes with the
-    best pivot profile seen (highest rank, then lexicographically first
-    pivot columns; the true profile is best, see the module docstring),
-    rational reconstruction and exact verification.  Falls back to the
-    exact engine if no number of primes gives a verified basis."""
-    rows = _integer_rows(mat)
+def _nullspace_modular(rows: list[dict[int, int]], ncols: int) -> list[tuple]:
+    """Kernel of integer rows by one `_kernel_mod_p` per prime, CRT across
+    primes with the best pivot profile seen (highest rank, then
+    lexicographically first pivot columns; the true profile is best, see
+    the module docstring), rational reconstruction and exact
+    verification.  Falls back to the exact engine if no number of primes
+    gives a verified basis."""
     best = None
     for p in _PRIMES:
-        residues = _kernel_mod_p(rows, mat.ncols, p)
+        residues = _kernel_mod_p(rows, ncols, p)
         if not residues:
             return []
         free = list(residues)
         profile = (-len(free), free)
         if best is None or profile > best:
             best, modulus = profile, 1
-            acc = {f: [0] * mat.ncols for f in free}
+            acc = {f: [0] * ncols for f in free}
         elif profile != best:
             continue
         inv_m = pow(modulus, -1, p)
@@ -307,26 +406,18 @@ def _nullspace_modular(mat: RatMatrix) -> list[tuple]:
                 a[j] += modulus * ((rp - a[j]) * inv_m % p)
         modulus *= p
         basis = _reconstruct(acc, modulus)
-        if basis is not None and _in_kernel(mat, basis):
+        if basis is not None and _in_kernel(rows, basis):
             return basis
-    return _nullspace_exact(mat)
+    return _nullspace_exact(rows, ncols)
 
 
 def _peel(mat: RatMatrix) -> list[tuple[int, int]]:
     """The forced-zero columns of mat with their forcing rows, in peel
     order: [(column, row)], each row's only nonzero entry outside the
-    columns listed before it being in its own column.  Entries count by
-    value, not by key: a stored zero is no entry.  Each row keeps the
-    number of its nonzeros in live columns and the XOR of those columns,
-    which names the column when one is left."""
-    count = [0] * mat.nrows
-    xor = [0] * mat.nrows
-    rows_of: list[list[int]] = [[] for _ in range(mat.ncols)]
-    for (i, j), v in mat.entries.items():
-        if v:
-            count[i] += 1
-            xor[i] ^= j
-            rows_of[j].append(i)
+    columns listed before it being in its own column.  It works on copies
+    of mat's per-row counts and XORs of live columns; the XOR names the
+    column when one is left."""
+    count, xor, cols = mat.count[:], mat.xor[:], mat.rows
     stack = [i for i, n in enumerate(count) if n == 1]
     order = []
     while stack:
@@ -335,7 +426,7 @@ def _peel(mat: RatMatrix) -> list[tuple[int, int]]:
             continue
         j = xor[i]
         order.append((j, i))
-        for r in rows_of[j]:
+        for r in cols[j]:
             count[r] -= 1
             xor[r] ^= j
             if count[r] == 1:
@@ -343,38 +434,41 @@ def _peel(mat: RatMatrix) -> list[tuple[int, int]]:
     return order
 
 
-def _drop_peeled(mat: RatMatrix, order: list[tuple[int, int]]) -> tuple[RatMatrix, list[int]]:
-    """The surviving columns of mat and the matrix of their nonzero
-    entries (rows renumbered in order of appearance, empty ones dropped),
-    after checking in the same pass that `order` is a peel certificate:
-    distinct columns and rows, each row with a nonzero in its own column
-    and nonzeros elsewhere only in columns listed before it.  Raises
-    InternalError otherwise; a wrongly dropped column would give a basis
-    that verifies but spans too small a kernel."""
-    position = {j: k for k, (j, _) in enumerate(order)}
-    forcing = {i: k for k, (_, i) in enumerate(order)}
-    if len(position) != len(order) or len(forcing) != len(order):
-        raise InternalError("peel certificate repeats a column or row")
-    keep = [j for j in range(mat.ncols) if j not in position]
-    column = {j: t for t, j in enumerate(keep)}
-    rows: dict[int, int] = {}
-    entries = {}
-    held = set()
-    for (i, j), v in mat.entries.items():
-        if not v:
-            continue
-        k = forcing.get(i)
-        if k is None:
-            t = column.get(j)
-            if t is not None:
-                entries[rows.setdefault(i, len(rows)), t] = v
-        elif j == order[k][0]:
-            held.add(k)
-        elif position.get(j, k) >= k:
+def _drop_peeled(mat: RatMatrix, order: list[tuple[int, int]]) -> tuple[list[dict[int, int]], list[int]]:
+    """The surviving columns of mat and its rows that are nonzero on them,
+    restricted to them (renumbered) and scaled to primitive integers,
+    after checking in the same column-wise pass that `order` is a peel
+    certificate: distinct columns and rows, each row with a nonzero in its
+    own column and nonzeros elsewhere only in columns listed before it.
+    Raises InternalError otherwise; a wrongly dropped column would give a
+    basis that verifies but spans too small a kernel."""
+    n, ncols, nrows, cols = len(order), mat.ncols, mat.nrows, mat.rows
+    position = [n] * ncols  # a column's place in order; n if it survives
+    forcing = [n] * nrows  # the same for a row
+    for k, (j, i) in enumerate(order):
+        if not (0 <= j < ncols and 0 <= i < nrows):
+            raise InternalError("peel certificate names no such column or row")
+        if position[j] < n or forcing[i] < n:
+            raise InternalError("peel certificate repeats a column or row")
+        if i not in cols[j]:
+            raise InternalError("peel certificate: a forcing row is zero in its column")
+        position[j] = forcing[i] = k
+    keep = []
+    survivors: dict[int, dict] = {}
+    for j, (rs, vs) in enumerate(zip(cols, mat.vals)):
+        # a forcing row listed before column j's own place is nonzero after its column
+        if rs and min(map(forcing.__getitem__, rs)) < position[j]:
             raise InternalError("peel certificate: a forcing row has a later nonzero")
-    if len(held) != len(order):
-        raise InternalError("peel certificate: a forcing row is zero in its column")
-    return RatMatrix(len(rows), len(keep), entries), keep
+        if position[j] == n:
+            t = len(keep)
+            keep.append(j)
+            for i, v in zip(rs, vs):
+                row = survivors.get(i)
+                if row is None:
+                    survivors[i] = {t: v}
+                else:
+                    row[t] = v
+    return [_primitive_row(row) for row in survivors.values()], keep
 
 
 def nullspace(mat: RatMatrix) -> list[tuple]:
@@ -383,10 +477,10 @@ def nullspace(mat: RatMatrix) -> list[tuple]:
     forced-zero columns are peeled first; the surviving ones go through
     the modular engine, which verifies what it returns.  The basis is
     zero-extended over the peeled columns."""
-    sub, keep = _drop_peeled(mat, _peel(mat))
+    rows, keep = _drop_peeled(mat, _peel(mat))
     if not keep:
         return []
-    basis = _nullspace_modular(sub)
+    basis = _nullspace_modular(rows, len(keep))
     if len(keep) == mat.ncols:
         return basis
     out = []
@@ -396,4 +490,3 @@ def nullspace(mat: RatMatrix) -> list[tuple]:
             x[j] = v
         out.append(tuple(x))
     return out
-

@@ -31,8 +31,10 @@ _MAX_EXP = 64
 _MAX_DEGREE = 128
 # Bound on the size of the same operations: for a product, quotient or
 # cross-multiplying sum, the product of the operands' term counts (each
-# the larger of numerator and denominator); for a power, the number
-# C(d + n, n) of monomials of degree <= d in the base's n variables.  The
+# the larger of numerator and denominator); for a power e of a base of t
+# such terms, the smaller of C(e + t - 1, t - 1), the number of ways to
+# pick e of the t terms, and C(d + n, n), the number of monomials of
+# degree <= d in the base's n variables.  The
 # largest value any fixture, golden-corpus text or benchmark equation
 # (seeds 7, 11, 42 and 4242) reaches is 252; within the degree budget,
 # ((x+y+z)^32)*((x-y+z)^32) would multiply 561 by 561 terms.
@@ -179,7 +181,9 @@ class _Parser:
                     self.fail("zero raised to a negative power", tok)
                 num, den, e = den, num, -e
             n = len(set(num.vars_used()) | set(den.vars_used()))
-            self.check_size(_degree(value) * e, math.comb(_degree(value) * e + n, n), tok)
+            t = _terms(value)
+            dense = math.comb(_degree(value) * e + n, n)
+            self.check_size(_degree(value) * e, min(math.comb(e + t - 1, t - 1), dense), tok)
             value = _fold(num**e, den**e)
         return value
 

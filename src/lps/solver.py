@@ -31,14 +31,29 @@ The search climbs a degree ladder, one linear system per degree d.
 common to every column leaves the kernel alone) and owns the row index:
 the columns of degree d are a prefix of those of degree d+1 (grlex order),
 rows are numbered in order of first appearance and each rung assembles
-only its new columns.  It is the library's only polynomials->matrix
-builder.  Its rows and columns are keyed by MPoly's packed monomial keys
-(see `poly`), so shifting a term by a column's monomial is one integer
-addition and the builder has no packing of its own.  Each rung's kernel is a fresh `linalg.nullspace`,
-which peels the unknowns forced to zero before its modular engine
-eliminates: on these sparse systems most are (every rung of eq8, most
-rungs of eq7), and the surviving columns are not nested from one rung to
-the next, so no elimination is carried up the ladder.
+only its new columns, appended to one column store (`linalg.RatMatrix`)
+that also keeps each row's count and XOR of columns.  Rung d's system is
+a copy of that store, so it costs no pass over the entries of the rungs
+before it.  It is the library's only polynomials->matrix builder.  Its
+rows and columns are keyed by MPoly's packed monomial keys (see `poly`),
+so shifting a term by a column's monomial is one integer addition and the
+builder has no packing of its own.
+
+Each rung's kernel is a fresh `linalg.nullspace`, which peels the
+unknowns forced to zero before its modular engine eliminates: on these
+sparse systems most are (every rung of eq8, most rungs of eq7).  The
+surviving systems are nested.  Keep the steps of rung d+1's peel whose
+column is one of rung d's: each kept row is a row of rung d (it is
+nonzero in its own column), and its nonzeros among rung d's columns lie
+in kept columns before it.  So the kept steps are a peel of rung d, and
+since what a peel drops does not depend on its order, every column of
+rung d that rung d+1 drops, rung d drops too.  Rung d's surviving columns
+are therefore among rung d+1's, a row that forces at rung d+1 is zero on
+them, and rung d's surviving system is a block of rung d+1's with zeros
+below it.  Still no elimination is carried up the ladder, because of
+fill: in a prototype on eq7, a column-wise elimination carried from rung
+to rung took 763 ms against 135 ms for one elimination per rung (98
+against 62 ms when both peeled first).
 """
 
 from __future__ import annotations
@@ -50,6 +65,14 @@ from .errors import DomainError, InternalError
 from .linalg import RatMatrix, nullspace
 from .parser import RING1, RING2, RationalODE
 from .poly import MAX_KEY_DEGREE, VAR_KEY, MPoly, exponents, monomials_of_degree, rat
+
+
+# A rung's entries are at most its columns times the terms of one column's
+# image (the builder's partials and constant term).  A ladder whose top
+# rung could pass this is refused before it is assembled.  The largest
+# bound over the fixtures, the golden corpus and the benchmark's equations
+# is 93,024 (eq7's 816 columns of up to 114 terms).
+MAX_ENTRIES = 2_000_000
 
 
 @dataclass(frozen=True)
@@ -136,8 +159,10 @@ class _SystemBuilder:
 
         self._partials = [(VAR_KEY[v], cleared(p)) for v, p in zip(self.ring, partials)]
         self._cterm = cleared(-cterm)
+        # a column's image has at most this many terms
+        self.image_terms = sum(len(terms) for _, terms in self._partials) + len(self._cterm)
         self._rows: dict[int, int] = {}
-        self._entries: dict = {}
+        self._matrix = RatMatrix()
         self._cols: list[int] = []
         self._degree = -1
 
@@ -155,27 +180,34 @@ class _SystemBuilder:
     def build(self, degree: int, extra=()) -> tuple[RatMatrix, list[int]]:
         """The system (columns lcm E(m)) of the candidate monomials of degree
         <= degree, for non-decreasing degrees: only the new degrees'
-        columns are assembled, appended in grlex order, and rows keep their
-        numbers, so it extends the last one.  Each polynomial in `extra`
-        adds one more column, lcm times it, after the monomials' columns;
-        those go into this system only, not into the next one."""
+        columns are assembled and appended, in grlex order, to the one
+        matrix the builder keeps, and rows keep their numbers, so it
+        extends the last one; the system returned is a copy.  Each
+        polynomial in `extra` adds one more column, lcm times it, after the
+        monomials' columns; those go into this system only, not into the
+        next one."""
         if degree + self._reach > MAX_KEY_DEGREE:
             raise DomainError(f"exponents at degree {degree} overflow the packed row monomials")
-        cols, rows, entries = self._cols, self._rows, dict(self._entries)
+        rows, cols = self._rows, self._cols
+        col_rows, col_vals = [], []
         for d in range(self._degree + 1, degree + 1):
             for mono in monomials_of_degree(self.ring, d):
-                j = len(cols)
-                for t, c in self._int_image(mono).items():
-                    if c:
-                        entries[(rows.setdefault(t, len(rows)), j)] = c
+                image = self._int_image(mono)
+                if 0 in image.values():
+                    image = {t: c for t, c in image.items() if c}
+                col_rows.append([rows.setdefault(t, len(rows)) for t in image])
+                col_vals.append(list(image.values()))
                 cols.append(mono)
-        self._entries, self._degree = entries, max(self._degree, degree)
+        self._matrix.append(col_rows, col_vals, len(rows))
+        self._degree = max(self._degree, degree)
+        mat = self._matrix.copy()
         if extra:
-            entries, rows = dict(entries), dict(rows)
-            for j, p in enumerate(extra, len(cols)):
-                for t, c in p.terms.items():
-                    entries[(rows.setdefault(t, len(rows)), j)] = rat(c * self.lcm)
-        return RatMatrix(len(rows), len(cols) + len(extra), entries), list(cols)
+            new_rows: dict[int, int] = {}
+            col_rows = [[rows[t] if t in rows else new_rows.setdefault(t, len(rows) + len(new_rows))
+                         for t in p.terms] for p in extra]
+            mat.append(col_rows, [[rat(c * self.lcm) for c in p.terms.values()] for p in extra],
+                       len(rows) + len(new_rows))
+        return mat, list(cols)
 
 
 def _select_kernel_poly(basis_vectors: list, cols: list, ring: tuple[str, ...]) -> tuple[MPoly, list[MPoly]]:
@@ -218,8 +250,17 @@ def _ladder(field: VectorField, max_degree: int, k: int, den: MPoly):
 
     The builder assembles only each rung's new columns; every rung's
     kernel is a fresh `nullspace` of the whole (unpeeled) system, whose
-    shape is the one reported."""
+    shape is the one reported.  A ladder whose top rung could hold more
+    than MAX_ENTRIES entries is refused before anything is assembled."""
     builder = _SystemBuilder(field, k, den)
+    nvars = len(field.ring)
+    columns = math.comb(max_degree + nvars, nvars)
+    if columns * builder.image_terms > MAX_ENTRIES:
+        flags = "--max-degree" if den.is_constant() else "--max-degree or use a smaller --denominator"
+        raise DomainError(
+            f"the top rung at degree {max_degree} could hold {columns * builder.image_terms} entries "
+            f"({columns} columns of up to {builder.image_terms} terms; at most {MAX_ENTRIES}): "
+            f"lower {flags}")
     for degree in range(max_degree + 1):
         mat, cols = builder.build(degree)
         basis = nullspace(mat)

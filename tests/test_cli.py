@@ -81,7 +81,7 @@ def test_solve_eq8_matches_expected_record():
 def test_solve_eq8_needs_no_elimination(monkeypatch):
     # every rung of both of eq8's ladders peels to no column at all, so
     # neither kernel engine runs
-    def refuse(mat):
+    def refuse(rows, ncols):
         raise AssertionError("a kernel engine ran")
 
     monkeypatch.setattr(linalg, "_nullspace_exact", refuse)
@@ -215,10 +215,15 @@ def test_parse_refuses_an_oversized_product_at_once():
     assert code == 2 and out == ""
     assert "term count 314721 exceeds 100000 (line 1, column 19)" in err
     assert time.perf_counter() - start < 5
-    # a power is bounded by its dense monomial count C(126 + 3, 3)
-    code, out, err = run_cli(["parse", "y'' = (x*y*z + 1)^42"])
+    # a power is bounded by the smaller of its multinomial count
+    # C(e + t - 1, t - 1) and its dense monomial count C(d*e + n, n):
+    # (x*y*z + 1)^42 has 43 terms, where the dense count is C(126 + 3, 3)
+    code, out, _ = run_cli(["parse", "--json", "y'' = (x*y*z + 1)^42"])
+    assert code == 0 and json.loads(out)["numerator"].count("+") == 42
+    # 7 terms to the 42nd: C(48, 6) = 12,271,512 against C(84 + 3, 3)
+    code, out, err = run_cli(["parse", "y'' = (x^2+y^2+z^2+x+y+z+1)^42"])
     assert code == 2 and out == ""
-    assert "term count 349504 exceeds 100000 (line 1, column 18)" in err
+    assert "term count 105995 exceeds 100000 (line 1, column 28)" in err
     code, out, _ = run_cli(["parse", "--json", "y'' = (x*y*z + 1)^20"])
     assert code == 0 and json.loads(out)["numerator"].endswith("x^20*y^20*z^20")
 
@@ -457,6 +462,62 @@ def test_max_degree_over_column_budget_exits_2_at_once(monkeypatch, argv):
     code, out, err = run_cli(argv)
     assert code == 2 and out == ""
     assert "17296 columns" in err and str(cli._MAX_COLUMNS) in err
+
+
+def refuse_assembly(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("assembled a system over a budget")
+
+    monkeypatch.setattr(lps.solver._SystemBuilder, "build", refuse)
+
+
+def test_top_rung_entries_over_budget_exit_2_at_once(monkeypatch):
+    # each column's image has about as many terms as the denominator (1,891
+    # for (x+y+1)^60): this took 14.3 s and 384 MB before the budget
+    refuse_assembly(monkeypatch)
+    argv = ["solve", "y' = (x^3 + y^2 + 1)/(x*y + 2)", "--denominator", "(x+y+1)^60",
+            "--max-degree", "40"]
+    start = time.perf_counter()
+    code, out, err = run_cli(argv)
+    assert time.perf_counter() - start < 1
+    assert code == 2 and out == ""
+    assert "861 columns" in err and str(lps.solver.MAX_ENTRIES) in err
+    assert "--max-degree" in err and "--denominator" in err
+
+
+def test_entries_budget_is_far_above_the_fixtures():
+    # eq7's top rung (degree 15, 816 columns) has the largest bound of any
+    # fixture, golden-corpus text or benchmark equation
+    field = build_field(parse_ode(Path(fixture_path("eq7")).read_text()))
+    builder = lps.solver._SystemBuilder(field, 1, MPoly.constant(1, field.ring))
+    assert 816 * builder.image_terms == 93024
+    assert lps.solver.MAX_ENTRIES > 20 * 93024
+
+
+@pytest.mark.parametrize("argv, ladders, flags", [
+    (["--power-sweep", "1000", "--max-degree", "139", "y' = (x^3 + y^2 + 1)/(x*y + 2)"],
+     1000, "--max-degree, --power-sweep give"),
+    # eq8 has one degree-1 Darboux polynomial, y, which doubles the ladders
+    (["--power-sweep", "6", "--max-degree", "139", "--auto-denominator", "--file", fixture_path("eq8")],
+     12, "--max-degree, --power-sweep, --auto-denominator give"),
+])
+def test_ladders_over_the_column_budget_exit_2_before_the_first(monkeypatch, argv, ladders, flags):
+    # C(141, 2) = 9,870 columns on each top rung
+    refuse_assembly(monkeypatch)
+    start = time.perf_counter()
+    code, out, err = run_cli(["solve"] + argv)
+    assert time.perf_counter() - start < 5
+    assert code == 2 and out == ""
+    assert f"{flags} {ladders} ladders with {ladders * 9870} columns" in err
+    assert str(cli._MAX_LADDER_COLUMNS) in err
+
+
+def test_ladder_budget_edge():
+    # 10 ladders at degree 139 fit the budget, 11 do not
+    assert 10 * 9870 <= cli._MAX_LADDER_COLUMNS < 11 * 9870
+    code, _, err = run_cli(["solve", "--power-sweep", "11", "--max-degree", "139", "y' = y/x"])
+    assert code == 2 and "11 ladders" in err
+    assert run_cli(["solve", "--power-sweep", "10", "--max-degree", "139", "y' = y/x"])[0] == 0
 
 
 @pytest.mark.parametrize("order, top", [(1, 139), (2, 37)])

@@ -3,6 +3,7 @@
 
 import random
 from fractions import Fraction
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -12,6 +13,9 @@ from hypothesis import strategies as st
 from lps import linalg
 from lps.errors import InternalError
 from lps.linalg import RatMatrix, nullspace
+from lps.parser import parse_ode
+from lps.poly import MPoly
+from lps.solver import _SystemBuilder, build_field
 
 P0 = linalg._PRIMES[0]  # the modular engine's first prime
 
@@ -26,6 +30,16 @@ def from_rows(rows, ncols):
             if v:
                 entries[(i, j)] = v
     return RatMatrix(len(rows), ncols, entries)
+
+
+def exact_kernel(mat):
+    """The exact engine on all of mat, with no column peeled."""
+    return linalg._nullspace_exact(linalg._drop_peeled(mat, [])[0], mat.ncols)
+
+
+def modular_kernel(mat):
+    """The modular engine on all of mat, with no column peeled."""
+    return linalg._nullspace_modular(linalg._drop_peeled(mat, [])[0], mat.ncols)
 
 
 def bareiss_rank(rows):
@@ -144,8 +158,8 @@ def test_engines_agree():
         nr = rng.randint(6, 14)
         nc = rng.randint(6, 12)
         mat, _ = rand_matrix(rng, nr, nc, density=0.45, big=(trial % 3 == 0))
-        exact = linalg._nullspace_exact(mat)
-        modular = linalg._nullspace_modular(mat)
+        exact = exact_kernel(mat)
+        modular = modular_kernel(mat)
         assert exact == modular
 
 
@@ -166,7 +180,7 @@ def test_kernel_vectors_are_ints_and_particulars_canonical():
     rng = random.Random(46)
     for trial in range(60):
         mat, rows = rand_matrix(rng, rng.randint(1, 6), rng.randint(2, 7), density=0.6)
-        for engine in (linalg._nullspace_exact, linalg._nullspace_modular):
+        for engine in (exact_kernel, modular_kernel):
             for vec in engine(mat):
                 assert all(type(v) is int for v in vec)
         n = mat.ncols
@@ -195,8 +209,8 @@ def test_big_aspect_ratio_modular():
         rows.append(row)
     # plant a kernel vector: append column dependencies
     mat = from_rows(rows, nc)
-    basis_mod = linalg._nullspace_modular(mat)
-    basis_exact = linalg._nullspace_exact(mat)
+    basis_mod = modular_kernel(mat)
+    basis_exact = exact_kernel(mat)
     assert basis_mod == basis_exact
 
 
@@ -220,10 +234,10 @@ def test_unlucky_first_prime_gives_the_exact_basis():
     # first, so p0's pivot columns are {0, 2} while over Q they are {0, 1}
     cols = [{0: 1}, {0: 1, 1: P0}, {1: 1}]
     mat = matrix_of(cols)
-    exact = linalg._nullspace_exact(mat)
+    exact = exact_kernel(mat)
     assert exact == [(1, -1, P0)]
     with no_exact_fallback():
-        assert linalg._nullspace_modular(mat) == exact
+        assert modular_kernel(mat) == exact
 
 
 def test_a_stored_zero_is_no_entry():
@@ -243,7 +257,7 @@ def test_peel_is_closed_and_only_drops_forced_zeros():
         peeled = {j for j, _ in linalg._peel(mat)}
         for row in rows:
             assert sum(1 for j, v in row.items() if v and j not in peeled) != 1
-        for vec in linalg._nullspace_exact(mat):
+        for vec in exact_kernel(mat):
             assert all(vec[j] == 0 for j in peeled)
 
 
@@ -272,7 +286,7 @@ def test_modular_engine_falls_back_to_exact(monkeypatch):
     # with one 2-bit prime, 1/p0 never reconstructs
     monkeypatch.setattr(linalg, "_PRIMES", [3])
     mat = matrix_of([{0: 1}, {0: 1, 1: P0}, {1: 1}])
-    assert linalg._nullspace_modular(mat) == [(1, -1, P0)]
+    assert modular_kernel(mat) == [(1, -1, P0)]
 
 
 def test_a_kernel_with_big_entries_needs_several_primes(monkeypatch):
@@ -280,7 +294,7 @@ def test_a_kernel_with_big_entries_needs_several_primes(monkeypatch):
     # numerators and denominators reconstruct only modulo several primes
     rng = random.Random(48)
     mat = from_rows([[rng.randint(-(10**4), 10**4) for _ in range(5)] for _ in range(3)], 5)
-    exact = linalg._nullspace_exact(mat)
+    exact = exact_kernel(mat)
     assert len(exact) == 2
     primes = []
     kernel_mod_p = linalg._kernel_mod_p
@@ -291,7 +305,7 @@ def test_a_kernel_with_big_entries_needs_several_primes(monkeypatch):
 
     monkeypatch.setattr(linalg, "_kernel_mod_p", recording)
     with no_exact_fallback():
-        assert linalg._nullspace_modular(mat) == exact
+        assert modular_kernel(mat) == exact
     assert len(primes) > 1 and primes == linalg._PRIMES[: len(primes)]
 
 
@@ -333,10 +347,109 @@ def sparse_columns(draw):
 @given(sparse_columns())
 def test_modular_and_ladder_match_exact(cols):
     mat = matrix_of(cols)
-    exact = linalg._nullspace_exact(mat)
+    exact = exact_kernel(mat)
     with no_exact_fallback():
-        assert linalg._nullspace_modular(mat) == exact
+        assert modular_kernel(mat) == exact
     # every prefix, as the ladder's rungs, continuing past nonempty kernels
     for k in range(1, len(cols) + 1):
         sub = matrix_of(cols[:k])
-        assert nullspace(sub) == linalg._nullspace_exact(sub)
+        assert nullspace(sub) == exact_kernel(sub)
+
+
+def reference_kernel_mod_p(rows, ncols, p):
+    """The canonical kernel vectors mod p by a column walk: a column that
+    some remaining row holds becomes a pivot, with the sparsest such row
+    as pivot row, and is eliminated from the others; back-substitution
+    then gives each dependent column's vector.  The library's engine
+    inserts rows instead; the canonical basis mod p is unique, so the two
+    must agree."""
+    active = []
+    for row in rows:
+        reduced = {j: v % p for j, v in row.items() if v % p}
+        if reduced:
+            active.append(reduced)
+    pivots = {}
+    for c in range(ncols):
+        holders = [r for r in active if c in r]
+        if not holders:
+            continue
+        row = min(holders, key=len)
+        inv = pow(row.pop(c), -1, p)
+        prow = pivots[c] = {j: v * inv % p for j, v in row.items()}
+        for r in holders:
+            if r is not row:
+                f = r.pop(c)
+                for j, v in prow.items():
+                    s = (r.get(j, 0) - f * v) % p
+                    if s:
+                        r[j] = s
+                    else:
+                        r.pop(j, None)
+        active = [r for r in active if r and r is not row]
+    x = {}
+    for c in reversed(range(ncols)):
+        prow = pivots.get(c)
+        if prow is None:
+            x[c] = {c: 1}
+            continue
+        acc = {}
+        for j, v in prow.items():
+            for f, a in x[j].items():
+                acc[f] = (acc.get(f, 0) - v * a) % p
+        x[c] = {f: a for f, a in acc.items() if a}
+    return {f: [x[j].get(f, 0) for j in range(ncols)] for f in range(ncols) if f not in pivots}
+
+
+@st.composite
+def integer_systems(draw):
+    """(rows, ncols, p) for p = 3 or p0: sparse integer rows, with
+    duplicates, combinations of other rows (so often rank-deficient) and
+    rows that vanish mod p."""
+    p = draw(st.sampled_from([3, P0]))
+    ncols = draw(st.integers(1, 12))
+
+    def row():
+        return {j: v for j in range(ncols) if draw(st.integers(0, 3)) == 0 and (v := draw(st.integers(-9, 9)))}
+
+    rows = [row() for _ in range(draw(st.integers(0, 14)))]
+    for _ in range(draw(st.integers(0, 4))):
+        kind = draw(st.sampled_from(["duplicate", "combination", "multiple of p"]))
+        if kind == "multiple of p":
+            rows.append({j: p * v for j, v in row().items()})
+        elif rows:
+            a, b = (rows[draw(st.integers(0, len(rows) - 1))] for _ in range(2))
+            k = 0 if kind == "duplicate" else draw(st.integers(-3, 3))
+            combined = {j: a.get(j, 0) + k * b.get(j, 0) for j in a.keys() | b.keys()}
+            rows.insert(draw(st.integers(0, len(rows))), {j: v for j, v in combined.items() if v})
+    return rows, ncols, p
+
+
+def check_engine(rows, ncols, p):
+    want = reference_kernel_mod_p(rows, ncols, p)
+    # the echelon alone, the kernel update from the start, and in between
+    for few in (0, 1, 3, linalg._FEW, ncols):
+        with mock.patch.object(linalg, "_FEW", few):
+            assert linalg._kernel_mod_p(rows, ncols, p) == want
+
+
+@settings(max_examples=200, deadline=None)
+@given(integer_systems())
+def test_kernel_mod_p_matches_the_column_walk(system):
+    check_engine(*system)
+
+
+def test_kernel_mod_p_matches_the_column_walk_on_eq7():
+    # every rung of eq7's search (to its --max-degree 15) that keeps a
+    # column after the peel, at two primes
+    fixture = Path(__file__).resolve().parent.parent / "src" / "lps" / "fixtures" / "eq7.txt"
+    field = build_field(parse_ode(fixture.read_text()))
+    builder = _SystemBuilder(field, 1, MPoly.constant(1, field.ring))
+    surviving = []
+    for degree in range(16):
+        mat, _ = builder.build(degree)
+        rows, keep = linalg._drop_peeled(mat, linalg._peel(mat))
+        if keep:
+            surviving.append(degree)
+            for p in linalg._PRIMES[:2]:
+                check_engine(rows, len(keep), p)
+    assert surviving == list(range(9, 16))

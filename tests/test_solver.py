@@ -228,7 +228,7 @@ def exact_search(ode, max_degree, k=1, den=None):
     builder = _SystemBuilder(field, k, den)
     for degree in range(max_degree + 1):
         mat, cols = builder.build(degree)
-        basis = linalg._nullspace_exact(mat)
+        basis = linalg._nullspace_exact(linalg._drop_peeled(mat, [])[0], mat.ncols)
         if basis:
             _, polys = _select_kernel_poly(basis, cols, field.ring)
             return degree, tuple(p.normalized() for p in polys)
@@ -273,9 +273,9 @@ def test_ladder_matches_exact_search_with_an_unlucky_first_prime(monkeypatch):
     primes_seen = []
     modular = linalg._nullspace_modular
 
-    def recording_modular(mat):
+    def recording_modular(rows, ncols):
         primes_seen.append(linalg._PRIMES[0])
-        return modular(mat)
+        return modular(rows, ncols)
 
     monkeypatch.setattr(linalg, "_nullspace_modular", recording_modular)
     check_ladder_against_exact_search()
@@ -396,3 +396,34 @@ def test_builder_cases_clear_denominators():
         pbar = MPoly.constant(1, field.ring) if den is None else den.extend_ring(field.ring)
         lcms.append(_SystemBuilder(field, k, pbar).lcm)
     assert max(lcms) > 1
+
+
+def surviving_block(mat):
+    """The entries of mat in the columns its peel keeps, as {(row, col):
+    value}, with the kept columns."""
+    peeled = {j for j, _ in linalg._peel(mat)}
+    keep = set(range(mat.ncols)) - peeled
+    return {(i, j): v for (i, j), v in mat.entries.items() if j in keep}, keep
+
+
+def test_surviving_systems_are_nested():
+    # rung d's surviving columns are among rung d+1's, and rung d+1's
+    # surviving system holds rung d's as a block with zeros below it: its
+    # entries in rung d's surviving columns are exactly rung d's
+    cases = [(load_ode("eq5"), 15), (load_ode("eq7"), 15), (load_ode("eq9"), 20)]
+    rng = random.Random(20261020)
+    for _ in range(20):
+        planted = plant(rng, max_factor_degree=3)
+        cases.append((planted.ode, planted.planted_v.total_degree() + 2))
+    grew = 0
+    for ode, top in cases:
+        field = build_field(ode)
+        builder = _SystemBuilder(field, 1, MPoly.constant(1, field.ring))
+        below, kept = {}, set()
+        for degree in range(top + 1):
+            block, keep = surviving_block(builder.build(degree)[0])
+            assert kept <= keep, ode.to_text()
+            assert {ij: v for ij, v in block.items() if ij[1] in kept} == below, ode.to_text()
+            grew += kept < keep
+            below, kept = block, keep
+    assert grew > 20
