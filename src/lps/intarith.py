@@ -4,6 +4,7 @@ reconstruction.  Everything here is deterministic."""
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from fractions import Fraction
 
 # Witnesses proving primality for every n < 3.317e24 (Sorenson & Webster).
@@ -55,12 +56,6 @@ def rational_reconstruct(a: int, m: int) -> Fraction | None:
     return Fraction(r1, t1)
 
 
-def primes_below(bound: int, count: int) -> list[int]:
-    """The `count` largest primes strictly below `bound`, descending."""
-    out = []
-    n = bound - 1 if bound % 2 == 0 else bound - 2
-    while len(out) < count and n > 2:
-        if is_probable_prime(n):
-            out.append(n)
-        n -= 2
-    return out
+def primes_below(bound: int) -> Iterator[int]:
+    """The odd primes below `bound`, descending, each tested as it is drawn."""
+    return filter(is_probable_prime, range(bound - 1 - bound % 2, 2, -2))

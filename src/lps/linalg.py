@@ -1,26 +1,18 @@
-"""Exact rational linear algebra: sparse matrices and their kernels.
+"""Exact rational linear algebra: sparse matrices (`RatMatrix`, stored by
+columns) and their kernels.
 
-Matrices are stored by columns (`RatMatrix`), with two running per-row
-lists: each row's number of nonzero entries and the XOR of their columns.
 `nullspace` first peels the forced-zero unknowns.  If a row's only nonzero
 entry among the remaining columns is in column j, every kernel vector has
 x_j = 0, so column j is dropped; that may leave more such rows, and the
 peel repeats (the singleton-row presolve of sparse LP, Andersen & Andersen
 1995; "structural pivots" in sparse elimination mod p, Bouillaguet &
-Delaplace 2016).  It starts from copies of the per-row lists, and the
-XOR names a row's last live column.  Before it is trusted, the peel is
-re-checked as a certificate: each forcing row has a nonzero in its own
-column and nonzeros elsewhere only in columns dropped before it.  One
-pass over the columns checks it and gathers the surviving rows.  The
-surviving columns go to the modular engine (one mod-p elimination per
-prime, CRT, rational reconstruction).  A fraction-free sparse elimination
-over the integers gives the same canonical answer; it is the modular
-engine's fallback when no number of primes reconstructs, and the
-reference the tests compare it against.  The canonical kernel basis is
-the reduced-row-echelon one: one vector per free column (ascending),
-scaled integer-primitive with a positive entry at its free column.  Every
-vector either engine emits is verified exactly over Q before it is
-returned.
+Delaplace 2016).  Before it is trusted, the peel is re-checked as a
+certificate (`_drop_peeled`).  The surviving columns go to the modular
+engine: one mod-p elimination per prime, CRT and rational reconstruction,
+with primes drawn until the basis verifies exactly over Q.  The canonical
+kernel basis is the reduced-row-echelon one: one vector per free column
+(ascending), scaled integer-primitive with a positive entry at its free
+column.
 
 Why the peel cannot change the answer.  Column f is free iff some kernel
 vector has its last nonzero at f, and the canonical vector of f is the
@@ -71,19 +63,31 @@ a free column, 0 at the other free columns and support on the pivots is
 unique.  By the same prefix-rank bound, the true profile is the best one
 any prime shows: highest rank, then lexicographically first pivot
 columns.
+
+Why the prime loop ends.  The primes are `_PRIMES`, the 48 largest below
+2^20 (the first settles every system the solver has been measured on),
+then each smaller odd prime.  With M a nonzero |P| x |P| minor on the
+columns of P, every prime not dividing M keeps those columns independent,
+so every leading set of columns keeps its rank over Q and the prime shows
+profile P; other primes show a worse profile and are skipped once P is
+seen.  The canonical entries are ratios of minors (Cramer), so they
+reconstruct once the product of the primes with profile P exceeds twice
+the square of their Hadamard bound.  If the odd primes below 2^20 (about
+1.5 million bits) run out first, the engine raises BudgetError.
 """
 
 from __future__ import annotations
 
 import math
 from collections.abc import Mapping
+from itertools import chain, islice
 from operator import mul
 from fractions import Fraction
 
-from .errors import InternalError
+from .errors import BudgetError, InternalError
 from .intarith import primes_below, rational_reconstruct
 
-_PRIMES = primes_below(2**20, 48)
+_PRIMES = list(islice(primes_below(2**20), 48))
 
 # `_kernel_mod_p` tests rows against the kernel once it has this few
 # vectors.  From 4 to 12 it times alike on eq7's surviving rungs; on the
@@ -147,15 +151,6 @@ class RatMatrix:
         out.count, out.xor = self.count[:], self.xor[:]
         return out
 
-    def apply(self, vec: tuple) -> list:
-        """Exact matrix-vector product (ints where entries and vec are)."""
-        out = [0] * self.nrows
-        for x, rs, vs in zip(vec, self.rows, self.vals):
-            if x:
-                for i, v in zip(rs, vs):
-                    out[i] += v * x
-        return out
-
 
 class _Entries(Mapping):
     """A RatMatrix's nonzero entries as a read-only {(row, col): value}
@@ -201,86 +196,6 @@ def _primitive_vector(vec: list, positive_at: int) -> tuple:
     if ints[positive_at] < 0:
         ints = [-n for n in ints]
     return tuple(ints)
-
-
-# ---------------------------------------------------------------------------
-# Exact fraction-free engine.
-# ---------------------------------------------------------------------------
-
-
-def _eliminate_exact(rows: list[dict[int, int]], ncols: int):
-    """Forward fraction-free elimination.  Returns pivot list
-    [(col, row_dict)] in ascending column order."""
-    active = [r for r in rows if r]
-    pivots: list[tuple[int, dict[int, int]]] = []
-    for c in range(ncols):
-        holders = [i for i, r in enumerate(active) if r.get(c)]
-        if not holders:
-            continue
-        # Markowitz-flavored pick: sparsest row, ties by position.
-        pi = min(holders, key=lambda i: (len(active[i]), i))
-        prow = active.pop(pi)
-        pval = prow[c]
-        nxt = []
-        for r in active:
-            f = r.get(c)
-            if not f:
-                nxt.append(r)
-                continue
-            merged = {}
-            for j, v in r.items():
-                merged[j] = v * pval
-            for j, v in prow.items():
-                s = merged.get(j, 0) - f * v
-                if s:
-                    merged[j] = s
-                else:
-                    merged.pop(j, None)
-            if merged:
-                g = 0
-                for v in merged.values():
-                    g = math.gcd(g, v)
-                if g > 1:
-                    merged = {j: v // g for j, v in merged.items()}
-                nxt.append(merged)
-        active = nxt
-        pivots.append((c, prow))
-    return pivots
-
-
-def _kernel_from_pivots(pivots, ncols: int) -> list[tuple]:
-    pivot_cols = [c for c, _ in pivots]
-    pivot_set = set(pivot_cols)
-    free_cols = [c for c in range(ncols) if c not in pivot_set]
-    basis = []
-    for f in free_cols:
-        x: dict[int, Fraction] = {f: Fraction(1)}
-        for c, row in reversed(pivots):
-            acc = Fraction(0)
-            for j, v in row.items():
-                if j == c:
-                    continue
-                xv = x.get(j)
-                if xv:
-                    acc += v * xv
-            x[c] = -acc / row[c]
-        vec = [x.get(j, Fraction(0)) for j in range(ncols)]
-        basis.append(_primitive_vector(vec, f))
-    return basis
-
-
-def _nullspace_exact(rows: list[dict[int, int]], ncols: int) -> list[tuple]:
-    """Kernel of integer rows by fraction-free elimination, verified
-    exactly."""
-    basis = _kernel_from_pivots(_eliminate_exact(rows, ncols), ncols)
-    if not _in_kernel(rows, basis):
-        raise InternalError("kernel verification failed")
-    return basis
-
-
-# ---------------------------------------------------------------------------
-# Modular engine.
-# ---------------------------------------------------------------------------
 
 
 def _kernel_mod_p(rows: list[dict[int, int]], ncols: int, p: int) -> dict[int, list[int]]:
@@ -365,12 +280,9 @@ def _reconstruct(residues: dict[int, list[int]], modulus: int) -> list[tuple] | 
     if one does not reconstruct."""
     basis = []
     for f, vec in residues.items():
-        x = []
-        for a in vec:
-            q = rational_reconstruct(a, modulus) if a else Fraction(0)
-            if q is None:
-                return None
-            x.append(q)
+        x = [rational_reconstruct(a, modulus) if a else Fraction(0) for a in vec]
+        if None in x:
+            return None
         basis.append(_primitive_vector(x, f))
     return basis
 
@@ -381,14 +293,12 @@ def _in_kernel(rows: list[dict[int, int]], basis: list[tuple]) -> bool:
 
 
 def _nullspace_modular(rows: list[dict[int, int]], ncols: int) -> list[tuple]:
-    """Kernel of integer rows by one `_kernel_mod_p` per prime, CRT across
-    primes with the best pivot profile seen (highest rank, then
-    lexicographically first pivot columns; the true profile is best, see
-    the module docstring), rational reconstruction and exact
-    verification.  Falls back to the exact engine if no number of primes
-    gives a verified basis."""
+    """Kernel of integer rows: one `_kernel_mod_p` per prime, CRT over the
+    primes with the best pivot profile seen (module docstring), rational
+    reconstruction and exact verification after each prime.  The primes are
+    `_PRIMES`, then each smaller odd prime; BudgetError if they run out."""
     best = None
-    for p in _PRIMES:
+    for p in chain(_PRIMES, primes_below(_PRIMES[-1])):
         residues = _kernel_mod_p(rows, ncols, p)
         if not residues:
             return []
@@ -408,7 +318,7 @@ def _nullspace_modular(rows: list[dict[int, int]], ncols: int) -> list[tuple]:
         basis = _reconstruct(acc, modulus)
         if basis is not None and _in_kernel(rows, basis):
             return basis
-    return _nullspace_exact(rows, ncols)
+    raise BudgetError(f"the kernel of a {len(rows)}x{ncols} system does not reconstruct modulo the primes below 2^20")
 
 
 def _peel(mat: RatMatrix) -> list[tuple[int, int]]:

@@ -37,7 +37,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import DomainError
+from .errors import BudgetError, DomainError
 
 Rat = Fraction
 
@@ -544,8 +544,9 @@ def _trim(coeffs: list[MPoly]) -> list[MPoly]:
     return coeffs
 
 
-def _pseudo_rem(A: list[MPoly], B: list[MPoly]) -> list[MPoly]:
-    """prem(A, B): remainder of lc(B)^(degA-degB+1) * A under division by B.
+def _pseudo_rem(A: list[MPoly], B: list[MPoly], work: int) -> tuple[list[MPoly], int]:
+    """prem(A, B): remainder of lc(B)^(degA-degB+1) * A under division by B,
+    and work plus its products of terms (BudgetError past _MAX_PRS_PRODUCTS).
     Dense lists indexed by exponent, B nonzero, degA >= degB."""
     dA, dB = len(A) - 1, len(B) - 1
     lb = B[dB]
@@ -557,6 +558,9 @@ def _pseudo_rem(A: list[MPoly], B: list[MPoly]) -> list[MPoly]:
         if dR < dB:
             break
         top = R[dR]
+        work += sum(len(c.terms) for c in R) * len(lb.terms) + len(top.terms) * sum(len(c.terms) for c in B)
+        if work > _MAX_PRS_PRODUCTS:
+            raise BudgetError(f"polynomial gcd: more than {_MAX_PRS_PRODUCTS} term products")
         R = [c * lb for c in R]
         for i, bc in enumerate(B):
             R[i + dR - dB] = R[i + dR - dB] - top * bc
@@ -564,7 +568,7 @@ def _pseudo_rem(A: list[MPoly], B: list[MPoly]) -> list[MPoly]:
     if e > 0:
         scale = lb**e if e > 1 else lb
         R = [c * scale for c in R]
-    return _trim(R)
+    return _trim(R), work
 
 
 def _exact_div_list(coeffs: list[MPoly], d: MPoly) -> list[MPoly]:
@@ -592,14 +596,19 @@ def _content_pp(p: MPoly, var: str) -> tuple[MPoly, list[MPoly]]:
     return cont, _exact_div_list(coeffs, cont)
 
 
+# Products of terms one PRS may take (the test suite's largest takes 440).
+_MAX_PRS_PRODUCTS = 1_000_000
+
+
 def _prs_gcd(A: list[MPoly], B: list[MPoly]) -> list[MPoly]:
     """Subresultant PRS on primitive dense lists, deg A >= deg B >= 1.
     Returns the final remainder (a gcd up to content in the main var)."""
     g = MPoly.constant(1)
     h = MPoly.constant(1)
+    work = 0
     while True:
         delta = (len(A) - 1) - (len(B) - 1)
-        R = _pseudo_rem(A, B)
+        R, work = _pseudo_rem(A, B, work)
         if not R:
             return B
         if len(R) - 1 == 0:
@@ -652,6 +661,9 @@ def _gcd_rec(a: MPoly, b: MPoly) -> MPoly:
 
 
 _HEU_TRIES = 6
+# GCDHEU gives up for the PRS when xi's bits times the total degree pass this
+# (its own size test, Char, Geddes & Gonnet 1989; the benchmarks need < 1,000).
+_HEU_BITS = 1 << 21
 
 
 def _int_primitive(p: MPoly) -> tuple[Rat, dict]:
@@ -749,13 +761,18 @@ def _heu_gcd(f: dict, g: dict, ring: tuple[str, ...]) -> dict | None:
     if (len(f) == 1 and 0 in f) or (len(g) == 1 and 0 in g):
         return {0: cont}
     var, rest = ring[-1], ring[:-1]
+    degree = max(max(f), max(g)) >> _DEG  # total degree, at least var's
     xi = 2 * min(max(map(abs, f.values())), max(map(abs, g.values()))) + 29
     for _ in range(_HEU_TRIES):
+        if xi.bit_length() * degree > _HEU_BITS:
+            return None
         ff = _eval_last(f, var, xi)
         gg = _eval_last(g, var, xi)
         if ff and gg:
             low = _heu_gcd(ff, gg, rest)
-            h = None if low is None else _interpolate(low, var, xi)
+            if low is None:
+                return None  # a larger xi would only make the lower levels larger
+            h = _interpolate(low, var, xi)
             if h is not None:
                 hc = math.gcd(*h.values())
                 if hc > 1:

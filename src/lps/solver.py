@@ -61,7 +61,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import DomainError, InternalError
+from .errors import BudgetError, DomainError, InternalError
 from .linalg import RatMatrix, nullspace
 from .parser import RING1, RING2, RationalODE
 from .poly import MAX_KEY_DEGREE, VAR_KEY, MPoly, exponents, monomials_of_degree, rat
@@ -73,6 +73,8 @@ from .poly import MAX_KEY_DEGREE, VAR_KEY, MPoly, exponents, monomials_of_degree
 # bound over the fixtures, the golden corpus and the benchmark's equations
 # is 93,024 (eq7's 816 columns of up to 114 terms).
 MAX_ENTRIES = 2_000_000
+# Term products a second-order field may take for N*N and N*M (eq7: 93).
+MAX_FIELD_PRODUCTS = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -109,6 +111,9 @@ def build_field(ode: RationalODE) -> VectorField:
         scale = MPoly.constant(1, ode.ring)
         divergence = n.derivative("x") + m.derivative("y")
     else:
+        products = len(n.terms) * (len(n.terms) + len(m.terms))
+        if products > MAX_FIELD_PRODUCTS:
+            raise BudgetError(f"second-order field: {products} term products (at most {MAX_FIELD_PRODUCTS})")
         coeffs = (n, MPoly.variable("z").extend_ring(ode.ring) * n, m)
         scale = n
         divergence = m.derivative("z") * n - m * n.derivative("z")

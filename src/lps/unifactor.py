@@ -204,6 +204,11 @@ def _distinct_degree(f, p, limit=None):
     return out
 
 
+# Coefficient products one equal-degree split trial may take, about
+# bits((p^d - 1)/2) * n^2 (the test suite's largest split takes 21,384).
+_MAX_SPLIT_WORK = 1_000_000
+
+
 def _equal_degree(f, d, p, rng):
     """Cantor-Zassenhaus splitting of f (product of irreducibles of degree
     d, monic, mod odd p) into the irreducibles themselves."""
@@ -211,6 +216,8 @@ def _equal_degree(f, d, p, rng):
     if n == d:
         return [f]
     half = (p**d - 1) // 2
+    if half.bit_length() * n * n > _MAX_SPLIT_WORK:
+        raise BudgetError(f"factoring: splitting degree {n} into degree {d} mod {p} is over budget")
     while True:
         a = [rng.randrange(p) for _ in range(n)]
         _trim(a)

@@ -33,6 +33,7 @@ from lps.parser import parse_ode, parse_poly
 from lps.poly import MPoly, mpoly_gcd, squarefree_decompose
 from lps.solver import build_field, lps2_search, lps_search, verify_iif_identity
 from lps.synth import measure_recovery, plant
+from test_linalg import matvec
 
 X = MPoly.variable("x")
 Y = MPoly.variable("y")
@@ -380,13 +381,13 @@ def test_criterion_7_algebra_kernel_properties():
         mat = RatMatrix(nrows, ncols, entries)
         count += 1
         for vec in nullspace(mat):
-            if any(mat.apply(vec)):
+            if any(matvec(mat, vec)):
                 problems.append("nullspace vector with nonzero residual")
                 break
         point = tuple(Fraction(rng.randint(-3, 3)) for _ in range(ncols))
-        rhs = mat.apply(point)
+        rhs = matvec(mat, point)
         particular, _ = _affine_solve(mat, rhs)
-        if particular is None or mat.apply(particular) != rhs:
+        if particular is None or matvec(mat, particular) != rhs:
             problems.append("affine solve missed a consistent system")
 
     _report("7 (1000-case factor/gcd/squarefree/nullspace loops, exact)", problems)

@@ -80,11 +80,10 @@ def test_solve_eq8_matches_expected_record():
 
 def test_solve_eq8_needs_no_elimination(monkeypatch):
     # every rung of both of eq8's ladders peels to no column at all, so
-    # neither kernel engine runs
+    # the kernel engine never runs
     def refuse(rows, ncols):
-        raise AssertionError("a kernel engine ran")
+        raise AssertionError("the kernel engine ran")
 
-    monkeypatch.setattr(linalg, "_nullspace_exact", refuse)
     monkeypatch.setattr(linalg, "_nullspace_modular", refuse)
     blob = expected_blob("eq8")
     code, out, _ = run_cli(blob["args"] + ["--file", fixture_path("eq8")])
@@ -92,6 +91,38 @@ def test_solve_eq8_needs_no_elimination(monkeypatch):
     report = json.loads(out)
     report.pop("timings_ms")
     assert report == blob["report"]
+
+
+def test_the_fixtures_need_one_prime_per_kernel(monkeypatch):
+    # every kernel eq5, eq7 (to its degree 13) and eq9 compute is settled
+    # by the modular engine's first prime; an engine that draws more
+    # primes on real systems fails here, not just runs slower
+    kernel_mod_p, modular = linalg._kernel_mod_p, linalg._nullspace_modular
+    primes_per_kernel = []
+
+    def counting_kernel_mod_p(rows, ncols, p):
+        primes_per_kernel[-1] += 1
+        return kernel_mod_p(rows, ncols, p)
+
+    def counting_modular(rows, ncols):
+        primes_per_kernel.append(0)
+        return modular(rows, ncols)
+
+    monkeypatch.setattr(linalg, "_kernel_mod_p", counting_kernel_mod_p)
+    monkeypatch.setattr(linalg, "_nullspace_modular", counting_modular)
+    for name, extra in (("eq5", []), ("eq7", ["--max-degree", "13"]), ("eq9", [])):
+        code, _, err = run_cli(expected_blob(name)["args"] + extra + ["--file", fixture_path(name)])
+        assert code == 0, err
+    assert primes_per_kernel and set(primes_per_kernel) == {1}
+
+
+def test_a_factorization_too_slow_to_split_is_over_budget():
+    # V's Kronecker image has degree 140 and splits into degree-28 factors
+    # mod 13: each Cantor-Zassenhaus trial would raise a residue mod a
+    # degree-140 polynomial to a 103-bit power, and the solve took 221 s
+    code, out, err = run_cli(["solve", "y' = (8*x + 9*y)^(-20)"])
+    assert code == 5 and out == ""
+    assert err.startswith("lps: factoring: splitting degree 140") and err.count("\n") == 1
 
 
 def test_json_round_trip_reproduces_canonical_objects():

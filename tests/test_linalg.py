@@ -1,6 +1,11 @@
-"""Linear algebra tests.  The oracle is an independent dense fraction-free
-(Bareiss) elimination over Fractions, written here from scratch."""
+"""Linear algebra tests.  Two references are written here, apart from
+the library: a dense elimination over Fractions (Bareiss rank and RREF
+pivot columns) for small matrices, and `exact_nullspace`, a sparse
+fraction-free elimination over the integers, fast enough for the ladder's
+largest rungs (1933x560 on eq7), that the modular engine and the ladder
+are compared against."""
 
+import math
 import random
 from fractions import Fraction
 from pathlib import Path
@@ -11,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lps import linalg
-from lps.errors import InternalError
+from lps.errors import BudgetError, InternalError
 from lps.linalg import RatMatrix, nullspace
 from lps.parser import parse_ode
 from lps.poly import MPoly
@@ -32,9 +37,74 @@ def from_rows(rows, ncols):
     return RatMatrix(len(rows), ncols, entries)
 
 
+def matvec(mat, vec):
+    """Exact product of a RatMatrix and a vector."""
+    out = [0] * mat.nrows
+    for x, rs, vs in zip(vec, mat.rows, mat.vals):
+        if x:
+            for i, v in zip(rs, vs):
+                out[i] += v * x
+    return out
+
+
+def eliminate_exact(rows, ncols):
+    """Forward fraction-free elimination of integer rows ({col: value}
+    dicts).  Returns the pivots [(col, row)] in ascending column order."""
+    active = [r for r in rows if r]
+    pivots = []
+    for c in range(ncols):
+        holders = [i for i, r in enumerate(active) if r.get(c)]
+        if not holders:
+            continue
+        # Markowitz-flavored pick: sparsest row, ties by position.
+        pi = min(holders, key=lambda i: (len(active[i]), i))
+        prow = active.pop(pi)
+        pval = prow[c]
+        nxt = []
+        for r in active:
+            f = r.get(c)
+            if not f:
+                nxt.append(r)
+                continue
+            merged = {j: v * pval for j, v in r.items()}
+            for j, v in prow.items():
+                s = merged.get(j, 0) - f * v
+                if s:
+                    merged[j] = s
+                else:
+                    merged.pop(j, None)
+            if merged:
+                g = math.gcd(*merged.values())
+                if g > 1:
+                    merged = {j: v // g for j, v in merged.items()}
+                nxt.append(merged)
+        active = nxt
+        pivots.append((c, prow))
+    return pivots
+
+
+def exact_nullspace(rows, ncols):
+    """The canonical kernel basis of integer rows by fraction-free sparse
+    elimination and back-substitution over Q, verified exactly."""
+    pivots = eliminate_exact(rows, ncols)
+    pivot_set = {c for c, _ in pivots}
+    basis = []
+    for f in range(ncols):
+        if f in pivot_set:
+            continue
+        x = {f: Fraction(1)}
+        for c, row in reversed(pivots):
+            acc = sum((v * x[j] for j, v in row.items() if j != c and j in x), Fraction(0))
+            x[c] = -acc / row[c]
+        vec = [x.get(j, Fraction(0)) for j in range(ncols)]
+        basis.append(linalg._primitive_vector(vec, f))
+    assert linalg._in_kernel(rows, basis)
+    return basis
+
+
 def exact_kernel(mat):
-    """The exact engine on all of mat, with no column peeled."""
-    return linalg._nullspace_exact(linalg._drop_peeled(mat, [])[0], mat.ncols)
+    """The reference engine on all of mat, with no column peeled."""
+    return exact_nullspace(linalg._drop_peeled(mat, [])[0], mat.ncols)
 
 
 def modular_kernel(mat):
@@ -98,7 +168,7 @@ def test_nullspace_rank_nullity_and_residual():
         oracle_rank = bareiss_rank(dense_of(rows, nc))
         assert len(basis) == nc - oracle_rank
         for vec in basis:
-            assert all(v == 0 for v in mat.apply(vec))
+            assert all(v == 0 for v in matvec(mat, vec))
 
 
 def rref_pivot_cols(rows):
@@ -185,13 +255,13 @@ def test_kernel_vectors_are_ints_and_particulars_canonical():
                 assert all(type(v) is int for v in vec)
         n = mat.ncols
         x0 = [Fraction(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(n)]
-        rhs = mat.apply(tuple(x0))
+        rhs = matvec(mat, x0)
         aug = RatMatrix(mat.nrows, n + 1, {**mat.entries, **{(i, n): v for i, v in enumerate(rhs) if v}})
         basis = nullspace(aug)
         carrying = [vec for vec in basis if vec[n]]
         assert len(carrying) == 1
         particular = [Fraction(-v, carrying[0][n]) for v in carrying[0][:n]]
-        assert mat.apply(tuple(particular)) == rhs
+        assert matvec(mat, particular) == rhs
         pivots = set(rref_pivot_cols(dense_of(rows, n)))
         assert all(particular[j] == 0 for j in range(n) if j not in pivots)
         assert [vec[:n] for vec in basis if not vec[n]] == nullspace(mat)
@@ -225,10 +295,6 @@ def matrix_of(cols):
     return RatMatrix(len(index), len(cols), entries)
 
 
-def no_exact_fallback():
-    return mock.patch.object(linalg, "_nullspace_exact", side_effect=AssertionError("no convergence"))
-
-
 def test_unlucky_first_prime_gives_the_exact_basis():
     # columns (1, 0), (1, p0), (0, 1): mod p0 the second column repeats the
     # first, so p0's pivot columns are {0, 2} while over Q they are {0, 1}
@@ -236,8 +302,7 @@ def test_unlucky_first_prime_gives_the_exact_basis():
     mat = matrix_of(cols)
     exact = exact_kernel(mat)
     assert exact == [(1, -1, P0)]
-    with no_exact_fallback():
-        assert modular_kernel(mat) == exact
+    assert modular_kernel(mat) == exact
 
 
 def test_a_stored_zero_is_no_entry():
@@ -282,11 +347,28 @@ def test_a_forged_peel_order_is_refused(monkeypatch):
             nullspace(mat)
 
 
-def test_modular_engine_falls_back_to_exact(monkeypatch):
-    # with one 2-bit prime, 1/p0 never reconstructs
+def test_the_modular_engine_is_over_budget_when_the_primes_run_out(monkeypatch):
+    # with the one prime 3, below which there is no odd prime, 1/p0 never
+    # reconstructs
     monkeypatch.setattr(linalg, "_PRIMES", [3])
     mat = matrix_of([{0: 1}, {0: 1, 1: P0}, {1: 1}])
-    assert modular_kernel(mat) == [(1, -1, P0)]
+    with pytest.raises(BudgetError, match="does not reconstruct"):
+        modular_kernel(mat)
+    with pytest.raises(BudgetError):
+        nullspace(mat)
+
+
+def recording_primes(monkeypatch):
+    """The primes of every `_kernel_mod_p` call from now on, in order."""
+    primes = []
+    kernel_mod_p = linalg._kernel_mod_p
+
+    def recording(rows, ncols, p):
+        primes.append(p)
+        return kernel_mod_p(rows, ncols, p)
+
+    monkeypatch.setattr(linalg, "_kernel_mod_p", recording)
+    return primes
 
 
 def test_a_kernel_with_big_entries_needs_several_primes(monkeypatch):
@@ -296,17 +378,25 @@ def test_a_kernel_with_big_entries_needs_several_primes(monkeypatch):
     mat = from_rows([[rng.randint(-(10**4), 10**4) for _ in range(5)] for _ in range(3)], 5)
     exact = exact_kernel(mat)
     assert len(exact) == 2
-    primes = []
-    kernel_mod_p = linalg._kernel_mod_p
-
-    def recording(rows, ncols, p):
-        primes.append(p)
-        return kernel_mod_p(rows, ncols, p)
-
-    monkeypatch.setattr(linalg, "_kernel_mod_p", recording)
-    with no_exact_fallback():
-        assert modular_kernel(mat) == exact
+    primes = recording_primes(monkeypatch)
+    assert modular_kernel(mat) == exact
     assert len(primes) > 1 and primes == linalg._PRIMES[: len(primes)]
+
+
+def test_a_kernel_past_the_precomputed_primes_draws_more(monkeypatch):
+    # the one row [a, b] with coprime 500-bit a and b has the kernel
+    # (-b, a), which reconstructs only modulo more than 2^1001; the 48
+    # precomputed primes below 2^20 give less than 2^960
+    rng = random.Random(49)
+    a = b = 2
+    while math.gcd(a, b) != 1:
+        a, b = (rng.getrandbits(499) | 1 << 499 for _ in range(2))
+    rows = [{0: a, 1: b}]
+    assert exact_nullspace(rows, 2) == [(-b, a)]
+    primes = recording_primes(monkeypatch)
+    assert nullspace(from_rows(rows, 2)) == [(-b, a)]
+    assert len(primes) > len(linalg._PRIMES) == 48
+    assert primes[:48] == linalg._PRIMES and primes == sorted(set(primes), reverse=True)
 
 
 @st.composite
@@ -348,8 +438,7 @@ def sparse_columns(draw):
 def test_modular_and_ladder_match_exact(cols):
     mat = matrix_of(cols)
     exact = exact_kernel(mat)
-    with no_exact_fallback():
-        assert modular_kernel(mat) == exact
+    assert modular_kernel(mat) == exact
     # every prefix, as the ladder's rungs, continuing past nonempty kernels
     for k in range(1, len(cols) + 1):
         sub = matrix_of(cols[:k])

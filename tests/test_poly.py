@@ -18,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lps import cli, poly
-from lps.errors import DomainError
+from lps.errors import BudgetError, DomainError
 from lps.parser import parse_poly
 from lps.poly import (
     VARS,
@@ -341,6 +341,28 @@ def test_prs_fallback_gives_same_gcd(monkeypatch):
     monkeypatch.setattr(poly, "_gcd_rec", mock.Mock(wraps=poly._gcd_rec))
     assert [mpoly_gcd(a, b) for a, b in pairs] == expected
     assert poly._gcd_rec.called
+
+
+def test_heuristic_gcd_gives_up_before_its_integers_swell():
+    # GCDHEU on f = (y*z^2 - 4*x*z)^35 and itself would evaluate z, y and
+    # x in turn to integers of about 7,200, 252,000 and 8.8 million bits
+    # (29 s to interpolate); it gives up at the last level and the PRS
+    # answers, so the parser puts f/f in lowest terms at once
+    f = parse_poly("(y*z^2 - 4*x*z)^35")
+    fi = poly._int_primitive(f)[1]
+    assert poly._heu_gcd(fi, fi, f.ring) is None
+    assert mpoly_gcd(f, f) == f.normalized()
+    assert lowest_terms(f, f) == (MPoly.constant(1, f.ring), MPoly.constant(1, f.ring))
+
+
+def test_a_swelling_prs_is_over_budget():
+    # a and b are coprime, of total degree 126 and 105 in x, y and z; GCDHEU
+    # gives up on their size, and the PRS's second pseudo-division alone
+    # would multiply 2,024 by 21,150 terms (21 s)
+    a = parse_poly("(4 + x^2*y^2*z^2 + 5*x^2*z^2)^21")
+    b = parse_poly("(8*x - 2*y*z^2 - 8*x^2*y^2 - 2*x^2*y*z^2)^21")
+    with pytest.raises(BudgetError, match="polynomial gcd"):
+        mpoly_gcd(a, b)
 
 
 def test_squarefree_roundtrip_random():

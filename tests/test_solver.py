@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from lps import linalg
-from lps.errors import DomainError
+from lps.errors import BudgetError, DomainError
 from lps.parser import parse_ode, parse_poly
 from lps.poly import MAX_KEY_DEGREE, MPoly, monomials_of_degree
 from lps.solver import (
@@ -21,6 +21,7 @@ from lps.solver import (
     verify_iif_identity,
 )
 from lps.synth import plant
+from test_linalg import exact_nullspace
 
 FIXTURES = Path(__file__).resolve().parent.parent / "src" / "lps" / "fixtures"
 
@@ -221,18 +222,26 @@ def test_fixture_identities():
 
 
 def exact_search(ode, max_degree, k=1, den=None):
-    """The degree ladder without shared state: each rung's kernel from the
-    exact engine.  Returns (degree_found, basis) as the search reports it."""
+    """The degree ladder without shared state: each rung's kernel from
+    test_linalg's reference engine, with no column peeled.  Returns
+    (degree_found, basis) as the search reports it."""
     field = build_field(ode)
     den = MPoly.constant(1, field.ring) if den is None else den.extend_ring(field.ring).normalized()
     builder = _SystemBuilder(field, k, den)
     for degree in range(max_degree + 1):
         mat, cols = builder.build(degree)
-        basis = linalg._nullspace_exact(linalg._drop_peeled(mat, [])[0], mat.ncols)
+        basis = exact_nullspace(linalg._drop_peeled(mat, [])[0], mat.ncols)
         if basis:
             _, polys = _select_kernel_poly(basis, cols, field.ring)
             return degree, tuple(p.normalized() for p in polys)
     return None
+
+
+def test_a_second_order_field_too_large_to_multiply_is_over_budget():
+    # N has 10,388 terms, and N times N alone would take about 150 s
+    ode = parse_ode("y'' = (4*x^2 - 5*z - 2*x^2*z^2 + x^2*z + 8*y)^(-30)")
+    with pytest.raises(BudgetError, match="second-order field"):
+        build_field(ode)
 
 
 def ladder_cases():
