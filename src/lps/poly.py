@@ -544,23 +544,33 @@ def _trim(coeffs: list[MPoly]) -> list[MPoly]:
     return coeffs
 
 
+def _words(coeffs: list[MPoly]) -> int:
+    """64-bit words of the largest coefficient (numerator and
+    denominator) in coeffs."""
+    bits = max((c.numerator.bit_length() + c.denominator.bit_length() for p in coeffs for c in p.terms.values()), default=0)
+    return bits // 64 + 1
+
+
 def _pseudo_rem(A: list[MPoly], B: list[MPoly], work: int) -> tuple[list[MPoly], int]:
     """prem(A, B): remainder of lc(B)^(degA-degB+1) * A under division by B,
-    and work plus its products of terms (BudgetError past _MAX_PRS_PRODUCTS).
-    Dense lists indexed by exponent, B nonzero, degA >= degB."""
+    and work plus its products of terms, each weighted by the 64-bit
+    words of the two coefficients it multiplies (BudgetError past
+    _MAX_PRS_PRODUCTS).  Dense lists indexed by exponent, B nonzero,
+    degA >= degB."""
     dA, dB = len(A) - 1, len(B) - 1
     lb = B[dB]
     R = list(A)
     e = dA - dB + 1
+    b_terms, b_words = sum(len(c.terms) for c in B), _words(B)
     while True:
         R = _trim(R)
         dR = len(R) - 1
         if dR < dB:
             break
         top = R[dR]
-        work += sum(len(c.terms) for c in R) * len(lb.terms) + len(top.terms) * sum(len(c.terms) for c in B)
+        work += (sum(len(c.terms) for c in R) * len(lb.terms) + len(top.terms) * b_terms) * _words(R) * b_words
         if work > _MAX_PRS_PRODUCTS:
-            raise BudgetError(f"polynomial gcd: more than {_MAX_PRS_PRODUCTS} term products")
+            raise BudgetError(f"polynomial gcd: more than {_MAX_PRS_PRODUCTS} word-weighted term products")
         R = [c * lb for c in R]
         for i, bc in enumerate(B):
             R[i + dR - dB] = R[i + dR - dB] - top * bc
@@ -596,7 +606,8 @@ def _content_pp(p: MPoly, var: str) -> tuple[MPoly, list[MPoly]]:
     return cont, _exact_div_list(coeffs, cont)
 
 
-# Products of terms one PRS may take (the test suite's largest takes 440).
+# Products of terms one PRS may take, each counted once per pair of
+# 64-bit words of the coefficients it multiplies.
 _MAX_PRS_PRODUCTS = 1_000_000
 
 
@@ -826,12 +837,6 @@ class SquareFreeDecomposition:
     content: Rat
     parts: tuple[tuple[MPoly, int], ...]
 
-    def expand(self) -> MPoly:
-        out = MPoly.constant(self.content)
-        for f, m in self.parts:
-            out = out * f**m
-        return out
-
 
 def _yun(f: MPoly, var: str) -> list[tuple[MPoly, int]]:
     """Squarefree split of f along var; f nonconstant and primitive in var.
@@ -862,7 +867,8 @@ def _sqfree_rec(p: MPoly) -> list[tuple[MPoly, int]]:
         return []
     used = p.vars_used()
     var = max(used, key=lambda v: (p.degree_in(v), -VARS.index(v)))
-    if len(used) == 1:
+    # a nonzero constant coefficient in var leaves no content to split off
+    if len(used) == 1 or any(c.is_constant() and not c.is_zero() for c in _as_univar(p, var)):
         return _yun(p, var)
     cont, pp_coeffs = _content_pp(p, var)
     pp = _from_univar(pp_coeffs, var)

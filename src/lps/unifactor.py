@@ -7,7 +7,8 @@ positive leading coefficients.  The classical pipeline: factor modulo a
 small prime with few modular factors, Hensel-lift the factorization past
 the Mignotte coefficient bound, then recombine modular factors by subset
 search with exact trial division.  recombine() is that subset search; the
-Kronecker reassembly of multivariate factors in `factor` runs on it too.
+recombination of the t-adically lifted factors of a multivariate
+polynomial in `factor` runs on it too.
 A search that would try more than `_MAX_SUBSETS` subsets raises
 BudgetError instead of running on: the count grows exponentially with the
 number of modular factors (Swinnerton-Dyer polynomials have many at every
@@ -385,10 +386,48 @@ def _squarefree_mod(f, p):
     return _deg(_gcd_mod(fp, _deriv(fp), p)) == 0
 
 
+# A cubic with no root modulo one of these primes is irreducible.
+_ROOT_TEST_PRIMES = (3, 5, 7, 11, 13, 17, 19, 23, 29, 31)
+
+
+def _rootless_mod_small_prime(f: list[int]) -> bool:
+    """Whether f has no root modulo some prime of `_ROOT_TEST_PRIMES` that
+    does not divide its leading coefficient; then f has no rational root,
+    since a root u/v in lowest terms has v | lc(f) and so u/v mod p would
+    be a root mod p."""
+    for p in _ROOT_TEST_PRIMES:
+        if f[-1] % p == 0:
+            continue
+        fp = [c % p for c in reversed(f)]
+        for x in range(p):
+            acc = 0
+            for c in fp:
+                acc = (acc * x + c) % p
+            if acc == 0:
+                break
+        else:
+            return True
+    return False
+
+
 def zassenhaus(f: list[int]) -> list[list[int]]:
     """Irreducible factors over Z of a primitive squarefree polynomial
-    with positive leading coefficient, degree >= 1."""
+    with positive leading coefficient, degree >= 1.
+
+    Degrees 2 and 3 are tried without a modular split first: a quadratic
+    c + b x + a x^2 splits iff its discriminant is a square r^2, into
+    the primitive parts of 2a x + b -+ r, and a cubic without a rational
+    root is irreducible."""
     if _deg(f) == 1:
+        return [f]
+    if _deg(f) == 2:
+        c, b, a = f
+        disc = b * b - 4 * a * c
+        r = math.isqrt(max(disc, 0))
+        if r * r != disc:
+            return [f]
+        return sorted([_primitive([b - r, 2 * a]), _primitive([b + r, 2 * a])])
+    if _deg(f) == 3 and _rootless_mod_small_prime(f):
         return [f]
     p, modfacs = _pick_prime(f)
     if len(modfacs) == 1:
@@ -432,8 +471,8 @@ _MAX_SUBSETS = 50_000
 
 def recombine(count: int, current, trial):
     """Subset recombination: which products of `count` factors of an image
-    of `current` (modular factors in zassenhaus, factors of the Kronecker
-    image in `factor`) are its true factors.
+    of `current` (modular factors in zassenhaus, t-adically lifted factors
+    in `factor`) are its true factors.
 
     Subsets of the remaining factor indices are tried smallest first;
     trial(subset, current) returns (factor, cofactor) when the subset's

@@ -116,13 +116,70 @@ def test_the_fixtures_need_one_prime_per_kernel(monkeypatch):
     assert primes_per_kernel and set(primes_per_kernel) == {1}
 
 
-def test_a_factorization_too_slow_to_split_is_over_budget():
-    # V's Kronecker image has degree 140 and splits into degree-28 factors
-    # mod 13: each Cantor-Zassenhaus trial would raise a residue mod a
-    # degree-140 polynomial to a 103-bit power, and the solve took 221 s
-    code, out, err = run_cli(["solve", "y' = (8*x + 9*y)^(-20)"])
+def test_a_factorization_too_slow_to_split_is_over_budget(monkeypatch):
+    # S_4 splits into eight quadratics at the prime zassenhaus picks, and
+    # one Cantor-Zassenhaus split of their degree-16 product takes about
+    # 13 bits * 16^2 coefficient products; under a budget of 100 it is
+    # refused with exit 5 and one stderr line
+    from lps import unifactor
+
+    monkeypatch.setattr(unifactor, "_MAX_SPLIT_WORK", 100)
+    code, out, err = run_cli(["factor", S4])
     assert code == 5 and out == ""
-    assert err.startswith("lps: factoring: splitting degree 140") and err.count("\n") == 1
+    assert err.startswith("lps: factoring: splitting degree 16 into degree 2") and err.count("\n") == 1
+
+
+S4 = ("x^16 - 136*x^14 + 6476*x^12 - 141912*x^10 + 1513334*x^8 - 7453176*x^6"
+      " + 13950764*x^4 - 5596840*x^2 + 46225")
+
+
+@pytest.mark.parametrize("text", ["y' = (4*x + 3*y)^(-14)", "y' = (4*x + 3*y)^(-17)", "y' = (8*x + 9*y)^(-20)"])
+def test_powers_of_a_line_factor_at_the_degree_of_their_least_variable(text):
+    # V is 3 (9 for the last) plus a multiple of the line to the power
+    # e + 1; its univariate Kronecker image had degree 210 to 420, and
+    # its split was refused as over budget (exit 5).  Specialised at
+    # y = a it has degree e + 1 in x and is irreducible, so V is one
+    # factor
+    code, out, err = run_cli(["solve", text, "--auto-denominator", "--json"])
+    assert code == 0, err
+    report = json.loads(out)
+    assert report["verified"] == {"pde": True, "closedness": True, "integral": None}
+    assert [m for _, m in report["v"]["factored"]] == [1]
+
+
+def test_factoring_works_at_the_least_partial_degree(monkeypatch):
+    # no univariate input to zassenhaus exceeds the least positive
+    # partial degree of the part being factored (eq7's parts are linear
+    # in z, so it needs none); a Kronecker image of a whole part would
+    # have a far larger degree
+    inner = lps.factor._factor_squarefree_part
+    zassenhaus = lps.factor.zassenhaus
+    parts, calls = [], []
+
+    def tracking_part(part):
+        parts.append(part)
+        try:
+            return inner(part)
+        finally:
+            parts.pop()
+
+    def tracking_zassenhaus(f):
+        part = parts[-1]
+        calls.append((len(f) - 1, min(part.degree_in(v) for v in part.vars_used())))
+        return zassenhaus(f)
+
+    monkeypatch.setattr(lps.factor, "_factor_squarefree_part", tracking_part)
+    monkeypatch.setattr(lps.factor, "zassenhaus", tracking_zassenhaus)
+    seen = {}
+    for name in ("eq5", "eq7", "eq8", "eq9"):
+        calls.clear()
+        blob = expected_blob(name)
+        code, _, err = run_cli(blob["args"] + ["--file", fixture_path(name)])
+        assert code == blob["exit_code"], err
+        assert all(degree <= least for degree, least in calls), (name, calls)
+        seen[name] = list(calls)
+    assert seen["eq7"] == []
+    assert any(seen[name] for name in ("eq5", "eq8", "eq9"))
 
 
 def test_json_round_trip_reproduces_canonical_objects():

@@ -21,8 +21,9 @@ from lps.factor import (
     factor_multivariate,
 )
 from lps.parser import RationalODE, parse_ode, parse_poly
-from lps.poly import MPoly, mpoly_gcd
+from lps.poly import MPoly, exponents, mpoly_gcd, squarefree_decompose
 from lps.solver import build_field
+from lps.unifactor import recombine, zassenhaus
 
 FIXTURES = Path(__file__).resolve().parent.parent / "src" / "lps" / "fixtures"
 
@@ -212,25 +213,190 @@ def test_factor_multivariate_roundtrip_hypothesis(p):
         assert m >= 1 and not q.is_constant() and q == q.normalized()
 
 
+@st.composite
+def trivariate_products(draw):
+    """unit * prod f_i^m_i for one to three small random polynomials in
+    x, y, z (integer coefficients, degree <= 2 in each variable),
+    m_i <= 2."""
+    p = MPoly.constant(Fraction(draw(st.integers(1, 9)), draw(st.integers(1, 9))))
+    for _ in range(draw(st.integers(1, 3))):
+        terms = {}
+        for _ in range(draw(st.integers(1, 4))):
+            mono = (draw(st.integers(0, 2)), draw(st.integers(0, 2)), draw(st.integers(0, 2)))
+            terms[mono] = terms.get(mono, 0) + draw(st.integers(-5, 5))
+        p = p * MPoly.from_dict(("x", "y", "z"), terms) ** draw(st.integers(1, 2))
+    return p
+
+
 def test_factor_multivariate_matches_sympy():
     sympy = pytest.importorskip("sympy")
-    x, y = sympy.symbols("x y")
+    x, y, z = sympy.symbols("x y z")
 
     @settings(max_examples=60, deadline=None)
-    @given(st.one_of(bivariate_products(), linear_products()))
+    @given(st.one_of(bivariate_products(), linear_products(), trivariate_products()))
     def check(p):
         if p.is_zero() or p.is_constant():
             return
-        expr = sympy.sympify(p.to_text().replace("^", "**"), locals={"x": x, "y": y})
+        expr = sympy.sympify(p.to_text().replace("^", "**"), locals={"x": x, "y": y, "z": z})
         _, pairs = sympy.factor_list(expr)
         want = Counter()
         for f, m in pairs:
-            q = parse_poly(str(f).replace("**", "^"), ("x", "y")).normalized()
+            q = parse_poly(str(f).replace("**", "^"), ("x", "y", "z")).normalized()
             want[q.to_text()] += m
         ours = factor_multivariate(p)
         assert Counter({q.to_text(): m for q, m in ours.factors}) == want
 
     check()
+
+
+# -- the Kronecker-image factoriser, kept as the reference ---------------------
+
+
+def _reference_squarefree_part(part):
+    """Irreducible factors of a normalized squarefree part, as the library
+    found them before specialisation and Hensel lifting: substitute
+    x_i -> x^(w_i) for every variable (w_i one more than the product of
+    the degrees before it), factor that univariate image, and recombine
+    its factors by exact trial division of the decoded products."""
+    vs = part.vars_used()
+    if len(vs) == 0:
+        return []
+    part = part.project_ring()
+    if len(vs) == 1:
+        dense = [0] * (part.degree_in(vs[0]) + 1)
+        for m, c in part.terms.items():
+            dense[exponents(m, vs)[0]] = c
+        return [MPoly.from_dict(vs, {(i,): c for i, c in enumerate(f) if c}) for f in zassenhaus(dense)]
+    weights, d = [], 1
+    for v in vs:
+        weights.append(d)
+        d *= part.degree_in(v) + 1
+    bounds = [part.degree_in(v) for v in vs]
+    image = [0] * (1 + sum(w * b for w, b in zip(weights, bounds)))
+    for m, c in part.terms.items():
+        image[sum(e * w for e, w in zip(exponents(m, vs), weights))] = c
+    while image[-1] == 0:
+        image.pop()
+    if image[-1] < 0:
+        image = [-c for c in image]
+    uni = []
+    image_poly = MPoly.from_dict(("x",), {(i,): c for i, c in enumerate(image) if c})
+    for ipart, imult in squarefree_decompose(image_poly).parts:
+        dense = [0] * (ipart.degree_in("x") + 1)
+        for m, c in ipart.terms.items():
+            dense[exponents(m, ("x",))[0]] = c
+        if len(dense) > 1:
+            uni.extend([list(f) for f in zassenhaus(dense)] * imult)
+
+    def decode(coeffs):
+        terms = {}
+        for e, c in enumerate(coeffs):
+            if c == 0:
+                continue
+            digits = []
+            for w, b in zip(reversed(weights), reversed(bounds)):
+                digit, e = divmod(e, w)
+                if digit > b:
+                    return None
+                digits.append(digit)
+            terms[tuple(reversed(digits))] = c
+        return MPoly.from_dict(vs, terms)
+
+    def trial(subset, current):
+        prod = [1]
+        for i in subset:
+            nxt = [0] * (len(prod) + len(uni[i]) - 1)
+            for a, ca in enumerate(prod):
+                for b, cb in enumerate(uni[i]):
+                    nxt[a + b] += ca * cb
+            prod = nxt
+        cand = decode(prod)
+        if cand is None:
+            return None
+        cand = cand.normalized()
+        if cand.is_constant():
+            return None
+        quot = current.exact_divide(cand)
+        return None if quot is None else (cand, quot.normalized())
+
+    found, current = recombine(len(uni), part, trial)
+    if not current.is_constant():
+        found.append(current.normalized())
+    return found
+
+
+def reference_factorization(p):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(factor_module, "_factor_squarefree_part", _reference_squarefree_part)
+        return factor_multivariate(p)
+
+
+def _same(ours, ref):
+    # the emitted order, texts and unit, and each factor's ring
+    assert ours.unit == ref.unit
+    assert [(f.to_text(), f.ring, m) for f, m in ours.factors] == [
+        (f.to_text(), f.ring, m) for f, m in ref.factors
+    ]
+
+
+def _random_factor(rng, ring, degree):
+    while True:
+        terms = {}
+        for _ in range(rng.randint(2, 4)):
+            mono = tuple(rng.randint(0, degree) for _ in ring)
+            terms[mono] = terms.get(mono, 0) + rng.choice([-7, -3, -2, -1, 1, 2, 3, 5])
+        f = MPoly.from_dict(ring, terms)
+        if not f.is_constant():
+            return f
+
+
+# squarefree and primitive in x, but at y = 0 and y = 1 not squarefree
+# or (the last one, at y = 0) of lower degree in x
+_BAD_AT_0_AND_1 = [
+    "x^2 - y^2 + y",
+    "(x^2 - y^2 + y)*(x + y^2 + 1)",
+    "(x^2 + y^3 - y)*(2*x^2 - 3*y + 1)",
+    "y*x^2 + (y - 1)*x + y^2 - 1",
+]
+
+
+def test_specialisation_skips_points_that_are_not_squarefree():
+    xy = ("x", "y")
+    for text in _BAD_AT_0_AND_1:
+        p = parse_poly(text, xy)
+        for a in (0, 1):
+            spec = p.substitute({"y": MPoly.constant(a, xy)}).project_ring()
+            assert spec.degree_in("x") < p.degree_in("x") or any(
+                m > 1 for _, m in squarefree_decompose(spec).parts
+            )
+        for q in (p, p * parse_poly("3*x - 2*y + 1", xy) ** 2, p * parse_poly("x*y^2 - 7", xy)):
+            _same(factor_multivariate(q), reference_factorization(q))
+
+
+def test_lifting_matches_the_kronecker_reference():
+    # random products in two and three variables with multiplicities,
+    # non-monic leading coefficients, factors free of some variable
+    # (content in the main variable) and monomial factors
+    rng = random.Random(2025)
+    rings = [("x", "y")] * 3 + [("x", "y", "z")]
+    checked = 0
+    for _ in range(160):
+        ring = rng.choice(rings)
+        p = MPoly.constant(rng.choice([1, -1, 2, Fraction(3, 4)]))
+        for _ in range(rng.randint(1, 3)):
+            sub = ring[: rng.randint(1, len(ring))] if rng.random() < 0.3 else ring
+            degree = 2 if len(ring) == 2 else 1
+            p = p * _random_factor(rng, sub, degree) ** rng.randint(1, 2)
+        if rng.random() < 0.3:
+            p = p * MPoly.variable(rng.choice(ring)) ** rng.randint(1, 2)
+        if len(p.vars_used()) < 2:
+            continue
+        ours = factor_multivariate(p)
+        assert ours.expand() == p
+        _same(ours, reference_factorization(p))
+        checked += 1
+    assert checked > 120
+
 
 
 def test_specialization_smoke():

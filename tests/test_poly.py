@@ -257,6 +257,14 @@ def planted_pairs(draw):
     return ring, f, f * g * c, f * h
 
 
+def expand(dec):
+    """content * prod(part^mult) of a SquareFreeDecomposition."""
+    out = MPoly.constant(dec.content)
+    for f, m in dec.parts:
+        out = out * f**m
+    return out
+
+
 def prs_gcd(a, b):
     """mpoly_gcd with the heuristic giving up at once: the PRS fallback."""
     with mock.patch.object(poly, "_HEU_TRIES", 0):
@@ -306,7 +314,7 @@ def test_squarefree_roundtrip_matches_prs(bases, content):
     if p.is_zero() or p.is_constant():
         return
     dec = squarefree_decompose(p)
-    assert dec.expand() == p
+    assert expand(dec) == p
     with mock.patch.object(poly, "_HEU_TRIES", 0):
         assert squarefree_decompose(p) == dec
 
@@ -365,6 +373,24 @@ def test_a_swelling_prs_is_over_budget():
         mpoly_gcd(a, b)
 
 
+def test_a_prs_on_large_coefficients_is_over_budget(monkeypatch):
+    # two coprime dense quintics in x, y with 20,000-bit coefficients: the
+    # PRS takes under 5,000 products of terms, which a count of terms
+    # alone lets through, but they multiply bignums (about a minute); each
+    # product counts its coefficients' 64-bit words, so it stops at once
+    rng = random.Random(5)
+
+    def dense():
+        return MPoly.from_dict(
+            ("x", "y"), {(i, j): rng.getrandbits(20_000) + 1 for i in range(6) for j in range(6 - i)}
+        )
+
+    a, b = dense(), dense()
+    monkeypatch.setattr(poly, "_HEU_TRIES", 0)
+    with pytest.raises(BudgetError, match="word-weighted term products"):
+        mpoly_gcd(a, b)
+
+
 def test_squarefree_roundtrip_random():
     rng = random.Random(909)
     for _ in range(80):
@@ -377,7 +403,7 @@ def test_squarefree_roundtrip_random():
         if p.is_zero() or p.is_constant():
             continue
         dec = squarefree_decompose(p)
-        assert dec.expand() == p
+        assert expand(dec) == p
         mults = [m for _, m in dec.parts]
         assert mults == sorted(mults) and len(set(mults)) == len(mults)
         for f, _ in dec.parts:

@@ -7,12 +7,12 @@ split, independent of the library's Frobenius-matrix one."""
 import contextlib
 import io
 import json
+import math
 import random
 from importlib import resources
 
 import pytest
 
-import lps.factor as factor_module
 from lps.factor import factor_multivariate
 from lps.parser import parse_poly
 from lps.poly import MPoly, exponents, squarefree_decompose
@@ -105,16 +105,13 @@ def _random_squarefree(rng: random.Random) -> list[int]:
             return _primitive(_dense(p))
 
 
-def _kronecker_images(monkeypatch) -> list[list[int]]:
-    """Every input zassenhaus sees while factoring the fixtures' V
-    (eq5, eq9) and P_J (eq7), rebuilt from their expected reports."""
-    seen = []
-
-    def spy(f):
-        seen.append(list(f))
-        return zassenhaus(f)
-
-    monkeypatch.setattr(factor_module, "zassenhaus", spy)
+def _kronecker_images() -> list[list[int]]:
+    """The univariate images of the fixtures' V (eq5, eq9) and P_J (eq7),
+    rebuilt from their expected reports: each squarefree part in one
+    variable as it is, and each in several variables by the substitution
+    x_i -> x^(w_i) (w_i one more than the product of the degrees before
+    it), split into its own squarefree parts."""
+    images = []
     for name in ("eq5", "eq7", "eq9"):
         blob = json.loads(
             resources.files("lps").joinpath("fixtures", "expected", f"{name}.json").read_text()
@@ -122,8 +119,20 @@ def _kronecker_images(monkeypatch) -> list[list[int]]:
         v = MPoly.constant(1)
         for text, mult in blob["report"]["v"]["factored"]:
             v = v * parse_poly(text, ("x", "y", "z")) ** mult
-        factor_multivariate(v)
-    return seen
+        for part, _ in squarefree_decompose(v).parts:
+            vs = part.vars_used()
+            weights, d = [], 1
+            for var in vs:
+                weights.append(d)
+                d *= part.degree_in(var) + 1
+            image = MPoly.from_dict(
+                ("x",),
+                {(sum(e * w for e, w in zip(exponents(m, vs), weights)),): c for m, c in part.terms.items()},
+            )
+            for ipart, _ in squarefree_decompose(image).parts:
+                if ipart.degree_in("x") > 1:
+                    images.append(_dense(ipart))
+    return images
 
 
 def test_pick_prime_matches_full_split_rule_on_random_polynomials():
@@ -138,12 +147,56 @@ def test_pick_prime_matches_full_split_rule_on_random_polynomials():
     assert 1 in counts and max(counts) >= 4
 
 
-def test_pick_prime_matches_full_split_rule_on_fixture_images(monkeypatch):
-    images = _kronecker_images(monkeypatch)
+def test_pick_prime_matches_full_split_rule_on_fixture_images():
+    images = _kronecker_images()
     assert len(images) >= 3
     assert max(len(f) - 1 for f in images) >= 10
     for f in images:
         assert _pick_prime(f) == _reference_pick_prime(f)
+
+
+def _rational_roots_brute(f):
+    """The rational roots u/v of f, from the divisors of its end
+    coefficients (f(0) != 0)."""
+    def divisors(n):
+        return [d for d in range(1, abs(n) + 1) if n % d == 0]
+
+    return {
+        (s * u, v)
+        for u in divisors(f[0])
+        for v in divisors(f[-1])
+        for s in (1, -1)
+        if math.gcd(u, v) == 1 and sum(c * (s * u) ** i * v ** (len(f) - 1 - i) for i, c in enumerate(f)) == 0
+    }
+
+
+def test_quadratics_and_cubics_split_without_a_modular_factorization():
+    # quadratics by their discriminant, cubics by a root test mod small
+    # primes: products of random linear and quadratic factors and random
+    # irreducibles, checked against their rational roots
+    rng = random.Random(31)
+    shapes = {1: 0, 2: 0, 3: 0}
+    for _ in range(300):
+        degree = rng.choice([2, 3])
+        f = [1]
+        while len(f) - 1 < degree:
+            g = [rng.randint(-9, 9) or 1 for _ in range(rng.randint(2, degree + 1 - (len(f) - 1)))]
+            g[-1] = abs(g[-1])
+            f = [sum(f[i] * g[k - i] for i in range(len(f)) if 0 <= k - i < len(g)) for k in range(len(f) + len(g) - 1)]
+        f = _primitive(f)
+        if f[0] == 0 or not _squarefree_mod(f, 1_000_003):
+            continue
+        factors = zassenhaus(f)
+        prod = [1]
+        for g in factors:
+            prod = [sum(prod[i] * g[k - i] for i in range(len(prod)) if 0 <= k - i < len(g)) for k in range(len(prod) + len(g) - 1)]
+        assert prod == f
+        roots = _rational_roots_brute(f)
+        assert sorted(len(g) - 1 for g in factors if len(g) == 2) == [1] * len(roots)
+        for g in factors:
+            assert len(g) == 2 or not _rational_roots_brute(g)
+        shapes[len(factors)] += 1
+    assert min(shapes.values()) > 10
 
 
 ODD_PRIMES = (3, 5, 7, 11, 13, 17, 19, 23)
