@@ -48,6 +48,41 @@ coprime mod P, S is the union of the S_g of its irreducible factors.
 finds, so when it tries size k no irreducible factor of C has |S_g| < k:
 a candidate of size k has one irreducible factor, and the cofactor left
 once 2k exceeds the remaining u_i has one too.
+
+Degree-1 Darboux polynomials.  `degree1_dp_search` finds the invariant
+lines of an order-1 field X = N d/dx + M d/dy, gcd(M, N) = 1, from three
+facts.
+
+1. Every invariant line divides the first extactic polynomial
+   E1 = N X(M) - M X(N) (Pereira, Ann. Inst. Fourier 51, 2001).  For
+   L = y - s x - t, L | M - s N, so L | X(M - s N) and
+   E1 = N (X(M) - s X(N)) - (M - s N) X(N) = 0 mod L.  For L = x - c,
+   L divides N and X(N).
+2. At a regular point the field gives the line's slope: an invariant
+   line y = s x + t through (x0, y0) with N(x0, y0) != 0 has s = M/N
+   there, and where N = 0 != M only x = x0 is tangent.
+3. E1 = 0 forces (N, M) = c (x - a, y - b) or a constant (alpha, beta).
+   E1 is the numerator of the curvature of the orbits, so every orbit
+   lies on a line.  Two such lines meet only at singular points, finitely
+   many (in the projective plane too) as gcd(M, N) = 1.  So infinitely
+   many of them pass through one point, and a line missing it would meet
+   those in infinitely many singular points: all pass through it, (a, b)
+   or the point at infinity of slope beta/alpha.  Then
+   N (y - b) = M (x - a), or N beta = M alpha, and coprimality leaves
+   only a constant factor.
+
+So the search takes the section E(y) = E1(x0, y), built from the sections
+of M, N, M_x and N_x, at the first x0 of 0, 1, -1, 2, ... where it is
+nonzero and none of its rational roots (`unifactor.rational_roots`) is a
+singular point.  A line y = s x + t meets x = x0 at a root y0 (fact 1);
+N(x0, y0) = 0 rules it out, since (x0, y0) is then regular, and
+otherwise its slope is M/N there (fact 2).  Each coefficient of E1 in y
+has degree at most deg_x M + deg_x N + max(deg_x M, deg_x N) in x, so
+once more sections vanish E1 = 0, and every line through (a, b), or of
+slope beta/alpha, is invariant (fact 3); a few stand for them: the slopes
+of `_SLOPES` through (a, b), or y = (beta/alpha) x + 0, 1 and -1.  The
+lines x - c are the rational roots of the gcd of N's coefficients in y.
+`darboux_check` decides every candidate exactly.
 """
 import math
 from dataclasses import dataclass
@@ -68,6 +103,7 @@ from .unifactor import (
     _sub_mod,
     _symmetric,
     _trim,
+    rational_roots,
     recombine,
     zassenhaus,
 )
@@ -433,257 +469,78 @@ def _dense_rat(p: MPoly, var: str) -> list[Rat]:
     return out
 
 
-def _res_frac(a: list[Rat], b: list[Rat]) -> Rat:
-    """Resultant of two univariate polynomials over the rationals."""
-    def deg(u):
-        return len(u) - 1
-
-    def rem(u, v):
-        u = list(u)
-        while len(u) >= len(v):
-            c = Fraction(u[-1], v[-1])
-            k = len(u) - len(v)
-            for i, cv in enumerate(v):
-                u[i + k] -= c * cv
-            u.pop()
-            while u and u[-1] == 0:
-                u.pop()
-        return u
-
-    if not a or not b:
-        return Fraction(0)
-    if deg(a) == 0 and deg(b) == 0:
-        return Fraction(1)
-    acc = Fraction(1)
-    if deg(a) < deg(b):
-        if deg(a) % 2 and deg(b) % 2:
-            acc = -acc
-        a, b = b, a
-    while deg(b) > 0:
-        r = rem(a, b)
-        if not r:
-            return Fraction(0)
-        acc *= b[-1] ** (deg(a) - deg(r))
-        if deg(b) % 2 and deg(a) % 2:
-            acc = -acc
-        a, b = b, r
-    return acc * b[0] ** deg(a)
-
-
-def _horner(coeffs: list[Rat], x0: int) -> Rat:
+def _horner(coeffs: list[Rat], x0: Rat) -> Rat:
     acc = 0
     for c in reversed(coeffs):
         acc = acc * x0 + c
     return acc
 
 
-def _resultant_wrt(f: MPoly, g: MPoly, var: str, keep: str) -> MPoly:
-    """Res_var(f, g) as a polynomial in `keep`.
-
-    Its degree in `keep` is at most deg_keep(f)·deg_var(g) +
-    deg_keep(g)·deg_var(f).  The coefficients of f and g in `var` are
-    turned once into dense lists in `keep` and evaluated by Horner at the
-    integers 0, 1, -1, 2, -2, ..., skipping points where a leading
-    coefficient vanishes (there the Sylvester matrix specializes, so the
-    resultant of the values is the value of the resultant).  The samples
-    are interpolated by Newton divided differences and expanded to dense
-    coefficients."""
-    bound = f.degree_in(keep) * g.degree_in(var) + g.degree_in(keep) * f.degree_in(var)
-    fc = [_dense_rat(c, keep) for c in _coeffs_in(f.extend_ring((var, keep)), var)]
-    gc = [_dense_rat(c, keep) for c in _coeffs_in(g.extend_ring((var, keep)), var)]
-    xs: list[int] = []
-    coef: list[Rat] = []
-    t = 0
-    while len(xs) <= bound:
-        for x0 in (t, -t) if t else (0,):
-            av = [_horner(c, x0) for c in fc]
-            bv = [_horner(c, x0) for c in gc]
-            if av[-1] and bv[-1]:
-                xs.append(x0)
-                coef.append(_res_frac(av, bv))
-                if len(xs) > bound:
-                    break
-        t += 1
-    n = len(xs)
-    for j in range(1, n):
-        for i in range(n - 1, j - 1, -1):
-            coef[i] = Fraction(coef[i] - coef[i - 1], xs[i] - xs[i - j])
-    # p = coef[0] + (x - xs[0])(coef[1] + (x - xs[1])(...)), from inside out
-    dense = [coef[-1]]
-    for i in range(n - 2, -1, -1):
-        shifted = [coef[i] - xs[i] * dense[0]]
-        shifted += [dense[k - 1] - xs[i] * dense[k] for k in range(1, len(dense))]
-        shifted.append(dense[-1])
-        dense = shifted
-    return MPoly.from_dict((keep,), {(k,): c for k, c in enumerate(dense)})
+def _roots(p: MPoly, var: str) -> list[Fraction]:
+    """The rational roots of a nonzero polynomial in var alone."""
+    squarefree = p.exact_divide(mpoly_gcd(p, p.derivative(var))).normalized()
+    return rational_roots(_dense_rat(squarefree, var))
 
 
-def _rational_roots(p: MPoly) -> list[Fraction]:
-    """All rational roots of a univariate polynomial."""
-    if p.is_constant():
-        return []
-    roots = []
-    for f, _ in _factor_normalized(p).factors:
-        if f.total_degree() == 1:
-            fl = _dense_rat(f.project_ring(), f.vars_used()[0])
-            roots.append(Fraction(-fl[0], fl[1]))
-    roots.sort()
-    return roots
+# The invariant lines of c*(x - a, y - b) that stand for the whole pencil:
+# y - b = s*(x - a) at these slopes s.
+_SLOPES = (0, 1, -1, 2, -2, 3, -3, Fraction(1, 2))
 
 
-def _curve_points(g: MPoly, limit: int = 8) -> list[tuple[Fraction, Fraction]]:
-    """A few rational points on g(z, w) = 0, by sampling z and solving
-    for w (and symmetrically when g ignores w)."""
-    g = g.extend_ring(("z", "w"))
-    pts = []
-    samples = [Fraction(v) for v in (0, 1, -1, 2, -2, 3, -3)] + [
-        Fraction(1, 2), Fraction(-1, 2)
+def _section_lines(field: VectorField) -> list[MPoly]:
+    """Candidates y - s*x - t for the invariant lines of an order-1 field
+    (see the module docstring): from the first section E1(x0, y) that is
+    nonzero and has no rational root at a singular point, or a few
+    representatives of a straight-orbit field once more than deg_x E1
+    sections vanish."""
+    m, n = field.m, field.n
+    x, y = (MPoly.variable(v).extend_ring(field.ring) for v in ("x", "y"))
+    # coefficients in y, as dense lists in x, of M, N, M_x and N_x
+    table = [
+        [_dense_rat(c, "x") for c in _coeffs_in(p, "y")] for p in (m, n, m.derivative("x"), n.derivative("x"))
     ]
-    if g.degree_in("w") == 0:
-        for z0 in _rational_roots(_coeffs_in(g, "w")[0]):
-            for w0 in samples[:3]:
-                pts.append((z0, w0))
-        return pts[:limit]
-    for z0 in samples:
-        section = g.substitute({"z": MPoly.constant(z0, g.ring)}).project_ring()
-        if section.is_zero():
-            for w0 in samples[:3]:
-                pts.append((z0, w0))
-        elif not section.is_constant():
-            for w0 in _rational_roots(section):
-                pts.append((z0, w0))
-        if len(pts) >= limit:
-            break
-    return pts[:limit]
+    dm, dn = (max(p.degree_in("x"), 0) for p in (m, n))
+    degree = dm + dn + max(dm, dn)  # at least deg_x E1
+    vanished = 0
+    for tried, x0 in enumerate(_evaluation_points()):
+        # a root at a singular point skips an x0 at most deg M * deg N times
+        if tried > degree + max(m.total_degree(), 0) * n.total_degree():
+            raise InternalError("degree-1 search: M and N share a factor")
+        ms, ns, mxs, nxs = ([_horner(row, x0) for row in rows] for rows in table)
+        m0, n0, mx, nx = (_poly_from_dense(s, "y") for s in (ms, ns, mxs, nxs))
+        e = n0 * (n0 * mx - m0 * nx) + m0 * (n0 * m0.derivative("y") - m0 * n0.derivative("y"))
+        if e.is_zero():
+            vanished += 1
+            if vanished <= degree:
+                continue
+            if n.is_constant():
+                base = y - x * (Fraction(m.constant_value()) / n.constant_value())
+                return [base - t for t in (0, 1, -1)]
+            return [m - n * s for s in _SLOPES]
+        points = [(y0, _horner(ms, y0), _horner(ns, y0)) for y0 in _roots(e, "y")]
+        if all(mv or nv for _, mv, nv in points):
+            return [y - y0 - (x - x0) * (Fraction(mv) / nv) for y0, mv, nv in points if nv]
 
 
 def degree1_dp_search(field: VectorField) -> list[MPoly]:
     """All degree-1 Darboux polynomials of an order-1 field up to
-    scaling, sorted, via two charts: y - s*x - t (parameters eliminated by
-    resultants) and x - c.  A curve of admissible (s, t) contributes a
-    few representatives."""
+    scaling, sorted: lines y - s*x - t from one section of the extactic
+    polynomial, lines x - c from the gcd of N's coefficients in y (see the
+    module docstring)."""
     if field.order != 1:
         raise DomainError("degree-1 search is defined for order-1 fields")
-    out = []
-
-    # chart 1: p = y - s*x - t, with s, t carried by the symbols z, w
-    ring = ("x", "y", "z", "w")
-    m4 = field.m.extend_ring(ring)
-    n4 = field.n.extend_ring(ring)
-    w_poly = m4 - MPoly.variable("z").extend_ring(ring) * n4
-    x_, z_, w_ = (MPoly.variable(v).extend_ring(ring) for v in ("x", "z", "w"))
-    remainder = w_poly.substitute({"y": z_ * x_ + w_})
-    system = [
-        r.extend_ring(("z", "w"))
-        for r in _coeffs_in(remainder, "x")
-        if not r.is_zero()
-    ]
-    candidates: set[tuple[Fraction, Fraction]] = set()
-    if system:
-        g = system[0]
-        for r in system[1:]:
-            g = mpoly_gcd(g, r)
-        if not g.is_constant():
-            candidates.update(_curve_points(g))
-        reduced = [r.exact_divide(g) for r in system]
-        nonconst = [r for r in reduced if not r.is_constant()]
-        if len(nonconst) == len(reduced) and len(nonconst) >= 2:
-            candidates.update(_isolated_points(nonconst))
-
-    for s0, t0 in candidates:
-        p = (
-            MPoly.variable("y")
-            - MPoly.constant(s0) * MPoly.variable("x")
-            - MPoly.constant(t0)
-        ).extend_ring(("x", "y"))
-        hit = darboux_check(field, p.normalized())
-        if hit is not None:
-            out.append(hit.p)
-
-    # chart 2: p = x - c; X(p) = N, so N(c, y) must vanish identically
+    candidates = _section_lines(field)
+    # X(x - c) = N, so N(c, y) must vanish identically
     ncoef = [c for c in _coeffs_in(field.n, "y") if not c.is_zero()]
     g = ncoef[0]
     for c in ncoef[1:]:
         g = mpoly_gcd(g, c)
     if not g.is_constant():
-        for c0 in _rational_roots(g.extend_ring(("x",))):
-            p = (MPoly.variable("x") - MPoly.constant(c0)).extend_ring(("x", "y"))
-            hit = darboux_check(field, p.normalized())
-            if hit is not None:
-                out.append(hit.p)
-
-    seen = []
-    for p in sorted(out, key=_factor_key):
-        if p not in seen:
-            seen.append(p)
-    return seen
-
-
-def _eliminant(system: list[MPoly], elim: str, keep: str) -> MPoly:
-    """A nonzero polynomial in `keep` alone that vanishes at the
-    `keep`-coordinate of every common zero of a gcd-free system, by one
-    resultant: Res_elim(r0, sum_i t^i r_i) for the first t = 2, 3, ...
-    that makes it nonzero, where r0 is the member of least degree in
-    `elim` (ties broken by index) and r_1, r_2, ... are the others in
-    order.
-
-    Soundness: Res_elim(a, b) = u·a + v·b for polynomials u, v, so the
-    resultant lies in the ideal (r0, sum) ∩ Q[keep] and vanishes wherever
-    every r_i does.  When r0 has degree 0 in `elim` it already lies in
-    Q[keep] and is returned as it is; the resultant would be
-    ±r0^deg_elim(sum), with the same roots.
-
-    Termination: the resultant is identically zero only when r0 and the
-    sum share a factor p of positive degree in `elim`.  For each of the
-    finitely many irreducible factors p of r0, sum_i t^i (r_i mod p) is a
-    polynomial in t of degree at most the number m of others, with no
-    constant term; if it vanished for m distinct nonzero t, the
-    Vandermonde matrix would force every r_i ≡ 0 mod p, and p would
-    divide the gcd of the system, which is 1.  So each of the at most
-    deg_elim(r0) such factors rejects at most m - 1 values of t, and a
-    system that exhausts deg_elim(r0)·m + 1 values is not gcd-free
-    (InternalError)."""
-    i0 = min(range(len(system)), key=lambda i: system[i].degree_in(elim))
-    r0 = system[i0]
-    if r0.degree_in(elim) == 0:
-        return r0.project_ring()
-    others = system[:i0] + system[i0 + 1 :]
-    for t in range(2, 3 + r0.degree_in(elim) * len(others)):
-        comb = MPoly.zero(r0.ring)
-        for i, r in enumerate(others, 1):
-            comb = comb + r * t**i
-        if not comb.is_zero():
-            res = _resultant_wrt(r0, comb, elim, keep)
-            if not res.is_zero():
-                return res
-    raise InternalError("the system passed to _eliminant is not gcd-free")
-
-
-def _isolated_points(system: list[MPoly]) -> list[tuple[Fraction, Fraction]]:
-    """Common rational zeros of a gcd-free bivariate system in (z, w).
-
-    The rational roots of the eliminant in z (w eliminated) are the only
-    possible z-coordinates of a common zero.  Each is substituted, w is
-    read off the rational roots of the gcd of the sections, and a point is
-    kept only if it is an exact zero of every member.  The eliminant may
-    have roots that are not coordinates of a common zero, but the exact
-    check rejects them, so the list holds every rational common zero and
-    nothing else; a second elimination, in w, could add none."""
-    sys2 = [r.extend_ring(("z", "w")) for r in system]
-    pts = []
-    for z0 in _rational_roots(_eliminant(sys2, "w", "z")):
-        sections = [
-            s.substitute({"z": MPoly.constant(z0, s.ring)}).project_ring()
-            for s in sys2
-        ]
-        if any(sec.is_constant() and not sec.is_zero() for sec in sections):
-            continue
-        # gcd-free: z - z0 divides not every member, so some section lives
-        live = [sec for sec in sections if not sec.is_zero()]
-        g2 = live[0]
-        for sec in live[1:]:
-            g2 = mpoly_gcd(g2, sec)
-        for w0 in _rational_roots(g2):
-            if all(s.eval_at({"z": z0, "w": w0}) == 0 for s in sys2):
-                pts.append((z0, w0))
-    return pts
+        x = MPoly.variable("x").extend_ring(field.ring)
+        candidates += [x - c0 for c0 in _roots(g, "x")]
+    out = []
+    for p in sorted({p.normalized() for p in candidates}, key=_factor_key):
+        hit = darboux_check(field, p)
+        if hit is not None:
+            out.append(hit.p)
+    return out

@@ -8,7 +8,9 @@ small prime with few modular factors, Hensel-lift the factorization past
 the Mignotte coefficient bound, then recombine modular factors by subset
 search with exact trial division.  recombine() is that subset search; the
 recombination of the t-adically lifted factors of a multivariate
-polynomial in `factor` runs on it too.
+polynomial in `factor` runs on it too.  rational_roots() finds the
+rational roots of a squarefree polynomial without factoring it; it
+answers zassenhaus's cubics and `factor`'s degree-1 Darboux search.
 A search that would try more than `_MAX_SUBSETS` subsets raises
 BudgetError instead of running on: the count grows exponentially with the
 number of modular factors (Swinnerton-Dyer polynomials have many at every
@@ -26,6 +28,7 @@ output coefficient once.
 
 import math
 import random
+from fractions import Fraction
 from itertools import combinations
 
 from .errors import BudgetError, InternalError
@@ -334,6 +337,23 @@ def _mignotte_bound(f: list[int]) -> int:
     return (math.isqrt(n + 1) + 1) * (1 << n) * norm * abs(f[-1])
 
 
+def _good_primes(f: list[int]):
+    """The odd primes, ascending, that keep f squarefree with a unit
+    leading coefficient; InternalError when more than 50 fail before the
+    first passes (f is then taken not to be squarefree)."""
+    rejected = 0
+    p = 1
+    while True:
+        p = 3 if p == 1 else _next_prime_after(p)
+        if f[-1] % p and _squarefree_mod(f, p):
+            rejected = None
+            yield p
+        elif rejected is not None:
+            rejected += 1
+            if rejected > 50:
+                raise InternalError("input to zassenhaus is not squarefree")
+
+
 def _pick_prime(f: list[int]) -> tuple[int, list[list[int]]]:
     """Choose an odd prime keeping f squarefree with unit leading
     coefficient; among the first six such primes, take the one whose
@@ -344,25 +364,16 @@ def _pick_prime(f: list[int]) -> tuple[int, list[list[int]]]:
     into irreducibles (its monic factors, sorted; the splitting
     randomness is seeded from p and the degree)."""
     best = None
-    valid = 0
-    rejected = 0
-    p = 1
-    while valid < 6:
-        p = 3 if p == 1 else _next_prime_after(p)
-        if f[-1] % p == 0 or not _squarefree_mod(f, p):
-            rejected += 1
-            if rejected > 50 and best is None and valid == 0:
-                raise InternalError("input to zassenhaus is not squarefree")
-            continue
-        valid += 1
+    for valid, p in enumerate(_good_primes(f), 1):
         limit = None if best is None else best[0]
         parts = _distinct_degree(_scale_mod(f, pow(f[-1] % p, -1, p), p), p, limit)
-        if parts is None:
-            continue
-        count = sum(_deg(g) // d for g, d in parts)
-        if best is None or count < best[0]:
-            best = (count, p, parts)
-        if count == 1:
+        if parts is not None:
+            count = sum(_deg(g) // d for g, d in parts)
+            if best is None or count < best[0]:
+                best = (count, p, parts)
+            if count == 1:
+                break
+        if valid == 6:
             break
     _, p, parts = best
     out = []
@@ -386,38 +397,60 @@ def _squarefree_mod(f, p):
     return _deg(_gcd_mod(fp, _deriv(fp), p)) == 0
 
 
-# A cubic with no root modulo one of these primes is irreducible.
-_ROOT_TEST_PRIMES = (3, 5, 7, 11, 13, 17, 19, 23, 29, 31)
+def rational_roots(f: list[int]) -> list[Fraction]:
+    """The rational roots, ascending, of a squarefree primitive integer
+    polynomial, by p-adic lifting (Loos 1983).
 
-
-def _rootless_mod_small_prime(f: list[int]) -> bool:
-    """Whether f has no root modulo some prime of `_ROOT_TEST_PRIMES` that
-    does not divide its leading coefficient; then f has no rational root,
-    since a root u/v in lowest terms has v | lc(f) and so u/v mod p would
-    be a root mod p."""
-    for p in _ROOT_TEST_PRIMES:
-        if f[-1] % p == 0:
+    A root u/v in lowest terms has v | lc(f), so z = lc(f) u/v is an
+    integer, and |z| <= B = |lc(f)| + max |c_i| by Cauchy's bound.  Modulo
+    the least odd prime p that keeps f squarefree with a unit leading
+    coefficient, every root of f is simple, so each one found by
+    evaluation lifts by Newton's iteration to the only root of f modulo
+    m > 2B above it; u/v reduces to one of them, and then z is the
+    symmetric residue of lc(f) times that root.  Each candidate z/lc(f)
+    is checked exactly."""
+    n = _deg(f)
+    if n < 1:
+        return []
+    p = next(_good_primes(f))
+    lc = f[-1]
+    bound = abs(lc) + max(abs(c) for c in f)
+    df = _deriv(f)
+    roots = []
+    for r in range(p):
+        if _value_mod(f, r, p):
             continue
-        fp = [c % p for c in reversed(f)]
-        for x in range(p):
-            acc = 0
-            for c in fp:
-                acc = (acc * x + c) % p
-            if acc == 0:
-                break
-        else:
-            return True
-    return False
+        m = p
+        while m <= 2 * bound:
+            m *= m
+            r = (r - _value_mod(f, r, m) * pow(_value_mod(df, r, m), -1, m)) % m
+        z = lc * r % m
+        if z > m // 2:
+            z -= m
+        acc, scale = 0, 1  # lc^n f(z/lc), by Horner
+        for c in reversed(f):
+            acc = acc * z + c * scale
+            scale *= lc
+        if acc == 0:
+            roots.append(Fraction(z, lc))
+    return sorted(roots)
+
+
+def _value_mod(f: list[int], x: int, m: int) -> int:
+    acc = 0
+    for c in reversed(f):
+        acc = (acc * x + c) % m
+    return acc
 
 
 def zassenhaus(f: list[int]) -> list[list[int]]:
     """Irreducible factors over Z of a primitive squarefree polynomial
     with positive leading coefficient, degree >= 1.
 
-    Degrees 2 and 3 are tried without a modular split first: a quadratic
-    c + b x + a x^2 splits iff its discriminant is a square r^2, into
-    the primitive parts of 2a x + b -+ r, and a cubic without a rational
-    root is irreducible."""
+    Degrees 2 and 3 need no modular split: a quadratic c + b x + a x^2
+    splits iff its discriminant is a square r^2, into the primitive parts
+    of 2a x + b -+ r, and a cubic is irreducible unless it has a rational
+    root u/v, whose factor v x - u leaves a quadratic."""
     if _deg(f) == 1:
         return [f]
     if _deg(f) == 2:
@@ -427,8 +460,12 @@ def zassenhaus(f: list[int]) -> list[list[int]]:
         if r * r != disc:
             return [f]
         return sorted([_primitive([b - r, 2 * a]), _primitive([b + r, 2 * a])])
-    if _deg(f) == 3 and _rootless_mod_small_prime(f):
-        return [f]
+    if _deg(f) == 3:
+        roots = rational_roots(f)
+        if not roots:
+            return [f]
+        line = [-roots[0].numerator, roots[0].denominator]
+        return sorted([line] + zassenhaus(_divides_exact(f, line)), key=lambda g: (len(g), g))
     p, modfacs = _pick_prime(f)
     if len(modfacs) == 1:
         return [f]

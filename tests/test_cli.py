@@ -147,6 +147,15 @@ def test_powers_of_a_line_factor_at_the_degree_of_their_least_variable(text):
     assert [m for _, m in report["v"]["factored"]] == [1]
 
 
+def test_the_degree1_search_answers_a_high_power_of_a_cubic():
+    # N = P^42 for a cubic P, so the section of the extactic polynomial
+    # has degree 251 in y; the one invariant line is x = -1/2
+    code, out, err = run_cli(["solve", "y' = (4*x*y^2 - y + 2*y^2 + 4*x^2*y)^(-42)",
+                              "--max-degree", "2", "--auto-denominator", "--json"])
+    assert code == 3, err
+    assert json.loads(out)["denominators_tried"] == ["1 + 2*x"]
+
+
 def test_factoring_works_at_the_least_partial_degree(monkeypatch):
     # no univariate input to zassenhaus exceeds the least positive
     # partial degree of the part being factored (eq7's parts are linear

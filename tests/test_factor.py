@@ -1,3 +1,4 @@
+import json
 import random
 from collections import Counter
 from fractions import Fraction
@@ -8,14 +9,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import lps.factor as factor_module
-from lps.errors import DomainError
+from lps.errors import DomainError, InternalError
 from lps.factor import (
     DarbouxFactor,
     _coeffs_in,
-    _isolated_points,
-    _rational_roots,
-    _res_frac,
-    _resultant_wrt,
+    _dense_rat,
+    _factor_key,
+    _horner,
     darboux_check,
     degree1_dp_search,
     factor_multivariate,
@@ -23,7 +23,8 @@ from lps.factor import (
 from lps.parser import RationalODE, parse_ode, parse_poly
 from lps.poly import MPoly, exponents, mpoly_gcd, squarefree_decompose
 from lps.solver import build_field
-from lps.unifactor import recombine, zassenhaus
+from lps.synth import plant
+from lps.unifactor import rational_roots, recombine, zassenhaus
 
 FIXTURES = Path(__file__).resolve().parent.parent / "src" / "lps" / "fixtures"
 
@@ -365,7 +366,7 @@ def test_specialisation_skips_points_that_are_not_squarefree():
     for text in _BAD_AT_0_AND_1:
         p = parse_poly(text, xy)
         for a in (0, 1):
-            spec = p.substitute({"y": MPoly.constant(a, xy)}).project_ring()
+            spec = _substitute(p, {"y": MPoly.constant(a)}).project_ring()
             assert spec.degree_in("x") < p.degree_in("x") or any(
                 m > 1 for _, m in squarefree_decompose(spec).parts
             )
@@ -405,7 +406,7 @@ def test_specialization_smoke():
     fac = factor_multivariate(p)
     for _ in range(5):
         c = Fraction(rng.randint(-5, 5))
-        spec = p.substitute({"y": MPoly.constant(c, p.ring)}).project_ring()
+        spec = _substitute(p, {"y": MPoly.constant(c)}).project_ring()
         if spec.is_constant():
             continue
         uni = factor_multivariate(spec)
@@ -514,6 +515,244 @@ def test_degree1_rejects_order2():
         degree1_dp_search(load_field("eq7"))
 
 
+def test_degree1_search_eq5_is_empty():
+    res = degree1_dp_search(load_field("eq5"))
+    assert res == []
+
+
+# -- the resultant search, kept as the reference -------------------------------
+#
+# Before it read the lines y - s*x - t off one section of the extactic
+# polynomial, degree1_dp_search eliminated: the coefficients in x of
+# M - s*N at y = s*x + t form a system in (s, t), carried by the symbols z
+# and w.  A common factor of the system is a curve of lines, sampled at a
+# few points; the isolated common zeros come from one resultant.
+
+
+def _substitute(p, bindings):
+    """p with polynomials put for some of its variables."""
+    out = MPoly.zero()
+    for m, c in p.terms.items():
+        term = MPoly.constant(c)
+        for v, e in zip(p.ring, exponents(m, p.ring)):
+            if e:
+                term = term * bindings.get(v, MPoly.variable(v)) ** e
+        out = out + term
+    return out
+
+
+def _evaluate(p, point):
+    """p at a rational point binding every variable it uses."""
+    total = Fraction(0)
+    for m, c in p.terms.items():
+        for v, e in zip(p.ring, exponents(m, p.ring)):
+            if e:
+                c = c * Fraction(point[v]) ** e
+        total += c
+    return total
+
+
+def _res_frac(a, b):
+    """Resultant of two univariate polynomials over the rationals."""
+    def deg(u):
+        return len(u) - 1
+
+    def rem(u, v):
+        u = list(u)
+        while len(u) >= len(v):
+            c = Fraction(u[-1], v[-1])
+            k = len(u) - len(v)
+            for i, cv in enumerate(v):
+                u[i + k] -= c * cv
+            u.pop()
+            while u and u[-1] == 0:
+                u.pop()
+        return u
+
+    if not a or not b:
+        return Fraction(0)
+    if deg(a) == 0 and deg(b) == 0:
+        return Fraction(1)
+    acc = Fraction(1)
+    if deg(a) < deg(b):
+        if deg(a) % 2 and deg(b) % 2:
+            acc = -acc
+        a, b = b, a
+    while deg(b) > 0:
+        r = rem(a, b)
+        if not r:
+            return Fraction(0)
+        acc *= b[-1] ** (deg(a) - deg(r))
+        if deg(b) % 2 and deg(a) % 2:
+            acc = -acc
+        a, b = b, r
+    return acc * b[0] ** deg(a)
+
+
+def _resultant_wrt(f, g, var, keep):
+    """Res_var(f, g) as a polynomial in `keep`, sampled at the integers
+    0, 1, -1, 2, ... where no leading coefficient vanishes and rebuilt by
+    Newton interpolation; its degree in `keep` is at most
+    deg_keep(f)·deg_var(g) + deg_keep(g)·deg_var(f)."""
+    bound = f.degree_in(keep) * g.degree_in(var) + g.degree_in(keep) * f.degree_in(var)
+    fc = [_dense_rat(c, keep) for c in _coeffs_in(f.extend_ring((var, keep)), var)]
+    gc = [_dense_rat(c, keep) for c in _coeffs_in(g.extend_ring((var, keep)), var)]
+    xs = []
+    coef = []
+    t = 0
+    while len(xs) <= bound:
+        for x0 in (t, -t) if t else (0,):
+            av = [_horner(c, x0) for c in fc]
+            bv = [_horner(c, x0) for c in gc]
+            if av[-1] and bv[-1]:
+                xs.append(x0)
+                coef.append(_res_frac(av, bv))
+                if len(xs) > bound:
+                    break
+        t += 1
+    n = len(xs)
+    for j in range(1, n):
+        for i in range(n - 1, j - 1, -1):
+            coef[i] = Fraction(coef[i] - coef[i - 1], xs[i] - xs[i - j])
+    dense = [coef[-1]]
+    for i in range(n - 2, -1, -1):
+        shifted = [coef[i] - xs[i] * dense[0]]
+        shifted += [dense[k - 1] - xs[i] * dense[k] for k in range(1, len(dense))]
+        shifted.append(dense[-1])
+        dense = shifted
+    return MPoly.from_dict((keep,), {(k,): c for k, c in enumerate(dense)})
+
+
+def _rational_roots(p):
+    """All rational roots of a univariate polynomial, by factoring it."""
+    if p.is_constant():
+        return []
+    roots = []
+    for f, _ in factor_multivariate(p).factors:
+        if f.total_degree() == 1:
+            fl = _dense_rat(f.project_ring(), f.vars_used()[0])
+            roots.append(Fraction(-fl[0], fl[1]))
+    roots.sort()
+    return roots
+
+
+def _curve_points(g, limit=8):
+    """A few rational points on g(z, w) = 0, by sampling z and solving
+    for w (and symmetrically when g ignores w)."""
+    g = g.extend_ring(("z", "w"))
+    pts = []
+    samples = [Fraction(v) for v in (0, 1, -1, 2, -2, 3, -3)] + [Fraction(1, 2), Fraction(-1, 2)]
+    if g.degree_in("w") == 0:
+        for z0 in _rational_roots(_coeffs_in(g, "w")[0]):
+            for w0 in samples[:3]:
+                pts.append((z0, w0))
+        return pts[:limit]
+    for z0 in samples:
+        section = _substitute(g, {"z": MPoly.constant(z0)}).project_ring()
+        if section.is_zero():
+            for w0 in samples[:3]:
+                pts.append((z0, w0))
+        elif not section.is_constant():
+            for w0 in _rational_roots(section):
+                pts.append((z0, w0))
+        if len(pts) >= limit:
+            break
+    return pts[:limit]
+
+
+def _eliminant(system, elim, keep):
+    """A nonzero polynomial in `keep` alone that vanishes at the
+    `keep`-coordinate of every common zero of a gcd-free system:
+    Res_elim(r0, sum_i t^i r_i) for the first t = 2, 3, ... that makes it
+    nonzero, r0 the member of least degree in `elim` and r_1, r_2, ... the
+    others in order (r0 itself when it is free of `elim`).  Each
+    irreducible factor of r0 rejects at most m - 1 values of t, m the
+    number of others, so deg_elim(r0)·m + 1 values suffice."""
+    i0 = min(range(len(system)), key=lambda i: system[i].degree_in(elim))
+    r0 = system[i0]
+    if r0.degree_in(elim) == 0:
+        return r0.project_ring()
+    others = system[:i0] + system[i0 + 1 :]
+    for t in range(2, 3 + r0.degree_in(elim) * len(others)):
+        comb = MPoly.zero(r0.ring)
+        for i, r in enumerate(others, 1):
+            comb = comb + r * t**i
+        if not comb.is_zero():
+            res = _resultant_wrt(r0, comb, elim, keep)
+            if not res.is_zero():
+                return res
+    raise InternalError("the system passed to _eliminant is not gcd-free")
+
+
+def _isolated_points(system):
+    """Common rational zeros of a gcd-free bivariate system in (z, w): the
+    rational roots z0 of the eliminant in z, each with the rational roots
+    w0 of the gcd of the sections at z0, kept when every member vanishes
+    at (z0, w0)."""
+    sys2 = [r.extend_ring(("z", "w")) for r in system]
+    pts = []
+    for z0 in _rational_roots(_eliminant(sys2, "w", "z")):
+        sections = [_substitute(s, {"z": MPoly.constant(z0)}).project_ring() for s in sys2]
+        if any(sec.is_constant() and not sec.is_zero() for sec in sections):
+            continue
+        live = [sec for sec in sections if not sec.is_zero()]
+        g2 = live[0]
+        for sec in live[1:]:
+            g2 = mpoly_gcd(g2, sec)
+        for w0 in _rational_roots(g2):
+            if all(_evaluate(s, {"z": z0, "w": w0}) == 0 for s in sys2):
+                pts.append((z0, w0))
+    return pts
+
+
+def reference_degree1_dp_search(field):
+    """degree1_dp_search by elimination: chart 1, p = y - s*x - t with
+    (s, t) carried by z, w; chart 2, p = x - c from the gcd of N's
+    coefficients in y."""
+    out = []
+    ring = ("x", "y", "z", "w")
+    m4 = field.m.extend_ring(ring)
+    n4 = field.n.extend_ring(ring)
+    w_poly = m4 - MPoly.variable("z").extend_ring(ring) * n4
+    x_, z_, w_ = (MPoly.variable(v).extend_ring(ring) for v in ("x", "z", "w"))
+    remainder = _substitute(w_poly, {"y": z_ * x_ + w_})
+    system = [r.extend_ring(("z", "w")) for r in _coeffs_in(remainder, "x") if not r.is_zero()]
+    candidates = set()
+    if system:
+        g = system[0]
+        for r in system[1:]:
+            g = mpoly_gcd(g, r)
+        if not g.is_constant():
+            candidates.update(_curve_points(g))
+        reduced = [r.exact_divide(g) for r in system]
+        nonconst = [r for r in reduced if not r.is_constant()]
+        if len(nonconst) == len(reduced) and len(nonconst) >= 2:
+            candidates.update(_isolated_points(nonconst))
+    for s0, t0 in candidates:
+        p = (Y - MPoly.constant(s0) * X - MPoly.constant(t0)).extend_ring(_XY)
+        hit = darboux_check(field, p.normalized())
+        if hit is not None:
+            out.append(hit.p)
+    ncoef = [c for c in _coeffs_in(field.n, "y") if not c.is_zero()]
+    g = ncoef[0]
+    for c in ncoef[1:]:
+        g = mpoly_gcd(g, c)
+    if not g.is_constant():
+        for c0 in _rational_roots(g.extend_ring(("x",))):
+            p = (X - MPoly.constant(c0)).extend_ring(_XY)
+            hit = darboux_check(field, p.normalized())
+            if hit is not None:
+                out.append(hit.p)
+    seen = []
+    for p in sorted(out, key=_factor_key):
+        if p not in seen:
+            seen.append(p)
+    return seen
+
+
+_XY = ("x", "y")
+
+
 def test_resultant_helper():
     f = (X**2 - Z).extend_ring(("x", "z"))
     g = (X - Z).extend_ring(("x", "z"))
@@ -526,17 +765,12 @@ def test_resultant_helper():
 
 
 def test_rational_roots_helper():
+    # the library's p-adic routine and the reference's factorization
     p = parse_poly("(2*x - 3)*(3*x + 5)*(x - 2)*x").extend_ring(("x",))
-    assert _rational_roots(p) == [
-        Fraction(-5, 3),
-        Fraction(0),
-        Fraction(3, 2),
-        Fraction(2),
-    ]
-    assert _rational_roots(parse_poly("x^2 + 1").extend_ring(("x",))) == []
-
-
-# -- the elimination behind degree1_dp_search ---------------------------------
+    want = [Fraction(-5, 3), Fraction(0), Fraction(3, 2), Fraction(2)]
+    assert rational_roots(_dense_rat(p, "x")) == want
+    assert _rational_roots(p) == want
+    assert rational_roots([1, 0, 1]) == _rational_roots(parse_poly("x^2 + 1").extend_ring(("x",))) == []
 
 
 def _lagrange_resultant(f, g, var, keep):
@@ -554,10 +788,10 @@ def _lagrange_resultant(f, g, var, keep):
     t = 0
     while len(points) < bound + 1:
         for x0 in (Fraction(t), Fraction(-t)) if t else (Fraction(0),):
-            if lcf.eval_at({keep: x0}) == 0 or lcg.eval_at({keep: x0}) == 0:
+            if _evaluate(lcf, {keep: x0}) == 0 or _evaluate(lcg, {keep: x0}) == 0:
                 continue
-            av = [c.eval_at({keep: x0}) for c in fc]
-            bv = [c.eval_at({keep: x0}) for c in gc]
+            av = [_evaluate(c, {keep: x0}) for c in fc]
+            bv = [_evaluate(c, {keep: x0}) for c in gc]
             points.append((x0, _res_frac(av, bv)))
             if len(points) == bound + 1:
                 break
@@ -594,10 +828,7 @@ def _pairwise_isolated_points(system):
         for r in elims[1:]:
             g = mpoly_gcd(g, r)
         for r0 in _rational_roots(g):
-            sections = [
-                s.substitute({keep: MPoly.constant(r0, s.ring)}).project_ring()
-                for s in sys2
-            ]
+            sections = [_substitute(s, {keep: MPoly.constant(r0)}).project_ring() for s in sys2]
             if any(sec.is_constant() and not sec.is_zero() for sec in sections):
                 continue
             live = [sec for sec in sections if not sec.is_zero()]
@@ -608,7 +839,7 @@ def _pairwise_isolated_points(system):
                 g2 = mpoly_gcd(g2, sec)
             for other in _rational_roots(g2):
                 pt = (r0, other) if keep == "z" else (other, r0)
-                if all(s.eval_at({"z": pt[0], "w": pt[1]}) == 0 for s in sys2):
+                if all(_evaluate(s, {"z": pt[0], "w": pt[1]}) == 0 for s in sys2):
                     pts.append(pt)
         if pts:
             break
@@ -616,22 +847,20 @@ def _pairwise_isolated_points(system):
 
 
 def _chart1_system(field):
-    """The gcd-free (s, t) system, in (z, w), that degree1_dp_search hands
-    to _isolated_points for lines y - s*x - t; None when it hands over
-    nothing."""
+    """The gcd-free (s, t) system, in (z, w), that the reference search
+    hands to _isolated_points for lines y - s*x - t; None when it hands
+    over nothing."""
     seen = []
+    isolated = _isolated_points
 
     def spy(system):
         seen.append(system)
-        return _isolated_points(system)
+        return isolated(system)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(factor_module, "_isolated_points", spy)
-        degree1_dp_search(field)
+        mp.setitem(globals(), "_isolated_points", spy)
+        reference_degree1_dp_search(field)
     return seen[0] if seen else None
-
-
-_XY = ("x", "y")
 
 
 def _small_poly(rng, degree):
@@ -759,17 +988,80 @@ def test_isolated_points_redraws_a_vanishing_combination(monkeypatch):
     z, w = (MPoly.variable(v).extend_ring(("z", "w")) for v in ("z", "w"))
     system = [w - z, -w - z - 2, w + 1]
     calls = []
+    resultant = _resultant_wrt
 
     def spy(f, g, var, keep):
-        r = _resultant_wrt(f, g, var, keep)
+        r = resultant(f, g, var, keep)
         calls.append(r)
         return r
 
-    monkeypatch.setattr(factor_module, "_resultant_wrt", spy)
+    monkeypatch.setitem(globals(), "_resultant_wrt", spy)
     assert _isolated_points(system) == [(Fraction(-1), Fraction(-1))]
     assert [r.is_zero() for r in calls] == [True, False]
 
 
-def test_degree1_search_eq5_is_empty():
-    res = degree1_dp_search(load_field("eq5"))
-    assert res == []
+# -- the section search against the reference ----------------------------------
+
+# fields whose orbits are all straight (E1 = 0): the constant fields (1, 0)
+# and (2, 3), and the radial fields (x, y) and (2*x + 4, 2*y - 1), centred
+# at (0, 0) and (-2, 1/2)
+STRAIGHT_ORBITS = ("y' = 0", "y' = 3/2", "y' = y/x", "y' = (2*y - 1)/(2*x + 4)")
+
+# E1 != 0, and the invariant line y = x passes through the singular point
+# (0, 0), a rational root of the section at x = 0: the search must move
+# past x = 0 to find it
+SINGULAR_ON_X0 = "y' = (3*y + x*y - x^2)/(x + 2*y)"
+
+
+def _golden_order1_texts():
+    records = json.loads((Path(__file__).resolve().parent / "golden" / "corpus.json").read_text())
+    texts = {r["argv"][-1] for r in records if r["argv"][0] == "solve"}
+    return sorted(t for t in texts if t.startswith("y' "))
+
+
+def _random_fields(seed, count):
+    """Order-1 fields y' = M/N, in lowest terms, with M and N of degree at
+    most 1 to 6 and 1 to 6 terms."""
+    rng = random.Random(seed)
+
+    def draw(degree):
+        terms = {}
+        for _ in range(rng.randint(1, 6)):
+            e = rng.randint(0, degree)
+            terms[(e, rng.randint(0, degree - e))] = rng.randint(-3, 3)
+        return MPoly.from_dict(_XY, terms)
+
+    out = []
+    while len(out) < count:
+        degree = rng.randint(1, 6)
+        m, n = draw(degree), draw(degree)
+        if not n.is_zero():
+            out.append(build_field(RationalODE.from_quotient(1, m, n)))
+    return out
+
+
+def test_degree1_search_matches_the_reference():
+    fields = [load_field(name) for name in ("eq5", "eq8", "eq9")]
+    texts = _golden_order1_texts() + list(STRAIGHT_ORBITS) + [SINGULAR_ON_X0]
+    fields += [build_field(parse_ode(t)) for t in texts]
+    for seed in (7, 11, 42, 4242, 2026):
+        rng = random.Random(seed)
+        fields += [build_field(plant(rng, max_factor_degree=4).ode) for _ in range(40)]
+    fields += [field for field, _ in _planted_line_fields(909, 12)]
+    fields += _random_fields(2026, 400)
+    found = 0
+    for field in fields:
+        res = degree1_dp_search(field)
+        assert res == reference_degree1_dp_search(field), field
+        found += bool(res)
+    assert found > len(fields) // 2
+
+
+def test_degree1_search_passes_a_singular_root():
+    field = build_field(parse_ode(SINGULAR_ON_X0))
+    m, n = field.m, field.n
+    e1 = n * field.apply(m) - m * field.apply(n)
+    m0, n0, e0 = (_substitute(p, {"x": MPoly.constant(0)}) for p in (m, n, e1))
+    assert not e0.is_zero() and e0.exact_divide(Y) is not None
+    assert m0.exact_divide(Y) is not None and n0.exact_divide(Y) is not None
+    assert [p.to_text() for p in degree1_dp_search(field)] == ["-x + y"]

@@ -14,7 +14,7 @@ from importlib import resources
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lps import cli, poly
@@ -57,6 +57,17 @@ def rand_poly(rng, nvars=2, max_deg=3, max_terms=5, rational=False):
 
 def rand_point(rng, poly):
     return {v: Fraction(rng.randint(-6, 6), rng.randint(1, 3)) for v in poly.ring}
+
+
+def evaluate(p, point):
+    """p at a rational point binding every variable of its ring, term by
+    term."""
+    total = Fraction(0)
+    for m, c in p.terms.items():
+        for v, e in zip(p.ring, exponents(m, p.ring)):
+            c *= point[v] ** e
+        total += c
+    return total
 
 
 def test_grlex_candidate_order_degree_one():
@@ -103,7 +114,7 @@ def test_mul_matches_evaluation():
         b = rand_poly(rng, nvars=3, rational=True)
         prod = a * b
         pt = rand_point(rng, prod)
-        assert prod.eval_at(pt) == a.eval_at(pt) * b.eval_at(pt)
+        assert evaluate(prod, pt) == evaluate(a, pt) * evaluate(b, pt)
 
 
 def test_pow_matches_repeated_mul():
@@ -161,28 +172,12 @@ def test_derivative_rules():
             assert (a + b).derivative(v) == a.derivative(v) + b.derivative(v)
 
 
-def test_substitute_matches_eval():
-    rng = random.Random(707)
-    for _ in range(100):
-        a = rand_poly(rng, nvars=2, max_deg=3)
-        g = rand_poly(rng, nvars=2, max_deg=2, max_terms=3)
-        sub = a.substitute({"y": g})
-        pt = {"x": Fraction(rng.randint(-5, 5)), "y": Fraction(rng.randint(-5, 5))}
-        assert sub.eval_at(pt) == a.eval_at({"x": pt["x"], "y": g.eval_at(pt)})
-
-
-def test_substitute_scalar():
-    p = X**2 * Y + 3 * Y
-    assert p.substitute({"x": 2}) == 7 * Y
-    assert p.substitute({"y": 0}).is_zero()
-
-
 def test_ring_unification():
     p = X + 1
     q = Z**2
     s = p + q
     assert s.ring == ("x", "z")
-    assert s.eval_at({"x": 2, "z": 3}) == 12
+    assert evaluate(s, {"x": 2, "z": 3}) == 12
 
 
 def test_normalization():
@@ -307,6 +302,9 @@ def test_heuristic_gcd_matches_sympy():
     st.sampled_from(RINGS).flatmap(lambda r: st.lists(ring_polys(r, max_terms=3), min_size=1, max_size=3)),
     st.fractions(min_value=Fraction(-9), max_value=Fraction(9)).filter(bool),
 )
+# a PRS of 1,286,852 counted products that takes about 0.3 s, which the
+# budget must let through
+@example([1 + Y * Z, 1 + X**2 * Z**2, X + Z + X * Y**2], Fraction(1))
 def test_squarefree_roundtrip_matches_prs(bases, content):
     p = MPoly.constant(content)
     for i, f in enumerate(bases):
@@ -482,8 +480,7 @@ def test_coefficients_stay_canonical(a, b, c, s, k):
     for p in (a, b, c):
         assert_canonical(p)
     results = [a + b, a - b, a + c, b - a + c, a * b, b * c, a * s, s * a, a**k,
-               a.derivative("x"), c.derivative("z"), a.substitute({"x": b}),
-               a.substitute({"y": s}), c.substitute({"y": a, "z": s}),
+               a.derivative("x"), c.derivative("z"),
                a.normalized(), mpoly_gcd(a, b), mpoly_gcd(a * c, b * c)]
     if s:
         results.append(a / s)
@@ -588,26 +585,6 @@ def ref_pow(a, k):
 def ref_derivative(a, var):
     i = VARS.index(var)
     return {m[:i] + (m[i] - 1,) + m[i + 1:]: c * m[i] for m, c in a.items() if m[i]}
-
-
-def ref_substitute(a, bindings):
-    out = {}
-    for m, c in a.items():
-        term = {tuple(0 if v in bindings else e for v, e in zip(VARS, m)): c}
-        for v, e in zip(VARS, m):
-            if v in bindings:
-                term = ref_mul(term, ref_pow(bindings[v], e))
-        out = ref_add(out, term)
-    return out
-
-
-def ref_eval(a, point):
-    total = Fraction(0)
-    for m, c in a.items():
-        for v, e in zip(VARS, m):
-            c *= Fraction(point[v]) ** e
-        total += c
-    return total
 
 
 def ref_divide(a, b):
@@ -763,9 +740,6 @@ def test_arithmetic_matches_the_tuple_reference(case_a, case_b, k, s, var):
     assert as_ref(a * s) == as_ref(s * a) == scaled
     assert as_ref(a / s) == {m: c / s for m, c in ra.items()}
     assert as_ref(a.derivative(var)) == ref_derivative(ra, var)
-    assert as_ref(a.substitute({var: b})) == ref_substitute(ra, {var: rb})
-    point = {v: Fraction(i + 2, 5 - i) for i, v in enumerate(VARS)}
-    assert a.eval_at(point) == ref_eval(ra, point)
     if rb:
         assert as_ref((a * b).exact_divide(b)) == ra
         q = a.exact_divide(b)

@@ -9,6 +9,7 @@ import io
 import json
 import math
 import random
+from fractions import Fraction
 from importlib import resources
 
 import pytest
@@ -29,6 +30,7 @@ from lps.unifactor import (
     _scale_mod,
     _squarefree_mod,
     _sub_mod,
+    rational_roots,
     zassenhaus,
 )
 
@@ -99,7 +101,7 @@ def _random_squarefree(rng: random.Random) -> list[int]:
                 f = f + rng.randint(-9, 9) * x**e
             f = f + rng.choice([1, 2, 3]) * x ** rng.randint(1, 5)
             p = p * f
-        if not 2 <= p.total_degree() <= 16 or p.eval_at({"x": 0}) == 0:
+        if not 2 <= p.total_degree() <= 16 or _dense(p)[0] == 0:
             continue
         if all(m == 1 for _, m in squarefree_decompose(p).parts):
             return _primitive(_dense(p))
@@ -171,9 +173,10 @@ def _rational_roots_brute(f):
 
 
 def test_quadratics_and_cubics_split_without_a_modular_factorization():
-    # quadratics by their discriminant, cubics by a root test mod small
-    # primes: products of random linear and quadratic factors and random
-    # irreducibles, checked against their rational roots
+    # quadratics by their discriminant, cubics by their rational roots:
+    # products of random linear and quadratic factors and random
+    # irreducibles, checked against their rational roots, which
+    # rational_roots must find too
     rng = random.Random(31)
     shapes = {1: 0, 2: 0, 3: 0}
     for _ in range(300):
@@ -192,6 +195,7 @@ def test_quadratics_and_cubics_split_without_a_modular_factorization():
             prod = [sum(prod[i] * g[k - i] for i in range(len(prod)) if 0 <= k - i < len(g)) for k in range(len(prod) + len(g) - 1)]
         assert prod == f
         roots = _rational_roots_brute(f)
+        assert rational_roots(f) == sorted(Fraction(u, v) for u, v in roots)
         assert sorted(len(g) - 1 for g in factors if len(g) == 2) == [1] * len(roots)
         for g in factors:
             assert len(g) == 2 or not _rational_roots_brute(g)
