@@ -94,7 +94,7 @@ from .solver import VectorField
 from .unifactor import (
     _add_mod,
     _divmod_mod,
-    _ext_gcd_mod,
+    _lagrange_cofactors,
     _mod,
     _mul_mod,
     _primitive,
@@ -268,14 +268,7 @@ def _lift(f: list[list[int]], us: list[list[int]], n: int, p: int) -> list[list[
     U_1 ... U_m are carried along, so each step costs one pass over
     them."""
     r = len(us)
-    cof = []
-    for i, u in enumerate(us):
-        rest = [1]
-        for j, v in enumerate(us):
-            if j != i:
-                rest = _mul_mod(rest, v, p)
-        g, s, _ = _ext_gcd_mod(_divmod_mod(rest, u, p)[1], u, p)
-        cof.append(_scale_mod(s, pow(g[0], -1, p), p))
+    cof = _lagrange_cofactors(us, p)
     lifted = [[u] for u in us]
     partial = [[us[0]]]
     for m in range(1, r):
@@ -531,10 +524,7 @@ def degree1_dp_search(field: VectorField) -> list[MPoly]:
         raise DomainError("degree-1 search is defined for order-1 fields")
     candidates = _section_lines(field)
     # X(x - c) = N, so N(c, y) must vanish identically
-    ncoef = [c for c in _coeffs_in(field.n, "y") if not c.is_zero()]
-    g = ncoef[0]
-    for c in ncoef[1:]:
-        g = mpoly_gcd(g, c)
+    g = _content_in(field.n, "y")
     if not g.is_constant():
         x = MPoly.variable("x").extend_ring(field.ring)
         candidates += [x - c0 for c0 in _roots(g, "x")]

@@ -10,29 +10,37 @@ search with exact trial division.  recombine() is that subset search; the
 recombination of the t-adically lifted factors of a multivariate
 polynomial in `factor` runs on it too.  rational_roots() finds the
 rational roots of a squarefree polynomial without factoring it; it
-answers zassenhaus's cubics and `factor`'s degree-1 Darboux search.
-A search that would try more than `_MAX_SUBSETS` subsets raises
-BudgetError instead of running on: the count grows exponentially with the
-number of modular factors (Swinnerton-Dyer polynomials have many at every
-prime), while no call on the benchmark's inputs tries more than 17.
+answers zassenhaus's quadratics and cubics and `factor`'s degree-1
+Darboux search.  A search that would try more than `_MAX_SUBSETS`
+subsets raises BudgetError instead of running on: the count grows
+exponentially with the number of modular factors (Swinnerton-Dyer
+polynomials have many at every prime), while no call on the benchmark's
+inputs tries more than 17.
 
 The prime is the one, among the first six that keep the input squarefree
-with a unit leading coefficient, whose distinct-degree split counts the
-fewest modular factors.  Each split reads x^(p^d) mod f off the Frobenius
-matrix of f (Berlekamp's Q-matrix, rows x^(i p) mod f, used as in von zur
-Gathen & Shoup 1992): one vector-matrix product per degree d in place of
-a powering, and a trial prime is abandoned as soon as its partial count
-cannot beat the best so far.  Products and remainders mod p reduce each
-output coefficient once.
+with a unit leading coefficient, with the fewest modular factors (the
+first on ties, at once on one factor).  Berlekamp's algorithm (Bell
+Syst. Tech. J. 46, 1967) counts them: f has one irreducible factor mod p
+more than the kernel of Q - I has non-constant basis vectors, for Q the
+Frobenius matrix of f, rows x^(i p) mod f, so that h^p = h mod f exactly
+when h's coefficient vector is in that kernel.  The kernel comes from the
+library's mod-p elimination, `linalg._kernel_mod_p`.  Only the chosen
+prime is split: the gcds of each part with v - s, for each basis vector v
+and each residue s, split f into its irreducible factors mod p.  Those
+are lifted linearly, one power of p per step, to the least power above
+twice the Mignotte bound (von zur Gathen & Gerhard, *Modern Computer
+Algebra*, 15.5); each step spreads the error over the factors by the
+Lagrange cofactors that `factor`'s t-adic lift uses as well.  Products
+and remainders mod p reduce each output coefficient once.
 """
 
 import math
-import random
 from fractions import Fraction
 from itertools import combinations
 
 from .errors import BudgetError, InternalError
 from .intarith import is_probable_prime
+from .linalg import _kernel_mod_p
 
 
 def _deg(a: list[int]) -> int:
@@ -123,18 +131,6 @@ def _gcd_mod(a, b, p):
     return a
 
 
-def _powmod(a, e, f, p):
-    """a^e modulo (f, p)."""
-    result = [1]
-    a = _divmod_mod(a, f, p)[1]
-    while e:
-        if e & 1:
-            result = _divmod_mod(_mul_mod(result, a, p), f, p)[1]
-        a = _divmod_mod(_mul_mod(a, a, p), f, p)[1]
-        e >>= 1
-    return result
-
-
 def _deriv(a):
     return _trim([i * c for i, c in enumerate(a)][1:])
 
@@ -162,9 +158,9 @@ def _packed_rows(rows, n, p):
 
 def _frobenius_rows(f, p):
     """The Frobenius matrix of monic f mod p (Berlekamp's Q-matrix), its
-    row i being x^(i p) mod f, packed for `_vecmat`: h^p mod f is h times
-    it for any h of degree < deg f.  Row i is row i-1 times the matrix of
-    multiplication by x^p, whose rows x^(p+j) mod f come by shifting."""
+    row i being x^(i p) mod f: h^p mod f is h times it for any h of
+    degree < deg f.  Row i is row i-1 times the matrix of multiplication
+    by x^p, whose rows x^(p+j) mod f come by shifting."""
     n = _deg(f)
     x = [0] * (n - 1) + [1]
     powers = [[0] * e + [1] for e in range(n)]  # x^e mod f, e < n
@@ -176,108 +172,54 @@ def _frobenius_rows(f, p):
     rows = [[1]]
     for _ in range(1, n):
         rows.append(_vecmat(rows[-1], by_xp, n, p))
-    return _packed_rows(rows, n, p)
+    return rows
 
 
-def _distinct_degree(f, p, limit=None):
-    """Split monic squarefree f mod p into products of irreducibles of a
-    common degree.  Returns [(product, degree)], or None as soon as the
-    split is known to count at least `limit` irreducible factors.
-
-    x^(p^d) mod f comes from x^(p^(d-1)) by one product with the
-    Frobenius matrix of f (von zur Gathen & Shoup 1992); it stays modulo
-    f while each gcd is taken against the cofactor left so far."""
+def _berlekamp_basis(f, p):
+    """The non-constant basis vectors, as polynomials, of the kernel of
+    Q - I for monic squarefree f mod p, deg f >= 2: the h of degree
+    < deg f with h^p = h mod f, other than the constants.  f has one
+    irreducible factor mod p more than there are vectors."""
     n = _deg(f)
-    out = []
-    count = 0
-    h = [0, 1]
-    d = 0
-    frobenius = _frobenius_rows(f, p) if n >= 2 else None
-    while len(f) - 1 >= 2 * (d + 1):
-        d += 1
-        h = _vecmat(h, frobenius, n, p)
-        g = _gcd_mod(_sub_mod(h, [0, 1], p), f, p)
-        if _deg(g) > 0:
-            out.append((g, d))
-            count += _deg(g) // d
-            f = _divmod_mod(f, g, p)[0]
-        if limit is not None and count + (_deg(f) > 0) >= limit:
-            return None
-    if _deg(f) > 0:
-        out.append((f, _deg(f)))
-    return out
+    # h = sum v_i x^i has h^p = v Q mod f, so equation j is column j of Q - I
+    q = [row + [0] * (n - len(row)) for row in _frobenius_rows(f, p)]
+    equations = [dict(enumerate(column)) for column in zip(*q)]
+    for j, equation in enumerate(equations):
+        equation[j] -= 1
+    kernel = _kernel_mod_p(equations, n, p)
+    kernel.pop(0)  # the constant vector: column 0 of Q - I is zero
+    return [_trim(v) for v in kernel.values()]
 
 
-# Coefficient products one equal-degree split trial may take, about
-# bits((p^d - 1)/2) * n^2 (the test suite's largest split takes 21,384).
-_MAX_SPLIT_WORK = 1_000_000
-
-
-def _equal_degree(f, d, p, rng):
-    """Cantor-Zassenhaus splitting of f (product of irreducibles of degree
-    d, monic, mod odd p) into the irreducibles themselves."""
-    n = _deg(f)
-    if n == d:
-        return [f]
-    half = (p**d - 1) // 2
-    if half.bit_length() * n * n > _MAX_SPLIT_WORK:
-        raise BudgetError(f"factoring: splitting degree {n} into degree {d} mod {p} is over budget")
-    while True:
-        a = [rng.randrange(p) for _ in range(n)]
-        _trim(a)
-        if _deg(a) < 1:
-            continue
-        b = _powmod(a, half, f, p)
-        g = _gcd_mod(_sub_mod(b, [1], p), f, p)
-        if 0 < _deg(g) < n:
-            left = _equal_degree(g, d, p, rng)
-            right = _equal_degree(_divmod_mod(f, g, p)[0], d, p, rng)
-            return left + right
+def _berlekamp_split(f, basis, p):
+    """The monic irreducible factors mod p of monic squarefree f, from its
+    `_berlekamp_basis`.  For a basis vector v, f divides v^p - v, the
+    product of the v - s over s mod p, so each part g is the product of
+    its gcds with them; the basis separates any two irreducible factors,
+    so the parts end irreducible."""
+    parts = [f]
+    for v in basis:
+        if len(parts) > len(basis):
+            break
+        split = []
+        for g in parts:
+            if _deg(g) == 1:
+                split.append(g)
+                continue
+            r, left = _divmod_mod(v, g, p)[1], _deg(g)
+            for s in range(p):
+                h = _gcd_mod(_sub_mod(r, [s], p), g, p)
+                if _deg(h) > 0:
+                    split.append(h)
+                    left -= _deg(h)
+                    if left == 0:
+                        break
+        parts = split
+    return parts
 
 
 def _symmetric(a: list[int], m: int) -> list[int]:
     return _trim([c - m if c > m // 2 else c for c in _mod(a, m)])
-
-
-def _hensel_step(f, g, h, s, t, m):
-    """One quadratic lift: from f = g*h, s*g + t*h = 1 (mod m) to the same
-    identities mod m^2.  h monic; g's leading coefficient is preserved."""
-    m2 = m * m
-    e = _sub_mod(f, _mul_mod(g, h, m2), m2)
-    q, r = _divmod_mod(_mul_mod(s, e, m2), h, m2)
-    g1 = _add_mod(g, _add_mod(_mul_mod(t, e, m2), _mul_mod(q, g, m2), m2), m2)
-    h1 = _add_mod(h, r, m2)
-    b = _sub_mod(_add_mod(_mul_mod(s, g1, m2), _mul_mod(t, h1, m2), m2), [1], m2)
-    c, d = _divmod_mod(_mul_mod(s, b, m2), h1, m2)
-    s1 = _sub_mod(s, d, m2)
-    t1 = _sub_mod(t, _add_mod(_mul_mod(t, b, m2), _mul_mod(c, g1, m2), m2), m2)
-    return g1, h1, s1, t1
-
-
-def _hensel_rec(f, gs, p, steps):
-    """Lift f = (product of gs) from mod p to mod p^(2^steps).  The first
-    element of gs carries f's leading coefficient; the rest are monic."""
-    if len(gs) == 1:
-        return [f]
-    mid = len(gs) // 2 if len(gs) > 2 else 1
-    g = gs[0]
-    for extra in gs[1:mid]:
-        g = _mul_mod(g, extra, p)
-    h = gs[mid]
-    for extra in gs[mid + 1 :]:
-        h = _mul_mod(h, extra, p)
-    gg, ss, tt = _ext_gcd_mod(g, h, p)
-    if _deg(gg) != 0:
-        raise InternalError("modular factors not coprime")
-    inv = pow(gg[0], -1, p)
-    s, t = _scale_mod(ss, inv, p), _scale_mod(tt, inv, p)
-    m = p
-    for _ in range(steps):
-        g, h, s, t = _hensel_step(_mod(f, m * m), g, h, s, t, m)
-        m *= m
-    left = _hensel_rec(g, gs[:mid], p, steps)
-    right = _hensel_rec(h, gs[mid:], p, steps)
-    return left + right
 
 
 def _ext_gcd_mod(a, b, p):
@@ -291,6 +233,52 @@ def _ext_gcd_mod(a, b, p):
         s0, s1 = s1, _sub_mod(s0, _mul_mod(q, s1, p), p)
         t0, t1 = t1, _sub_mod(t0, _mul_mod(q, t1, p), p)
     return r0, s0, t0
+
+
+def _lagrange_cofactors(us, p):
+    """The c_i, deg c_i < deg u_i, with c_1 U_1 + ... + c_r U_r = 1 mod p
+    for U_i the product of the u_j, j != i: c_i is the inverse of U_i
+    modulo u_i.  The u_i are monic; InternalError unless they are
+    pairwise coprime mod p."""
+    cofactors = []
+    for i, u in enumerate(us):
+        rest = [1]
+        for j, v in enumerate(us):
+            if j != i:
+                rest = _divmod_mod(_mul_mod(rest, v, p), u, p)[1]
+        g, s, _ = _ext_gcd_mod(rest, u, p)
+        if _deg(g) != 0:
+            raise InternalError("modular factors not coprime")
+        cofactors.append(_scale_mod(s, pow(g[0], -1, p), p))
+    return cofactors
+
+
+def _lift_padic(f, us, p, bound):
+    """Lift f = lc(f) u_1 ... u_r mod p, the u_i monic and pairwise
+    coprime mod p, to monic U_i with f = lc(f) U_1 ... U_r mod m, m the
+    least power of p above 2 bound.  Returns m and the U_i.
+
+    One linear loop: with the identity mod q = p^k, the error
+    e = (f / lc(f) - U_1 ... U_r) / q mod p is spread over the factors by
+    the Lagrange cofactors c_i, U_i gaining q (e c_i mod u_i)."""
+    cofactors = _lagrange_cofactors(us, p)
+    m = p
+    while m <= 2 * bound:
+        m *= p
+    monic = _scale_mod(f, pow(f[-1], -1, m), m)
+    lifted = list(us)
+    q = p
+    while q < m:
+        prod = [1]
+        for u in lifted:
+            prod = _mul_mod(prod, u, q * p)
+        err = [c // q for c in _sub_mod(monic, prod, q * p)]
+        lifted = [
+            _add_mod(lift, [q * c for c in _divmod_mod(_mul_mod(err, c_i, p), u, p)[1]], q * p)
+            for lift, c_i, u in zip(lifted, cofactors, us)
+        ]
+        q *= p
+    return m, lifted
 
 
 def _content(a: list[int]) -> int:
@@ -356,31 +344,20 @@ def _good_primes(f: list[int]):
 
 def _pick_prime(f: list[int]) -> tuple[int, list[list[int]]]:
     """Choose an odd prime keeping f squarefree with unit leading
-    coefficient; among the first six such primes, take the one whose
-    modular factorization is shortest (the first on ties, at once on a
-    single factor).  The distinct-degree split already counts the
-    modular factors, and a prime's split is abandoned as soon as its
-    count cannot beat the best so far; only the chosen prime is split
-    into irreducibles (its monic factors, sorted; the splitting
-    randomness is seeded from p and the degree)."""
+    coefficient; among the first six such primes, take the one with the
+    fewest modular factors, counted by `_berlekamp_basis` (the first on
+    ties, at once on a single factor).  Returns it and f's monic
+    irreducible factors modulo it, sorted."""
     best = None
     for valid, p in enumerate(_good_primes(f), 1):
-        limit = None if best is None else best[0]
-        parts = _distinct_degree(_scale_mod(f, pow(f[-1] % p, -1, p), p), p, limit)
-        if parts is not None:
-            count = sum(_deg(g) // d for g, d in parts)
-            if best is None or count < best[0]:
-                best = (count, p, parts)
-            if count == 1:
-                break
-        if valid == 6:
+        monic = _scale_mod(f, pow(f[-1] % p, -1, p), p)
+        basis = _berlekamp_basis(monic, p)
+        if best is None or len(basis) < len(best[2]):
+            best = (p, monic, basis)
+        if not basis or valid == 6:
             break
-    _, p, parts = best
-    out = []
-    for g, d in parts:
-        out.extend(_equal_degree(g, d, p, random.Random(p * 1000003 + d)))
-    out.sort()
-    return p, out
+    p, monic, basis = best
+    return p, sorted(_berlekamp_split(monic, basis, p))
 
 
 def _next_prime_after(p: int) -> int:
@@ -447,20 +424,12 @@ def zassenhaus(f: list[int]) -> list[list[int]]:
     """Irreducible factors over Z of a primitive squarefree polynomial
     with positive leading coefficient, degree >= 1.
 
-    Degrees 2 and 3 need no modular split: a quadratic c + b x + a x^2
-    splits iff its discriminant is a square r^2, into the primitive parts
-    of 2a x + b -+ r, and a cubic is irreducible unless it has a rational
-    root u/v, whose factor v x - u leaves a quadratic."""
+    Degrees 2 and 3 need no modular split: such a polynomial is
+    irreducible unless it has a rational root u/v, whose factor v x - u
+    leaves a cofactor of lower degree."""
     if _deg(f) == 1:
         return [f]
-    if _deg(f) == 2:
-        c, b, a = f
-        disc = b * b - 4 * a * c
-        r = math.isqrt(max(disc, 0))
-        if r * r != disc:
-            return [f]
-        return sorted([_primitive([b - r, 2 * a]), _primitive([b + r, 2 * a])])
-    if _deg(f) == 3:
+    if _deg(f) <= 3:
         roots = rational_roots(f)
         if not roots:
             return [f]
@@ -469,17 +438,7 @@ def zassenhaus(f: list[int]) -> list[list[int]]:
     p, modfacs = _pick_prime(f)
     if len(modfacs) == 1:
         return [f]
-    bound = _mignotte_bound(f)
-    steps = 0
-    m = p
-    while m <= 2 * bound:
-        m *= m
-        steps += 1
-    lead_leaf = _scale_mod(modfacs[0], f[-1], p)
-    lifted = _hensel_rec(_mod(f, p ** (2**steps)), [lead_leaf] + modfacs[1:], p, steps)
-    big = p ** (2**steps)
-    # normalize every lifted factor to monic mod p^(2^steps)
-    lifted = [_scale_mod(g, pow(g[-1], -1, big), big) for g in lifted]
+    big, lifted = _lift_padic(f, modfacs, p, _mignotte_bound(f))
 
     def trial(subset, current):
         prod = [current[-1]]

@@ -116,23 +116,6 @@ def test_the_fixtures_need_one_prime_per_kernel(monkeypatch):
     assert primes_per_kernel and set(primes_per_kernel) == {1}
 
 
-def test_a_factorization_too_slow_to_split_is_over_budget(monkeypatch):
-    # S_4 splits into eight quadratics at the prime zassenhaus picks, and
-    # one Cantor-Zassenhaus split of their degree-16 product takes about
-    # 13 bits * 16^2 coefficient products; under a budget of 100 it is
-    # refused with exit 5 and one stderr line
-    from lps import unifactor
-
-    monkeypatch.setattr(unifactor, "_MAX_SPLIT_WORK", 100)
-    code, out, err = run_cli(["factor", S4])
-    assert code == 5 and out == ""
-    assert err.startswith("lps: factoring: splitting degree 16 into degree 2") and err.count("\n") == 1
-
-
-S4 = ("x^16 - 136*x^14 + 6476*x^12 - 141912*x^10 + 1513334*x^8 - 7453176*x^6"
-      " + 13950764*x^4 - 5596840*x^2 + 46225")
-
-
 @pytest.mark.parametrize("text", ["y' = (4*x + 3*y)^(-14)", "y' = (4*x + 3*y)^(-17)", "y' = (8*x + 9*y)^(-20)"])
 def test_powers_of_a_line_factor_at_the_degree_of_their_least_variable(text):
     # V is 3 (9 for the last) plus a multiple of the line to the power

@@ -90,3 +90,20 @@ def test_only_poly_packs_monomials():
                 continue
             found += [f"{name}:{node.lineno} {n}" for n in names if n in ("_BITS", "_pack")]
     assert found and all(f.startswith("poly.py:") for f in found), found
+
+
+def test_only_cli_and_synth_import_random():
+    # the library's answers do not depend on a seed: only the synthetic
+    # plants (`synth`, and `cli` for `bench --synthetic`) draw numbers
+    found = []
+    for name, tree in parsed():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""]
+            else:
+                continue
+            if any(m.partition(".")[0] == "random" for m in modules):
+                found.append(name)
+    assert sorted(set(found)) == ["cli.py", "synth.py"]

@@ -1,8 +1,10 @@
-"""Zassenhaus prime choice against a reference copy of the full-split
-rule: factor modulo each of the first six admissible primes and keep the
+"""Berlekamp's algorithm and the linear p-adic lift against reference
+copies of the algorithms they replace.  The reference mod-p factoriser
+splits by distinct degree with repeated squaring, then by equal degree
+with Cantor and Zassenhaus's random splitting; the reference prime rule
+factors modulo each of the first six admissible primes and keeps the
 shortest factorization (the first on ties, at once on one factor).  The
-reference's distinct-degree split is a copy of the repeated-squaring
-split, independent of the library's Frobenius-matrix one."""
+reference lift is the quadratic Hensel tree."""
 
 import contextlib
 import io
@@ -14,25 +16,45 @@ from importlib import resources
 
 import pytest
 
+from lps.errors import InternalError
 from lps.factor import factor_multivariate
 from lps.parser import parse_poly
 from lps.poly import MPoly, exponents, squarefree_decompose
 from lps.unifactor import (
+    _add_mod,
+    _berlekamp_basis,
     _deg,
-    _distinct_degree,
     _divmod_mod,
-    _equal_degree,
+    _ext_gcd_mod,
+    _frobenius_rows,
     _gcd_mod,
+    _lagrange_cofactors,
+    _lift_padic,
+    _mignotte_bound,
+    _mod,
+    _mul_mod,
     _next_prime_after,
     _pick_prime,
-    _powmod,
     _primitive,
     _scale_mod,
     _squarefree_mod,
     _sub_mod,
+    _trim,
     rational_roots,
     zassenhaus,
 )
+
+
+def _powmod(a, e, f, p):
+    """a^e modulo (f, p)."""
+    result = [1]
+    a = _divmod_mod(a, f, p)[1]
+    while e:
+        if e & 1:
+            result = _divmod_mod(_mul_mod(result, a, p), f, p)[1]
+        a = _divmod_mod(_mul_mod(a, a, p), f, p)[1]
+        e >>= 1
+    return result
 
 
 def _reference_distinct_degree(f, p):
@@ -52,6 +74,22 @@ def _reference_distinct_degree(f, p):
     if _deg(f) > 0:
         out.append((f, _deg(f)))
     return out
+
+
+def _equal_degree(f, d, p, rng):
+    """Cantor-Zassenhaus splitting of f (product of irreducibles of degree
+    d, monic, mod odd p) into the irreducibles themselves."""
+    n = _deg(f)
+    if n == d:
+        return [f]
+    half = (p**d - 1) // 2
+    while True:
+        a = _trim([rng.randrange(p) for _ in range(n)])
+        if _deg(a) < 1:
+            continue
+        g = _gcd_mod(_sub_mod(_powmod(a, half, f, p), [1], p), f, p)
+        if 0 < _deg(g) < n:
+            return _equal_degree(g, d, p, rng) + _equal_degree(_divmod_mod(f, g, p)[0], d, p, rng)
 
 
 def _reference_factor_mod_p(f, p):
@@ -79,6 +117,55 @@ def _reference_pick_prime(f):
         if best is None or len(fac) < len(best[1]):
             best = (p, fac)
     return best
+
+
+def _hensel_step(f, g, h, s, t, m):
+    """One quadratic lift: from f = g*h, s*g + t*h = 1 (mod m) to the same
+    identities mod m^2.  h monic; g's leading coefficient is preserved."""
+    m2 = m * m
+    e = _sub_mod(f, _mul_mod(g, h, m2), m2)
+    q, r = _divmod_mod(_mul_mod(s, e, m2), h, m2)
+    g1 = _add_mod(g, _add_mod(_mul_mod(t, e, m2), _mul_mod(q, g, m2), m2), m2)
+    h1 = _add_mod(h, r, m2)
+    b = _sub_mod(_add_mod(_mul_mod(s, g1, m2), _mul_mod(t, h1, m2), m2), [1], m2)
+    c, d = _divmod_mod(_mul_mod(s, b, m2), h1, m2)
+    s1 = _sub_mod(s, d, m2)
+    t1 = _sub_mod(t, _add_mod(_mul_mod(t, b, m2), _mul_mod(c, g1, m2), m2), m2)
+    return g1, h1, s1, t1
+
+
+def _hensel_rec(f, gs, p, steps):
+    """Lift f = (product of gs) from mod p to mod p^(2^steps).  The first
+    element of gs carries f's leading coefficient; the rest are monic."""
+    if len(gs) == 1:
+        return [f]
+    mid = len(gs) // 2 if len(gs) > 2 else 1
+    g = gs[0]
+    for extra in gs[1:mid]:
+        g = _mul_mod(g, extra, p)
+    h = gs[mid]
+    for extra in gs[mid + 1 :]:
+        h = _mul_mod(h, extra, p)
+    gg, ss, tt = _ext_gcd_mod(g, h, p)
+    assert _deg(gg) == 0, "modular factors not coprime"
+    inv = pow(gg[0], -1, p)
+    s, t = _scale_mod(ss, inv, p), _scale_mod(tt, inv, p)
+    m = p
+    for _ in range(steps):
+        g, h, s, t = _hensel_step(_mod(f, m * m), g, h, s, t, m)
+        m *= m
+    return _hensel_rec(g, gs[:mid], p, steps) + _hensel_rec(h, gs[mid:], p, steps)
+
+
+def _reference_lift(f, us, p, bound):
+    """The quadratic Hensel tree's monic lifts of the monic u_i, to the
+    least p^(2^k) above twice the bound, and that modulus."""
+    steps, m = 0, p
+    while m <= 2 * bound:
+        m *= m
+        steps += 1
+    lifted = _hensel_rec(_mod(f, m), [_scale_mod(us[0], f[-1], p)] + us[1:], p, steps)
+    return m, [_scale_mod(g, pow(g[-1], -1, m), m) for g in lifted]
 
 
 def _dense(p: MPoly) -> list[int]:
@@ -173,10 +260,10 @@ def _rational_roots_brute(f):
 
 
 def test_quadratics_and_cubics_split_without_a_modular_factorization():
-    # quadratics by their discriminant, cubics by their rational roots:
-    # products of random linear and quadratic factors and random
-    # irreducibles, checked against their rational roots, which
-    # rational_roots must find too
+    # quadratics and cubics by their rational roots alone: products of
+    # random linear and quadratic factors and random irreducibles,
+    # checked against their rational roots, which rational_roots must
+    # find too
     rng = random.Random(31)
     shapes = {1: 0, 2: 0, 3: 0}
     for _ in range(300):
@@ -213,33 +300,62 @@ def _random_monic_squarefree_mod_p(rng, p):
             return f
 
 
-def test_distinct_degree_matches_repeated_squaring():
+def test_frobenius_rows_and_berlekamp_count_match_repeated_squaring():
     rng = random.Random(20261019)
     degrees = set()
-    abandoned = 0
     for p in ODD_PRIMES:
         for _ in range(25):
             f = _random_monic_squarefree_mod_p(rng, p)
+            rows = _frobenius_rows(f, p)
+            assert rows == [_powmod([0, 1], i * p, f, p) for i in range(_deg(f))], (f, p)
             want = _reference_distinct_degree(f, p)
-            assert _distinct_degree(f, p) == want, (f, p)
             degrees.update(d for _, d in want)
-            count = sum(_deg(g) // d for g, d in want)
-            # with a limit, the split is abandoned only once its count
-            # reaches the limit, and is otherwise the same split
-            for limit in range(1, count + 3):
-                got = _distinct_degree(f, p, limit)
-                if got is None:
-                    assert count >= limit, (f, p, limit)
-                    abandoned += 1
-                else:
-                    assert got == want, (f, p, limit)
-            assert _distinct_degree(f, p, count + 1) == want
-    # the sample splits off several distinct degrees and abandons splits
-    assert max(degrees) >= 5 and abandoned
+            assert len(_berlekamp_basis(f, p)) + 1 == sum(_deg(g) // d for g, d in want), (f, p)
+    # the sample splits off several distinct degrees
+    assert max(degrees) >= 5
 
 
 S4 = ("x^16 - 136*x^14 + 6476*x^12 - 141912*x^10 + 1513334*x^8 - 7453176*x^6"
       " + 13950764*x^4 - 5596840*x^2 + 46225")
+
+
+def test_linear_lift_matches_the_quadratic_hensel_tree():
+    # the lifted factors are unique modulo every power of p, so the two
+    # lifts agree modulo the smaller modulus, the linear one's
+    rng = random.Random(4207)
+    polys = [_random_squarefree(rng) for _ in range(60)] + _kronecker_images()
+    polys.append(_dense(parse_poly(S4, ("x",))))
+    lifted_sets = 0
+    for f in polys:
+        if _deg(f) < 4:
+            continue
+        p, us = _pick_prime(f)
+        if len(us) == 1:
+            continue
+        bound = _mignotte_bound(f)
+        m, lifted = _lift_padic(f, us, p, bound)
+        assert m // p <= 2 * bound < m and m % p == 0
+        want_m, want = _reference_lift(f, us, p, bound)
+        assert want_m % m == 0
+        assert lifted == [_mod(g, m) for g in want], (f, p)
+        lifted_sets += 1
+    assert lifted_sets >= 20
+
+
+def test_lagrange_cofactors_need_coprime_factors():
+    us = [[1, 1], [2, 1], [1, 0, 1]]
+    cofactors = _lagrange_cofactors(us, 7)
+    total = []
+    for i, c in enumerate(cofactors):
+        assert _deg(c) < _deg(us[i])
+        term = c
+        for j, u in enumerate(us):
+            if j != i:
+                term = _mul_mod(term, u, 7)
+        total = _add_mod(total, term, 7)
+    assert total == [1]
+    with pytest.raises(InternalError, match="not coprime"):
+        _lagrange_cofactors([[1, 1], [8, 1]], 7)
 
 
 def test_recombination_over_its_budget_raises_budget_error(monkeypatch):
