@@ -28,20 +28,16 @@ The choice never shows in output: an int and the equal Fraction have the
 same value, ==, hash and str.
 
 The gcd is the heuristic integer gcd GCDHEU (Char, Geddes & Gonnet 1989),
-certified by exact division.  Its fallback is Brown's dense modular gcd,
-certified the same way, and the subresultant PRS where that steps aside.
+certified by exact division; the subresultant PRS is its fallback.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import islice
 from fractions import Fraction
 
 from .errors import BudgetError, DomainError
-from .intarith import primes_below
-from .unifactor import _add_mod, _divmod_mod, _gcd_mod, _mul_mod, _scale_mod, _value_mod
 
 Rat = Fraction
 
@@ -598,9 +594,8 @@ def _prs_gcd(A: list[MPoly], B: list[MPoly]) -> list[MPoly]:
 
 
 def _gcd_rec(a: MPoly, b: MPoly) -> MPoly:
-    """The fallback of _gcd: gcd including rational content; divides both
-    inputs exactly.  Brown's modular gcd, or the subresultant PRS where
-    that steps aside."""
+    """The subresultant-PRS fallback of _gcd: gcd including rational
+    content; divides both inputs exactly."""
     if a.is_zero():
         return b
     if b.is_zero():
@@ -610,12 +605,6 @@ def _gcd_rec(a: MPoly, b: MPoly) -> MPoly:
     shared = [v for v in a.ring if v in set(a.vars_used()) & set(b.vars_used())]
     if not shared:
         return MPoly.constant(_rat_gcd(a.rat_content(), b.rat_content()))
-    a, b = a._unify(b)
-    ca, fa = _int_primitive(a)
-    cb, fb = _int_primitive(b)
-    h = _modular_gcd(fa, fb, a.ring)
-    if h is not None:
-        return _from_int_gcd(h, ca, cb, a.ring)
     # short PRS chains matter far more than anything else here, so use
     # the shared variable of smallest degree as the main one
     var = min(shared, key=lambda v: (min(a.degree_in(v), b.degree_in(v)), VARS.index(v)))
@@ -760,183 +749,9 @@ def _heu_gcd(f: dict, g: dict, ring: tuple[str, ...]) -> dict | None:
     return None
 
 
-# Brown's dense modular gcd (Brown 1971; Geddes, Czapor & Labahn 1992,
-# algorithms 7.1 and 7.2): the images of the gcd modulo primes, each
-# built by evaluating the last variable, recursing and interpolating;
-# combined by the Chinese remainder theorem until the candidate divides
-# both inputs.  Polynomials mod p are {exponent tuple: residue}.  It steps
-# aside for the PRS when its grid of univariate gcds, times their cost,
-# passes _MOD_WORK, or when a coefficient passes half the primes' bits.
-_MOD_PRIMES = 8  # drawn below 2^61, each as it is needed
-_MOD_WORK = 2_000_000
-
-
-def _mod_split(f: dict) -> dict:
-    """f as {exponents of all but the last variable: dense list in it}."""
-    out: dict = {}
-    for e, c in f.items():
-        u = out.setdefault(e[:-1], [])
-        u.extend([0] * (e[-1] + 1 - len(u)))
-        u[e[-1]] = c
-    return out
-
-
-def _mod_join(F: dict) -> dict:
-    return {m + (i,): c for m, u in F.items() for i, c in enumerate(u) if c}
-
-
-def _mod_eval(f: dict, b: int, p: int) -> dict:
-    """f mod p with its last variable set to b."""
-    out: dict = {}
-    for e, c in f.items():
-        m = e[:-1]
-        out[m] = (out.get(m, 0) + c * pow(b, e[-1], p)) % p
-    return {m: c for m, c in out.items() if c}
-
-
-def _mod_content(F: dict, p: int) -> list[int]:
-    """The monic gcd mod p of the lists of F (the content in the last variable)."""
-    c: list[int] = []
-    for u in F.values():
-        c = _gcd_mod(c, u, p)
-        if len(c) == 1:
-            break
-    return c
-
-
-def _mod_divides(h: dict, f: dict, p: int) -> bool:
-    """Whether h divides f mod p, by lex leading-term division; every
-    quotient monomial lies in the box deg(f) - deg(h)."""
-    lm = max(h)
-    inv = pow(h[lm], -1, p)
-    room = [max(e[i] for e in f) - max(e[i] for e in h) for i in range(len(lm))]
-    rem = dict(f)
-    while rem:
-        m = max(rem)
-        shift = [i - j for i, j in zip(m, lm)]
-        if any(not 0 <= s <= r for s, r in zip(shift, room)):
-            return False
-        q = rem[m] * inv % p
-        for mh, ch in h.items():
-            mm = tuple([i + j for i, j in zip(mh, shift)])
-            s = (rem.get(mm, 0) - q * ch) % p
-            if s:
-                rem[mm] = s
-            else:
-                rem.pop(mm, None)
-    return True
-
-
-def _mod_gcd(f: dict, g: dict, p: int) -> dict | None:
-    """The gcd of nonzero f and g mod p, monic in lex order; None when no
-    evaluation point of the last variable below a cap gives it."""
-    if len(next(iter(f))) == 1:
-        h = _gcd_mod(_mod_split(f)[()], _mod_split(g)[()], p)
-        return {(i,): c for i, c in enumerate(h) if c}
-    F, G = _mod_split(f), _mod_split(g)
-    cf, cg = _mod_content(F, p), _mod_content(G, p)
-    F = {m: _divmod_mod(u, cf, p)[0] for m, u in F.items()}
-    G = {m: _divmod_mod(u, cg, p)[0] for m, u in G.items()}
-    content = _gcd_mod(cf, cg, p)
-    gamma = _gcd_mod(F[max(F)], G[max(G)], p)
-    # the gamma-scaled gcd has at most this degree in the last variable
-    limit = min(max(map(len, F.values())), max(map(len, G.values()))) + len(gamma) - 2
-    f, g = _mod_join(F), _mod_join(G)
-    H: dict = {}
-    lead = None
-    for b in range(4 * limit + 64):
-        gb = _value_mod(gamma, b, p)
-        if not gb:
-            continue
-        hb = _mod_gcd(_mod_eval(f, b, p), _mod_eval(g, b, p), p)
-        if hb is None:
-            return None
-        lm = max(hb)
-        if not any(lm):
-            return {(0,) * len(lm) + (i,): c for i, c in enumerate(content) if c}
-        if lead is not None and lm > lead:
-            continue  # an unlucky point
-        if lead is None or lm < lead:
-            H, q, lead, count = {m: [c * gb % p] for m, c in hb.items()}, [-b % p, 1], lm, 1
-        else:  # Newton's step: H += (gb * hb - H(b)) * q / q(b)
-            inv = pow(_value_mod(q, b, p), -1, p)
-            for m in set(H) | set(hb):
-                u = H.get(m, [])
-                d = (hb.get(m, 0) * gb - _value_mod(u, b, p)) * inv % p
-                if d:
-                    H[m] = _add_mod(u, _scale_mod(q, d, p), p)
-            q = _mul_mod(q, [-b % p, 1], p)
-            count += 1
-        if count > limit:
-            c = _mod_content(H, p)
-            h = _mod_join({m: _divmod_mod(u, c, p)[0] for m, u in H.items()})
-            if _mod_divides(h, f, p) and _mod_divides(h, g, p):
-                h = _mod_join({m: _mul_mod(u, content, p) for m, u in _mod_split(h).items()})
-                inv = pow(h[max(h)], -1, p)
-                return {e: c * inv % p for e, c in h.items()}
-    return None
-
-
-def _modular_gcd(f: dict, g: dict, ring: tuple[str, ...]) -> dict | None:
-    """The gcd of integer-primitive f and g over ring ({key: int}, up to
-    sign), or None when Brown's algorithm steps aside or its primes run
-    out."""
-    used = {v for m in (*f, *g) for v in ring if (m >> _SHIFT[v]) & _MASK}
-    # the variable of largest degree stays for the univariate gcds
-    order = sorted(used, key=lambda v: (-max((m >> _SHIFT[v]) & _MASK for m in (*f, *g)), VARS.index(v)))
-    F = {exponents(m, order): c for m, c in f.items()}
-    G = {exponents(m, order): c for m, c in g.items()}
-    degs = [(max(e[i] for e in F), max(e[i] for e in G)) for i in range(len(order))]
-    work = (len(F) + len(G) + (degs[0][0] + 1) * (degs[0][1] + 1)) * math.prod(df + dg + 1 for df, dg in degs[1:])
-    bits = max(abs(c).bit_length() for c in (*F.values(), *G.values()))
-    if work > _MOD_WORK or 2 * bits > 61 * _MOD_PRIMES:
-        return None
-    gamma = math.gcd(F[max(F)], G[max(G)])
-    lead = None
-    for p in islice(primes_below(1 << 61), _MOD_PRIMES):
-        if gamma % p == 0:
-            continue
-        h = _mod_gcd({e: c % p for e, c in F.items() if c % p}, {e: c % p for e, c in G.items() if c % p}, p)
-        if h is None:
-            continue
-        lm = max(h)
-        if not any(lm):
-            return {0: 1}
-        if lead is not None and lm > lead:
-            continue  # an unlucky prime
-        h = {e: c * gamma % p for e, c in h.items()}
-        if lead is None or lm < lead:
-            H, modulus, lead = h, p, lm
-        else:
-            H = {e: _crt(H.get(e, 0), modulus, h.get(e, 0), p) for e in set(H) | set(h)}
-            modulus *= p
-        half = modulus // 2
-        cand = {e: c - modulus if c > half else c for e, c in H.items() if c}
-        content = math.gcd(*cand.values())
-        cand = {_pack(ring, [e[order.index(v)] if v in used else 0 for v in ring]): c // content for e, c in cand.items()}
-        if _divides(cand, f, ring) and _divides(cand, g, ring):
-            return cand
-    return None
-
-
-def _crt(a: int, m: int, b: int, p: int) -> int:
-    """The residue mod m*p that is a mod m and b mod p."""
-    return a + m * ((b - a) * pow(m, -1, p) % p)
-
-
-def _from_int_gcd(h: dict, ca: Rat, cb: Rat, ring: tuple[str, ...]) -> MPoly:
-    """The gcd of ca*h1 and cb*h2 from h, the gcd of their integer-primitive
-    parts h1 and h2."""
-    scale = _rat_gcd(ca, cb)
-    if len(h) == 1 and 0 in h:
-        return MPoly.constant(scale)  # h is +-1: both inputs are primitive
-    return MPoly(ring, {m: rat(scale * c) for m, c in h.items()})
-
-
 def _gcd(a: MPoly, b: MPoly) -> MPoly:
     """gcd including rational content; divides both inputs exactly.
-    GCDHEU on the integer-primitive parts, _gcd_rec when the heuristic
-    gives up."""
+    GCDHEU on the integer-primitive parts, PRS when the heuristic gives up."""
     if a.is_zero():
         return b
     if b.is_zero():
@@ -949,7 +764,10 @@ def _gcd(a: MPoly, b: MPoly) -> MPoly:
     h = _heu_gcd(fa, fb, a.ring)
     if h is None:
         return _gcd_rec(a, b)
-    return _from_int_gcd(h, ca, cb, a.ring)
+    scale = _rat_gcd(ca, cb)
+    if len(h) == 1 and 0 in h:
+        return MPoly.constant(scale)  # h is +-1: both inputs are primitive
+    return MPoly(a.ring, {m: rat(scale * c) for m, c in h.items()})
 
 
 def mpoly_gcd(a: MPoly, b: MPoly) -> MPoly:

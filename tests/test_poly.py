@@ -305,21 +305,6 @@ def test_heuristic_gcd_matches_sympy():
 # a PRS of 1,286,852 counted products that takes about 0.3 s, which the
 # budget must let through
 @example([1 + Y * Z, 1 + X**2 * Z**2, X + Z + X * Y**2], Fraction(1))
-# draws whose pure subresultant PRS passes its budget (the last one would
-# take about 17 s); Brown's modular gcd answers each in about 0.1 s
-@example([1 + Z**2, Y**2 + Z**2 + X * Y**2, Z + X**2 + Y * Z], Fraction(1))
-@example(
-    [Fraction(11, 3) * Y**2 * Z - 2 * X**2 * Y * Z - Fraction(10, 7) * X**2 * Y * Z**2,
-     Fraction(11, 3) * Z - 2 * X**2 * Y * Z - Fraction(10, 7) * X**2 * Y * Z**2,
-     Fraction(11, 3) * Z - 2 * X**2 * Y * Z - 10 * X**2 * Y * Z**2],
-    Fraction(-8411, 4960),
-)
-@example(
-    [-3 * X + 3 * X**2 + Fraction(1, 3) * Y**2 * Z,
-     Fraction(6, 7) * Y - Fraction(8, 7) * X * Y**2 - Fraction(9, 2) * X * Y * Z**2,
-     Fraction(-4, 7) - 2 * X * Y**2 - 9 * Y * Z**2],
-    Fraction(-2060, 6123),
-)
 def test_squarefree_roundtrip_matches_prs(bases, content):
     p = MPoly.constant(content)
     for i, f in enumerate(bases):
@@ -362,25 +347,6 @@ def test_prs_fallback_gives_same_gcd(monkeypatch):
     monkeypatch.setattr(poly, "_gcd_rec", mock.Mock(wraps=poly._gcd_rec))
     assert [mpoly_gcd(a, b) for a, b in pairs] == expected
     assert poly._gcd_rec.called
-
-
-def test_modular_gcd_matches_the_prs():
-    # Brown's modular gcd against the subresultant PRS it stands in front
-    # of, on planted common factors in three variables
-    rng = random.Random(2718)
-    pairs = []
-    while len(pairs) < 40:
-        f, g, h = (rand_poly(rng, nvars=3, max_deg=2, max_terms=3, rational=True) for _ in range(3))
-        a, b = f * g, f * h**2
-        if not (a.is_constant() or b.is_constant()) and set(a.vars_used()) & set(b.vars_used()):
-            pairs.append((a, b))
-    for a, b in pairs:
-        assert poly._modular_gcd(poly._int_primitive(a)[1], poly._int_primitive(b)[1], a.ring) is not None
-    with mock.patch.object(poly, "_HEU_TRIES", 0):
-        modular = [mpoly_gcd(a, b) for a, b in pairs]
-        with mock.patch.object(poly, "_MOD_WORK", 0):
-            prs = [mpoly_gcd(a, b) for a, b in pairs]
-    assert modular == prs
 
 
 def test_heuristic_gcd_gives_up_before_its_integers_swell():
